@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage error, 3 numerical non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -320,9 +321,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on first use: parsing leaves it
+    unchanged, so one per process serves every call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "channel":

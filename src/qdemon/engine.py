@@ -34,10 +34,19 @@ from .qmatrix import (
 #: open both ends of every epsilon search bracket by this much (keeps ln finite)
 EPS_FLOOR = 1e-15
 
-#: cap on beta*delta_w (exp underflow guard; beyond this p_e is exactly 0.0)
+#: cap on beta*delta_w: exp(-745) is the smallest subnormal, so beyond the cap
+#: p_e stays 5e-324 (and the heat positive) instead of underflowing to 0.0
 BETA_DELTA_CAP = 745.0
 
 _POLICIES = ("ideal", "opt-power", "opt-eta")
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ParameterError for the first NaN or infinite value, which every
+    range check would otherwise let through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def bit_entropy(x: float) -> float:
@@ -65,6 +74,7 @@ class EngineParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        _require_finite(beta=self.beta, beta_d=self.beta_d, delta_w=self.delta_w)
         if self.delta_w <= 0.0:
             raise ParameterError(f"delta_w must be positive, got {self.delta_w}")
         if self.beta < 0.0:
@@ -124,6 +134,7 @@ def thermal_wit(beta: float, delta_w: float) -> tuple[float, float, np.ndarray]:
 
     Z = 1 + exp(-beta*delta_w), p_g = 1/Z, p_e = exp(-beta*delta_w)/Z.
     """
+    _require_finite(beta=beta, delta_w=delta_w)
     if delta_w <= 0.0:
         raise ParameterError(f"delta_w must be positive, got {delta_w}")
     if beta < 0.0:
@@ -323,6 +334,7 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
+    _require_finite(beta_d_delta=beta_d_delta)
     if beta_d_delta <= 0.0:
         raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
     xi = 1.0 - 2.0 * p_e
@@ -361,10 +373,15 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     [(1-2p_e) H'[p_e + eps(1-2p_e)] - H'[eps]](p_e - eps)
     + H[p_e + eps(1-2p_e)] - H[eps] = 0
     contains no demon temperature, so the root maximises the efficiency for
-    every beta_d. The bracket (0, p_e) is scanned at 1e-3 resolution and
+    every beta_d. The bracket (0, p_e) is scanned on a 1,001-point grid and
     every sign change is bisected; the returned objective is the
     entropy-cost ratio whose minimum the root realises. At p_e = 1/2 the
-    root sits exactly on the boundary eps = 1/2.
+    root sits exactly on the boundary eps = 1/2. The scan is one array
+    operation that repeats the scalar formulas in the same order, and its
+    results are those of a point-by-point scalar scan, which a test keeps
+    as the oracle. numpy's log may differ from math.log in the last bit; that
+    can change a result only where a scan decision (sign, exact zero, least
+    |value|) hinges on the last bit of a grid value.
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
@@ -383,13 +400,24 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     lo = EPS_FLOOR
     hi = p_e - EPS_FLOOR
     grid = np.linspace(lo, hi, 1001)
-    values = [stationarity(g) for g in grid]
+    x = p_e + grid * xi
+    in_domain = (0.0 < x) & (x < 1.0) & (0.0 < grid) & (grid < 1.0)
+    if not in_domain.all():
+        # raises the ParameterError of the first grid point outside H's domain
+        stationarity(float(grid[np.argmin(in_domain)]))
+    # stationarity() on the whole grid, same formulas and operation order
+    values = ((xi * np.log((1.0 - x) / x) - np.log((1.0 - grid) / grid))
+              * (p_e - grid)
+              + (-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
+              - (-grid * np.log(grid) - (1.0 - grid) * np.log(1.0 - grid)))
+    zero = values[:-1] == 0.0
+    change = values[:-1] * values[1:] < 0.0
     roots = []
     total_iters = 0
-    for i in range(len(grid) - 1):
-        if values[i] == 0.0:
+    for i in np.flatnonzero(zero | change):
+        if zero[i]:
             roots.append(float(grid[i]))
-        elif values[i] * values[i + 1] < 0.0:
+        else:
             root, _, iters = _bisect(stationarity, float(grid[i]), float(grid[i + 1]))
             roots.append(root)
             total_iters += iters
@@ -448,6 +476,7 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal",
     work, and bisects it. Returns NaN when the engine never produces
     positive work (e.g. the ideal policy at beta_d*delta_w <= 2 ln 2).
     """
+    _require_finite(beta_d=beta_d, delta_w=delta_w)
     if beta_d <= 0.0 or delta_w <= 0.0:
         raise ParameterError("beta_d and delta_w must be positive")
     beta_d_delta = beta_d * delta_w

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from qdemon import cli
 from qdemon.cli import _recorded_flags, main
 
 LN2 = math.log(2)
@@ -177,6 +178,20 @@ def test_engine_optimize_nonconvergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["engine", "report", "--beta-delta", "nan"],
+    ["engine", "report", "--beta-delta", "1", "--beta-d-delta", "inf"],
+    ["engine", "optimize", "--beta-d-delta", "nan"],
+])
+def test_engine_non_finite_input_exits_2(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
 def test_outputs_byte_identical_across_runs(tmp_path):
     args = ["engine", "sweep", "--beta-d-delta", "2.0", "--policy", "opt-eta",
             "--steps", "11"]
@@ -248,3 +263,41 @@ def test_flags_keep_end_of_options_marker(tmp_path):
 ])
 def test_recorded_flags_drop_only_output(argv, recorded):
     assert _recorded_flags(argv) == recorded
+
+
+def outcome(capsys, args):
+    """(exit code, stdout, stderr) of one main() call."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+@pytest.mark.parametrize("sequence, codes", [
+    # the nargs="+" default list must be neither shared nor mutated; a
+    # default frontier writes one column per entry of it
+    ([["engine", "frontier", "--steps", "3"],
+      ["engine", "frontier", "--beta-d-delta", "2", "3", "--steps", "3"],
+      ["engine", "sweep"], ["engine", "frontier", "--steps", "3"]], [0, 0, 0, 0]),
+    # the mzi subparser's set_defaults(eta=pi) must still apply
+    ([["mzi", "--eta", "1.0"], ["mzi"]], [0, 0]),
+    # usage errors after a success still exit 2 with the same message
+    ([["gates", "--which", "UD"], ["gates", "--which", "NOPE"],
+      ["engine", "report", "--policy", "bogus"]], [0, 2, 2]),
+])
+def test_reused_parser_matches_fresh_parser(capsys, sequence, codes):
+    fresh = []
+    for args in sequence:
+        cli._parser.cache_clear()
+        fresh.append(outcome(capsys, args))
+    cli._parser.cache_clear()
+    reused = [outcome(capsys, args) for args in sequence]
+    assert [code for code, _, _ in fresh] == codes
+    assert reused == fresh

@@ -1,6 +1,7 @@
 """Two-cycle engine: bookkeeping, optimisers, positive-work frontier."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -44,6 +45,14 @@ def test_thermal_wit_limits():
         eng.thermal_wit(-1.0, 1.0)
 
 
+def test_thermal_wit_cap_keeps_smallest_subnormal():
+    # exp(-BETA_DELTA_CAP) is the smallest subnormal: p_e never reaches 0.0
+    for beta_delta in (eng.BETA_DELTA_CAP, 800.0, 1e9):
+        p_g, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+        assert p_e == 5e-324 == math.ulp(0.0)
+        assert p_g == 1.0
+
+
 def test_params_validation():
     with pytest.raises(qm.ParameterError):
         eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=-1.0)
@@ -51,6 +60,24 @@ def test_params_validation():
         eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=1.0, epsilon=0.7)
     with pytest.raises(qm.ParameterError):
         eng.EngineParams(beta=1.0, beta_d=0.0, delta_w=1.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_engine_inputs_rejected(bad):
+    calls = {
+        "thermal_wit(beta)": lambda: eng.thermal_wit(bad, 1.0),
+        "thermal_wit(delta_w)": lambda: eng.thermal_wit(1.0, bad),
+        "EngineParams(beta)": lambda: eng.EngineParams(beta=bad, beta_d=2.0, delta_w=1.0),
+        "EngineParams(beta_d)": lambda: eng.EngineParams(beta=1.0, beta_d=bad, delta_w=1.0),
+        "EngineParams(delta_w)": lambda: eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=bad),
+        "optimize_epsilon_power": lambda: eng.optimize_epsilon_power(0.3, bad),
+        "minimal_beta(beta_d)": lambda: eng.minimal_beta(bad, 1.0),
+        "minimal_beta(delta_w)": lambda: eng.minimal_beta(2.0, bad),
+    }
+    for name, call in calls.items():
+        with pytest.raises(qm.ParameterError, match="must be finite"):
+            call()
+            pytest.fail(f"{name} accepted {bad}")
 
 
 def test_ideal_cycle_unit_local_efficiency():
@@ -202,6 +229,77 @@ def test_optimize_eta_single_root_reported():
         result = eng.optimize_epsilon_eta(p_e)
         assert len(result.roots) == 1
         assert result.residual <= 1e-12
+
+
+def scalar_eta_scan(p_e):
+    """optimize_epsilon_eta as a point-by-point scalar scan: the oracle for
+    the array scan, which must give identical results."""
+    if not 0.0 < p_e <= 0.5:
+        raise qm.ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
+    if p_e == 0.5:
+        return eng.OptimizationResult(
+            epsilon_star=0.5, objective_value=0.0, converged=True,
+            iterations=0, residual=0.0, roots=(0.5,),
+        )
+    xi = 1.0 - 2.0 * p_e
+
+    def stationarity(eps):
+        return ((xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps))
+                * (p_e - eps)
+                + eng.bit_entropy(p_e + eps * xi) - eng.bit_entropy(eps))
+
+    grid = np.linspace(eng.EPS_FLOOR, p_e - eng.EPS_FLOOR, 1001)
+    values = [stationarity(g) for g in grid]
+    roots = []
+    total_iters = 0
+    for i in range(len(grid) - 1):
+        if values[i] == 0.0:
+            roots.append(float(grid[i]))
+        elif values[i] * values[i + 1] < 0.0:
+            root, _, iters = eng._bisect(stationarity, float(grid[i]), float(grid[i + 1]))
+            roots.append(root)
+            total_iters += iters
+    if not roots:
+        best = float(grid[int(np.argmin(np.abs(values)))])
+        return eng.OptimizationResult(
+            epsilon_star=best, objective_value=eng._entropy_cost_ratio(p_e, best),
+            converged=False, iterations=total_iters,
+            residual=abs(stationarity(best)), roots=(),
+        )
+    best = min(roots, key=lambda r: eng._entropy_cost_ratio(p_e, r))
+    residual = abs(stationarity(best))
+    return eng.OptimizationResult(
+        epsilon_star=best, objective_value=eng._entropy_cost_ratio(p_e, best),
+        converged=residual <= 1e-12, iterations=total_iters,
+        residual=residual, roots=tuple(roots),
+    )
+
+
+def test_optimize_eta_identical_to_scalar_scan():
+    rng = np.random.default_rng(1604)
+    edges = [1.0000001e-15, 1.5e-15, 2e-15, 1e-10, 0.4999, 0.5, 0.49999999]
+    sample = np.concatenate([np.exp(rng.uniform(math.log(1e-15), math.log(0.5), 120)),
+                             rng.uniform(0.0, 0.5, 30), edges])
+    converged = 0
+    for p_e in sample.tolist():
+        want = scalar_eta_scan(p_e)
+        got = eng.optimize_epsilon_eta(p_e)
+        for name in ("epsilon_star", "objective_value", "residual", "converged",
+                     "iterations", "roots"):
+            assert getattr(got, name) == getattr(want, name), (p_e, name)
+        converged += want.converged
+    # both branches are exercised: converged roots and the argmin fallback
+    assert 0 < converged < len(sample)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # oracle at 5e-324
+@pytest.mark.parametrize("p_e", [1e-15, 5e-16, 1e-16, 5e-324, 0.0, -0.1, 0.6,
+                                 math.nan, math.inf])
+def test_optimize_eta_raises_where_scalar_scan_raises(p_e):
+    with pytest.raises(qm.ParameterError) as want:
+        scalar_eta_scan(p_e)
+    with pytest.raises(qm.ParameterError, match=re.escape(str(want.value))):
+        eng.optimize_epsilon_eta(p_e)
 
 
 def test_optimize_eta_demon_temperature_invariant():
