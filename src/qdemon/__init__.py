@@ -62,8 +62,6 @@ from .qmatrix import (
     check_pure_state,
     check_unitary,
     dag,
-    hermitian_eigensystem,
-    matrices_close,
     matrix_from_json,
     matrix_to_json,
     partial_trace,

@@ -17,16 +17,17 @@ maximal purification.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .qmatrix import (
     ATOL,
+    LOG_EIG_FLOOR,
     check_density_matrix,
     check_unitary,
     dag,
-    matrix_log_psd,
     matrix_to_json,
     partial_trace,
     tensor,
@@ -75,8 +76,9 @@ class ChannelReport:
 
     ``entropy_gain`` >= ``lower_bound`` - 1e-9 always holds; ``unital`` is
     |γ| <= 1e-12. ``flags`` collects soft diagnostics ("bound-clipped" when
-    the bound's matrix logarithm had to floor a zero eigenvalue,
-    "demon-not-diagonal" from the spin wrapper).
+    the bound's smaller eigenvalue 1 - |γ| of Φ(1) had to be floored at
+    ``LOG_EIG_FLOOR`` to keep its logarithm finite, "demon-not-diagonal" from
+    the spin wrapper).
     """
 
     rho_out: np.ndarray
@@ -132,24 +134,47 @@ def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:
     """Entropy change of the flying qubit and its information-theoretic floor.
 
     Returns (gain, bound) with gain = S(Φρ) - S(ρ) and
-    bound = -Tr{Φρ · ln Φ(1)}, evaluated spectrally on Φ(1) = [[1, γ], [γ*, 1]].
-    gain >= bound - 1e-9 for every config and input; for unital configs the
-    bound is zero and the entropy cannot decrease.
+    bound = -Tr{Φρ · ln Φ(1)}, evaluated in closed form on
+    Φ(1) = [[1, γ], [γ*, 1]] (see :func:`channel_report`); the same two
+    fields :func:`apply_channel` reports. gain >= bound - 1e-9 for every
+    config and input; for unital configs the bound is zero and the entropy
+    cannot decrease.
     """
-    gain, bound, _ = _gain_and_bound(rho_in, config)
-    return gain, bound
+    report = apply_channel(rho_in, config)
+    return report.entropy_gain, report.lower_bound
 
 
-def _gain_and_bound(rho_in, config: ChannelConfig):
-    rho_in = check_density_matrix(rho_in)
-    u = joint_unitary(config)
-    joint = u @ tensor(rho_in, config.demon_state) @ dag(u)
+def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
+                   flags: tuple[str, ...]) -> ChannelReport:
+    """Trace both qubits out of the evolved joint state and report the channel.
+
+    Φ(1) = [[1, γ], [γ*, 1]] has eigenvalues 1 ± a (a = |γ|) with
+    projectors (1/2)[[1, ±γ/a], [±γ*/a, 1]], so with c = 2 Re(ρ_out[1,0] γ)/a
+
+        bound = -(1/2)[(1 + c) ln(1 + a) + (1 - c) ln(max(1 - a, LOG_EIG_FLOOR))]
+
+    and the bound is 0 at a = 0. "bound-clipped" is appended to ``flags``
+    exactly when 1 - a falls below the floor. ``rho_in`` must already be a
+    validated density matrix.
+    """
     rho_out = partial_trace(joint, "first")
-    phi_id = 2.0 * channel_on_identity(config)[0]
-    log_phi, clipped = matrix_log_psd(phi_id)
-    bound = float(-np.real(np.trace(rho_out @ log_phi)))
-    gain = von_neumann_entropy(rho_out) - von_neumann_entropy(rho_in)
-    return gain, bound, clipped
+    a = abs(g)
+    bound, clipped = 0.0, False
+    if a > 0.0:
+        c = 2.0 * (complex(rho_out[1, 0]) * g).real / a
+        clipped = 1.0 - a < LOG_EIG_FLOOR
+        bound = -0.5 * ((1.0 + c) * math.log(1.0 + a)
+                        + (1.0 - c) * math.log(max(1.0 - a, LOG_EIG_FLOOR)))
+    return ChannelReport(
+        rho_out=rho_out,
+        demon_out=partial_trace(joint, "second"),
+        joint_out=joint,
+        gamma=g,
+        entropy_gain=von_neumann_entropy(rho_out) - von_neumann_entropy(rho_in),
+        lower_bound=bound,
+        unital=bool(a <= UNITAL_TOL),
+        flags=tuple(flags) + (("bound-clipped",) if clipped else ()),
+    )
 
 
 def apply_channel(rho_in, config: ChannelConfig,
@@ -163,24 +188,7 @@ def apply_channel(rho_in, config: ChannelConfig,
     rho_in = check_density_matrix(rho_in)
     u = joint_unitary(config)
     joint = u @ tensor(rho_in, config.demon_state) @ dag(u)
-    rho_out = partial_trace(joint, "first")
-    demon_out = partial_trace(joint, "second")
-    g = gamma(config)
-    phi_id = 2.0 * channel_on_identity(config)[0]
-    log_phi, clipped = matrix_log_psd(phi_id)
-    bound = float(-np.real(np.trace(rho_out @ log_phi)))
-    gain = von_neumann_entropy(rho_out) - von_neumann_entropy(rho_in)
-    flags = tuple(extra_flags) + (("bound-clipped",) if clipped else ())
-    return ChannelReport(
-        rho_out=rho_out,
-        demon_out=demon_out,
-        joint_out=joint,
-        gamma=g,
-        entropy_gain=gain,
-        lower_bound=bound,
-        unital=bool(abs(g) <= UNITAL_TOL),
-        flags=flags,
-    )
+    return channel_report(rho_in, joint, gamma(config), extra_flags)
 
 
 def mutual_information(joint, atol: float = ATOL) -> float:

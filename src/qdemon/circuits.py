@@ -19,17 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelReport, apply_channel, channel_on_identity, gamma
-from .qmatrix import (
-    ParameterError,
-    check_density_matrix,
-    check_pure_state,
-    dag,
-    matrix_log_psd,
-    partial_trace,
-    tensor,
-    von_neumann_entropy,
-)
+from .channel import ChannelReport, apply_channel, channel_report, gamma
+from .qmatrix import ParameterError, check_density_matrix, check_pure_state, dag, tensor
 from .spin_demon import SpinDemonParams, beam_splitter, spin_config
 
 I2 = np.eye(2, dtype=complex)
@@ -217,28 +208,10 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
         joint = undo @ joint @ dag(undo)
         flags.append("rotation-completed")
 
-    rho_out = partial_trace(joint, "first")
-    demon_out = partial_trace(joint, "second")
-
-    # γ and the entropy-gain floor come from the equivalent channel phases;
-    # the dot coordinates in the operational frame equal the matrix as given
-    ref = spin_config(equivalent_spin_params(config), dot)
-    g = gamma(ref)
-    phi_id = 2.0 * channel_on_identity(ref)[0]
-    log_phi, clipped = matrix_log_psd(phi_id)
-    bound = float(-np.real(np.trace(rho_out @ log_phi)))
-    if clipped:
-        flags.append("bound-clipped")
-    return ChannelReport(
-        rho_out=rho_out,
-        demon_out=demon_out,
-        joint_out=joint,
-        gamma=g,
-        entropy_gain=von_neumann_entropy(rho_out) - von_neumann_entropy(rho_in),
-        lower_bound=bound,
-        unital=bool(abs(g) <= 1e-12),
-        flags=tuple(flags),
-    )
+    # γ comes from the equivalent channel phases; the dot coordinates in the
+    # operational frame equal the matrix as given
+    g = gamma(spin_config(equivalent_spin_params(config), dot))
+    return channel_report(rho_in, joint, g, tuple(flags))
 
 
 def reference_channel_report(rho_in, dot_state, config: DoubleDotConfig) -> ChannelReport:

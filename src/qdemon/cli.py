@@ -120,8 +120,8 @@ def _input_state(parser, args) -> np.ndarray:
         b = complex(args.amplitudes[2], args.amplitudes[3])
         vec = np.array([a, b])
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            parser.error("pure input amplitudes must not both vanish")
+        if not 0.0 < norm < np.inf:
+            parser.error("pure input amplitudes must be finite and not both vanish")
         vec = vec / norm
         return np.outer(vec, vec.conj())
     parser.error(f"unknown input {args.input!r}")
@@ -241,6 +241,9 @@ def cmd_engine(parser, args, argv) -> int:
     if args.target == "power":
         result = eng.optimize_epsilon_power(pe, bd_delta)
     else:
+        # βdΔ is only echoed into the report here; check it as the power target does
+        if not 0.0 < bd_delta < np.inf:
+            raise ParameterError(f"beta_d_delta must be finite and positive, got {bd_delta}")
         result = eng.optimize_epsilon_eta(pe)
     doc = {
         "epsilon_star": result.epsilon_star,

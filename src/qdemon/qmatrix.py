@@ -24,7 +24,7 @@ ATOL = 1e-12
 #: most negative eigenvalue a matrix may have and still count as a state
 EIG_NEG_TOL = -1e-10
 
-#: floor applied to eigenvalues before taking a matrix logarithm
+#: floor applied to the eigenvalue 1 - |γ| of Φ(1) before taking its logarithm
 LOG_EIG_FLOOR = 1e-300
 
 
@@ -48,22 +48,24 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
+def _require_finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise InvalidStateError("entries must be finite, got NaN or inf")
+    return a
+
+
 def dag(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T
 
 
-def matrices_close(a, b, atol: float = ATOL) -> bool:
-    """Elementwise equality within an absolute tolerance."""
-    return bool(np.allclose(np.asarray(a), np.asarray(b), rtol=0.0, atol=atol))
-
-
 def check_unitary(u, atol: float = ATOL) -> np.ndarray:
     """Validate U†U = 1 and return the coerced matrix.
 
-    Raises InvalidStateError when the unitarity defect exceeds ``atol``.
+    Raises InvalidStateError for NaN or infinite entries and when the
+    unitarity defect exceeds ``atol``.
     """
-    u = as_matrix(u)
+    u = _require_finite(as_matrix(u))
     defect = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
     if defect > atol:
         raise InvalidStateError(f"matrix is not unitary (defect {defect:.3e})")
@@ -71,12 +73,13 @@ def check_unitary(u, atol: float = ATOL) -> np.ndarray:
 
 
 def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity of a density matrix.
+    """Validate finiteness, Hermiticity, unit trace and positivity of a
+    density matrix.
 
     Eigenvalues are allowed to dip to ``EIG_NEG_TOL`` below zero to absorb
     round-off from upstream arithmetic.
     """
-    rho = as_matrix(rho)
+    rho = _require_finite(as_matrix(rho))
     if np.abs(rho - dag(rho)).max() > atol:
         raise InvalidStateError("density matrix is not Hermitian")
     tr = np.trace(rho)
@@ -90,8 +93,8 @@ def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
 
 
 def check_pure_state(vec, atol: float = ATOL) -> np.ndarray:
-    """Validate a unit-norm amplitude vector and return it as complex128."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
+    """Validate a finite, unit-norm amplitude vector and return it as complex128."""
+    v = _require_finite(np.asarray(vec, dtype=complex).reshape(-1))
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > atol:
         raise InvalidStateError(f"state vector norm is {norm}, expected 1")
@@ -142,17 +145,6 @@ def partial_trace(rho, keep) -> np.ndarray:
     return np.einsum("kikj->ij", r)
 
 
-def hermitian_eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
-
-    Columns of the returned matrix are the eigenvectors; the decomposition
-    reassembles the input as V diag(w) V†.
-    """
-    m = as_matrix(m)
-    w, v = np.linalg.eigh(m)
-    return w, v
-
-
 def von_neumann_entropy(rho, atol: float = ATOL) -> float:
     """Spectral entropy S = -Σ λ ln λ in nats, with 0·ln 0 = 0.
 
@@ -164,18 +156,6 @@ def von_neumann_entropy(rho, atol: float = ATOL) -> float:
     evals = np.clip(evals.real, 0.0, 1.0)
     nz = evals[evals > 0.0]
     return float(-np.sum(nz * np.log(nz)))
-
-
-def matrix_log_psd(m, floor: float = LOG_EIG_FLOOR) -> tuple[np.ndarray, bool]:
-    """Matrix logarithm of a positive semidefinite matrix.
-
-    Eigenvalues are floored at ``floor`` to keep ln finite; the returned
-    flag reports whether any eigenvalue actually hit the floor.
-    """
-    w, v = hermitian_eigensystem(m)
-    clipped = bool(np.any(w.real < floor))
-    w = np.clip(w.real, floor, None)
-    return v @ np.diag(np.log(w)) @ dag(v), clipped
 
 
 def matrix_to_json(m) -> dict:

@@ -123,8 +123,8 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
         a, b = value
         vec = np.array([complex(a), complex(b)])
         norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise ParameterError("superposition amplitudes must not both vanish")
+        if not 0.0 < norm < np.inf:
+            raise ParameterError("superposition amplitudes must be finite and not both vanish")
         return pure_density(vec / norm)
     raise ParameterError(f"unknown demon kind {kind!r}")
 

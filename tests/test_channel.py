@@ -8,6 +8,7 @@ import pytest
 
 from qdemon import channel as ch
 from qdemon import qmatrix as qm
+from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, config_from_json, spin_config
 from conftest import random_density, random_unitary
 
@@ -227,8 +228,9 @@ def test_mutual_information_after_maximal_swap():
 
 
 def test_bound_stays_finite_at_maximal_coherence():
-    # |gamma| reaches 1 only up to round-off, so the spectral log keeps a
-    # ~1e-16 eigenvalue and the bound stays finite and attained
+    # |gamma| reaches 1 only up to round-off; the output lies on the upper
+    # eigenvector of Phi(1) (c = 1), so the ln(1 - |gamma|) term carries no
+    # weight and the bound stays finite and attained
     params = SpinDemonParams(theta=0.0, eta=np.pi, phi=0.0)
     report = ch.apply_channel(I2 / 2, spin_config(params, UP))
     assert np.isfinite(report.lower_bound)
@@ -236,16 +238,88 @@ def test_bound_stays_finite_at_maximal_coherence():
     assert math.isclose(report.lower_bound, -math.log(2), abs_tol=1e-9)
 
 
-def test_matrix_log_floor_guard():
-    # exactly singular positive matrices are floored and flagged
-    singular = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
-    logm, clipped = qm.matrix_log_psd(singular)
-    assert clipped
-    assert np.isfinite(logm).all()
-    regular = np.diag([0.25, 0.75]).astype(complex)
-    logm, clipped = qm.matrix_log_psd(regular)
-    assert not clipped
-    assert np.allclose(logm, np.diag(np.log([0.25, 0.75])), atol=1e-12)
+def floor_case_report(rho_out, g):
+    joint = qm.tensor(rho_out, UP)
+    return ch.channel_report(I2 / 2, joint, g, ())
+
+
+def test_bound_floor_pinned_at_unit_coherence_aligned():
+    # |gamma| = 1, c = 1: the floored eigenvalue has zero weight
+    report = floor_case_report(np.full((2, 2), 0.5, dtype=complex), 1.0 + 0j)
+    assert report.lower_bound == -math.log(2)
+    assert report.flags == ("bound-clipped",)
+
+
+def test_bound_floor_pinned_at_unit_coherence_misaligned():
+    # |gamma| = 1, c < 1: ln(1 - |gamma|) is floored at LOG_EIG_FLOOR
+    assert qm.LOG_EIG_FLOOR == 1e-300
+    for c in (0.0, 0.5, -1.0):
+        rho_out = np.array([[0.5, c / 2], [c / 2, 0.5]], dtype=complex)
+        report = floor_case_report(rho_out, 1.0 + 0j)
+        expected = -0.5 * ((1 + c) * math.log(2) + (1 - c) * math.log(1e-300))
+        assert math.isfinite(report.lower_bound)
+        assert math.isclose(report.lower_bound, expected, rel_tol=1e-15)
+        assert report.flags == ("bound-clipped",)
+
+
+def test_bound_zero_and_unflagged_without_coherence(rng):
+    report = floor_case_report(random_density(rng), 0j)
+    assert report.lower_bound == 0.0
+    assert report.flags == ()
+    assert report.unital
+
+
+def spectral_bound(rho_out, g, floor=1e-300):
+    """Oracle: -Tr{rho_out ln Phi(1)} by eigendecomposition of Phi(1), with
+    its eigenvalues floored (the matrix logarithm the closed form replaced)."""
+    phi_id = np.array([[1.0, g], [np.conj(g), 1.0]], dtype=complex)
+    w, v = np.linalg.eigh(phi_id)
+    clipped = bool(np.any(w.real < floor))
+    log_phi = v @ np.diag(np.log(np.clip(w.real, floor, None))) @ v.conj().T
+    return float(-np.real(np.trace(rho_out @ log_phi))), clipped
+
+
+def oracle_cases(rng):
+    for _ in range(100):
+        yield random_density(rng), random_config(rng)
+    for _ in range(50):
+        yield random_density(rng), unital_config(rng)
+    demons = [UP, DOWN, np.diag([1 - 1e-13, 1e-13]), np.diag([0.75, 0.25]), I2 / 2,
+              qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2))]
+    for demon in demons:
+        for _ in range(25):
+            params = SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5))
+            yield random_density(rng), spin_config(params, demon)
+
+
+def test_bound_matches_spectral_oracle(rng):
+    gammas = []
+    for rho_in, config in oracle_cases(rng):
+        report = ch.apply_channel(rho_in, config)
+        bound, clipped = spectral_bound(report.rho_out, report.gamma)
+        assert abs(report.lower_bound - bound) <= 1e-12
+        if 1.0 - abs(report.gamma) > 1e-6:
+            assert "bound-clipped" not in report.flags and not clipped
+        gammas.append(abs(report.gamma))
+    # the seeded cases reach both edges
+    assert min(gammas) <= 1e-12 and max(gammas) >= 1.0 - 1e-15
+
+
+def test_double_dot_bound_matches_spectral_oracle(rng):
+    for _ in range(100):
+        config = DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
+        dot = UP if rng.uniform() < 0.5 else random_density(rng)
+        report = double_dot_protocol(random_density(rng), dot, config,
+                                     complete_rotation=bool(rng.uniform() < 0.5))
+        bound, _ = spectral_bound(report.rho_out, report.gamma)
+        assert abs(report.lower_bound - bound) <= 1e-12
+
+
+def test_entropy_gain_is_apply_channel_fields(rng):
+    for _ in range(50):
+        rho_in, config = random_density(rng), random_config(rng)
+        report = ch.apply_channel(rho_in, config)
+        assert ch.entropy_gain(rho_in, config) == (report.entropy_gain, report.lower_bound)
 
 
 def test_config_validation_rejects_bad_members(rng):

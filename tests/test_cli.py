@@ -182,6 +182,8 @@ def test_engine_optimize_nonconvergence_exits_3(capsys):
     ["engine", "report", "--beta-delta", "nan"],
     ["engine", "report", "--beta-delta", "1", "--beta-d-delta", "inf"],
     ["engine", "optimize", "--beta-d-delta", "nan"],
+    ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "nan"],
+    ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta=-inf"],
 ])
 def test_engine_non_finite_input_exits_2(capsys, args):
     with pytest.raises(SystemExit) as err:
@@ -190,6 +192,31 @@ def test_engine_non_finite_input_exits_2(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+def test_engine_optimize_eta_rejects_non_positive_beta_d_delta(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "0"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta_d_delta must be finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["channel", "--demon", "superposition", "nan", "1"],
+    ["channel", "--demon", "superposition", "inf", "1"],
+    ["channel", "--input", "pure", "--amplitudes", "nan", "0", "0", "1"],
+    ["channel", "--input", "pure", "--amplitudes", "1", "0", "inf", "0"],
+    ["channel", "--input", "pure", "--amplitudes", "0", "0", "0", "0"],
+])
+def test_channel_non_finite_input_exits_2(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "finite" in captured.err
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

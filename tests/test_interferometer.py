@@ -7,7 +7,7 @@ import pytest
 
 from qdemon import qmatrix as qm
 from qdemon.interferometer import MziConfig, dephase, run_double_mzi
-from qdemon.spin_demon import SpinDemonParams
+from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
 from conftest import random_density
 
 I2 = np.eye(2, dtype=complex)
@@ -39,6 +39,71 @@ def test_dephase_preserves_state_validity(rng):
     for chi in rng.uniform(0, np.pi, size=10):
         out = dephase(random_density(rng), chi)
         qm.check_density_matrix(out)
+
+
+def dilated_dephase(rho, chi):
+    """Oracle: the ancilla dilation dephase() is the closed form of."""
+    rot = np.array([[np.cos(chi), -np.sin(chi)],
+                    [np.sin(chi), np.cos(chi)]], dtype=complex)
+    controlled = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
+    ancilla = np.diag([1.0, 0.0]).astype(complex)
+    joint = controlled @ qm.tensor(rho, ancilla) @ controlled.conj().T
+    return qm.partial_trace(joint, "first")
+
+
+def arm_phase(rho, angle):
+    p = np.diag([np.exp(1j * angle), 1.0])
+    return p @ rho @ p.conj().T
+
+
+def looped_mzi(config):
+    """Oracle: the double MZI with the dilated dephasing and one splitter
+    product per flux sample."""
+    out_split = beam_splitter(0.0, np.pi)
+    rho = out_split @ np.diag([1.0, 0.0]).astype(complex) @ out_split.conj().T
+    rho = dilated_dephase(arm_phase(rho, config.arm_phase), config.chi)
+    if config.bypass_demon:
+        s_mid = beam_splitter(config.params.theta, config.params.eta)
+        rho = s_mid @ rho @ s_mid.conj().T
+    else:
+        demon = config.epsilon * I2 + (1.0 - 2.0 * config.epsilon) * np.diag([1.0, 0.0])
+        rho = scatter(rho, demon, config.params).rho_out
+    flux = np.linspace(0.0, 2.0 * np.pi, config.flux_samples, endpoint=False)
+    p3 = np.empty(config.flux_samples)
+    p4 = np.empty(config.flux_samples)
+    for i, phase in enumerate(flux):
+        out = out_split @ arm_phase(rho, phase) @ out_split.conj().T
+        p3[i] = out[0, 0].real
+        p4[i] = out[1, 1].real
+    return p3, p4
+
+
+def test_dephase_matches_dilation_oracle(rng):
+    for chi in np.concatenate([[0.0, np.pi / 2, np.pi, -np.pi / 3],
+                               rng.uniform(-2 * np.pi, 2 * np.pi, size=50)]):
+        rho = random_density(rng)
+        assert np.abs(dephase(rho, chi) - dilated_dephase(rho, chi)).max() <= 1e-14
+
+
+def test_dephase_rejects_invalid_state():
+    with pytest.raises(qm.InvalidStateError):
+        dephase(np.diag([0.7, 0.7]), 0.3)
+
+
+def test_fringes_match_looped_oracle(rng):
+    configs = [MziConfig(chi=chi, epsilon=eps, bypass_demon=bypass)
+               for chi in (0.0, 1.0, np.pi / 2) for eps in (0.0, 0.2, 0.5)
+               for bypass in (False, True)]
+    for _ in range(20):
+        params = SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5))
+        configs.append(MziConfig(chi=rng.uniform(0, np.pi), epsilon=rng.uniform(0, 0.5),
+                                 flux_samples=int(rng.integers(8, 200)), params=params,
+                                 arm_phase=rng.uniform(-np.pi, np.pi)))
+    for config in configs:
+        report = run_double_mzi(config)
+        p3, p4 = looped_mzi(config)
+        assert np.abs(report.p3 - p3).max() <= 1e-14
+        assert np.abs(report.p4 - p4).max() <= 1e-14
 
 
 def test_full_dephasing_pure_demon_restores_visibility():

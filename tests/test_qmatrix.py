@@ -159,13 +159,26 @@ def test_entropy_rejects_negative_eigenvalue():
         qm.von_neumann_entropy(bad)
 
 
-def test_eigensystem_round_trip(rng):
-    for _ in range(20):
-        z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        herm = (z + z.conj().T) / 2
-        w, v = qm.hermitian_eigensystem(herm)
-        rebuilt = v @ np.diag(w) @ v.conj().T
-        assert np.allclose(rebuilt, herm, atol=1e-10)
+NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_validators_reject_non_finite_entries(bad):
+    u = np.eye(2, dtype=complex)
+    u[1, 1] = bad
+    with pytest.raises(qm.InvalidStateError, match="finite"):
+        qm.check_unitary(u)
+    rho = np.diag([0.5, 0.5]).astype(complex)
+    rho[0, 1] = rho[1, 0] = bad
+    with pytest.raises(qm.InvalidStateError, match="finite"):
+        qm.check_density_matrix(rho)
+    with pytest.raises(qm.InvalidStateError, match="finite"):
+        qm.check_pure_state([bad, 1.0])
+
+
+def test_entropy_rejects_nan_matrix():
+    with pytest.raises(qm.InvalidStateError):
+        qm.von_neumann_entropy(np.full((2, 2), np.nan))
 
 
 def test_check_unitary_rejects_nonunitary():

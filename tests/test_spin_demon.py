@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from qdemon import qmatrix as qm
 from qdemon import spin_demon as sd
@@ -158,3 +159,14 @@ def test_demon_state_from_spec_kinds():
     assert np.allclose(sd.demon_state_from_spec("mixture", 0.25), np.diag([0.25, 0.75]))
     sup = sd.demon_state_from_spec("superposition", (1.0, 1.0))
     assert np.allclose(sup, np.ones((2, 2)) / 2, atol=1e-12)
+
+
+@pytest.mark.parametrize("amplitudes", [(np.nan, 1.0), (1.0, np.inf), (0.0, 0.0)])
+def test_demon_state_from_spec_rejects_bad_superposition(amplitudes):
+    with pytest.raises(qm.ParameterError, match="finite and not both vanish"):
+        sd.demon_state_from_spec("superposition", amplitudes)
+
+
+def test_demon_state_from_spec_rejects_nan_mixture():
+    with pytest.raises(qm.ParameterError):
+        sd.demon_state_from_spec("mixture", float("nan"))
