@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmatrix import (
-    ATOL,
     LOG_EIG_FLOOR,
     check_density_matrix,
     check_unitary,
@@ -191,9 +190,9 @@ def apply_channel(rho_in, config: ChannelConfig,
     return channel_report(rho_in, joint, gamma(config), extra_flags)
 
 
-def mutual_information(joint, atol: float = ATOL) -> float:
+def mutual_information(joint) -> float:
     """I = S(A) + S(B) - S(AB) of a two-qubit state, in nats (>= -1e-10)."""
-    joint = check_density_matrix(joint, atol=atol)
+    joint = check_density_matrix(joint)
     if joint.shape != (4, 4):
         raise ValueError("mutual_information expects a 4x4 state")
     s_a = von_neumann_entropy(partial_trace(joint, "first"))

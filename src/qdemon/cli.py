@@ -183,42 +183,21 @@ def cmd_mzi(parser, args, argv) -> int:
     return 0
 
 
-def _cycle_json(report: eng.CycleReport) -> dict:
-    return {
-        "p_e": report.p_e, "p_g": report.p_g, "heat": report.heat,
-        "w_minus": report.w_minus, "w_plus": report.w_plus,
-        "w_out": report.w_out, "w_in": report.w_in,
-        "net_work": report.net_work,
-        "eta_local": report.eta_local, "eta_2cy": report.eta_2cy,
-        "dit_out_entropy": report.dit_out_entropy,
-        "field_ledger": {name: value for name, value in report.field_ledger},
-    }
-
-
 def cmd_engine(parser, args, argv) -> int:
     bd_delta = args.beta_d_delta[0]
     if args.mode == "report":
         _, p_e, _ = eng.thermal_wit(args.beta_delta, 1.0)
-        try:
-            eps = eng.resolve_epsilon(args.policy, p_e, bd_delta)
-            report = eng.run_cycle(eng.EngineParams(
-                beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
-        except eng.ConvergenceError as exc:
-            sys.stderr.write(f"non-convergence: {exc}\n")
-            return EXIT_NO_CONVERGENCE
-        doc = _cycle_json(report)
-        doc["epsilon"] = eps
-        doc["policy"] = args.policy
+        eps = eng.resolve_epsilon(args.policy, p_e, bd_delta)
+        report = eng.run_cycle(eng.EngineParams(
+            beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
+        doc = dict(vars(report), field_ledger=dict(report.field_ledger),
+                   epsilon=eps, policy=args.policy)
         _write(args.output, json.dumps(doc, indent=2) + "\n")
         return 0
 
     if args.mode == "sweep":
         grid = np.linspace(args.beta_min, bd_delta * args.beta_max_frac, args.steps)
-        try:
-            rows = eng.sweep_beta(bd_delta, args.policy, grid)
-        except eng.ConvergenceError as exc:
-            sys.stderr.write(f"non-convergence: {exc}\n")
-            return EXIT_NO_CONVERGENCE
+        rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))
         return 0
 
@@ -245,17 +224,7 @@ def cmd_engine(parser, args, argv) -> int:
         if not 0.0 < bd_delta < np.inf:
             raise ParameterError(f"beta_d_delta must be finite and positive, got {bd_delta}")
         result = eng.optimize_epsilon_eta(pe)
-    doc = {
-        "epsilon_star": result.epsilon_star,
-        "objective_value": result.objective_value,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "residual": result.residual,
-        "roots": list(result.roots),
-        "target": args.target,
-        "p_e": pe,
-        "beta_d_delta": bd_delta,
-    }
+    doc = dict(vars(result), target=args.target, p_e=pe, beta_d_delta=bd_delta)
     _write(args.output, json.dumps(doc, indent=2) + "\n")
     if not result.converged:
         sys.stderr.write(

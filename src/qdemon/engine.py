@@ -277,13 +277,15 @@ def run_cycle(params: EngineParams, quantum_check: bool = True) -> CycleReport:
 
 
 def _bisect(f, lo: float, hi: float, max_iter: int = 200):
-    """Plain bisection; assumes f(lo) and f(hi) have opposite signs."""
+    """Plain bisection; assumes f(lo) and f(hi) have opposite signs. Stops on
+    an exact zero, a bracket narrower than 1e-17, or a midpoint that rounds
+    onto an end of the bracket (floats from 1/16 up are more than 1e-17 apart)."""
     flo = f(lo)
     root = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
         root = 0.5 * (lo + hi)
         fr = f(root)
-        if fr == 0.0 or (hi - lo) < 1e-17:
+        if fr == 0.0 or (hi - lo) < 1e-17 or root in (lo, hi):
             return root, fr, it
         if (fr < 0.0) == (flo < 0.0):
             lo, flo = root, fr
@@ -292,45 +294,17 @@ def _bisect(f, lo: float, hi: float, max_iter: int = 200):
     return root, f(root), max_iter
 
 
-def _golden_max(f, lo: float, hi: float, max_iter: int = 300):
-    """Golden-section maximisation fallback (no derivative sign change)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while (b - a) > 1e-14 and it < max_iter:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, it
-
-
-def _confirm_maximum(objective, eps_star: float, lo: float, hi: float) -> bool:
-    step = 1e-6
-    center = objective(eps_star)
-    left = objective(max(lo, eps_star - step))
-    right = objective(min(hi, eps_star + step))
-    return center >= left - 1e-12 and center >= right - 1e-12
-
-
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
     """Demon impurity maximising the net work per cycle.
 
-    Solves (1-2p_e) H'[p_e + eps(1-2p_e)] - H'[eps] = -beta_d*delta_w by
-    bisection on (0, min(p_e, 1/2)); the stationarity function is strictly
-    increasing there, so a sign change pins the unique interior maximum. If
-    the bracket carries no sign change (the root collapsed below the 1e-15
-    floor), a golden-section pass on the objective reports the boundary
-    point as non-converged. objective_value is net work in units of delta_w.
+    Solves s(eps) = xi H'[x] - H'[eps] + beta_d*delta_w = 0, with xi = 1-2p_e
+    and x = p_e + eps xi, by bisection on (0, min(p_e, 1/2)). There s' =
+    1/(eps(1-eps)) - xi^2/(x(1-x)) > 0 (eps <= x <= 1-eps and xi^2 < 1), and
+    the net work N has N' = -2 s/(beta_d delta_w): N is strictly concave, so a
+    sign change of s pins its maximum. Without one (the root lies below the
+    1e-15 floor, or N rises up to the upper end) N is monotone, and the end
+    with the larger N is reported with iterations = 0 and roots = ().
+    objective_value is net work in units of delta_w.
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
@@ -349,20 +323,16 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     lo = EPS_FLOOR
     hi = min(p_e, 0.5) - EPS_FLOOR
     if stationarity(lo) * stationarity(hi) < 0.0:
-        root, fr, iters = _bisect(stationarity, lo, hi)
-        residual = abs(fr)
-        converged = residual <= 1e-12 and _confirm_maximum(objective, root, lo, hi)
-        return OptimizationResult(
-            epsilon_star=root, objective_value=objective(root),
-            converged=converged, iterations=iters, residual=residual,
-            roots=(root,),
-        )
-    eps, iters = _golden_max(objective, lo, hi)
-    residual = abs(stationarity(eps))
-    converged = residual <= 1e-12 and _confirm_maximum(objective, eps, lo, hi)
+        eps, fr, iters = _bisect(stationarity, lo, hi)
+        roots = (eps,)
+    else:
+        eps, iters, roots = max((lo, hi), key=objective), 0, ()
+        fr = stationarity(eps)
+    residual = abs(fr)
     return OptimizationResult(
         epsilon_star=eps, objective_value=objective(eps),
-        converged=converged, iterations=iters, residual=residual, roots=(),
+        converged=residual <= 1e-12, iterations=iters, residual=residual,
+        roots=roots,
     )
 
 
@@ -468,12 +438,11 @@ def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
     return result.epsilon_star
 
 
-def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal",
-                 scan_points: int = 256) -> float:
+def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     """Largest working-reservoir beta with positive net work under a policy.
 
-    Scans beta over (0, beta_d], brackets the last sign change of the net
-    work, and bisects it. Returns NaN when the engine never produces
+    Scans beta on 257 points over [0, beta_d], brackets the last sign change
+    of the net work, and bisects it. Returns NaN when the engine never produces
     positive work (e.g. the ideal policy at beta_d*delta_w <= 2 ln 2).
     """
     _require_finite(beta_d=beta_d, delta_w=delta_w)
@@ -486,7 +455,7 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal",
         eps = resolve_epsilon(policy, p_e, beta_d_delta)
         return _net_work_per_delta(p_e, eps, beta_d_delta)
 
-    grid = np.linspace(0.0, beta_d, scan_points + 1)
+    grid = np.linspace(0.0, beta_d, 257)
     values = [net(b) for b in grid]
     positive = [i for i, v in enumerate(values) if v > 0.0]
     if not positive:

@@ -59,15 +59,15 @@ def dag(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
-def check_unitary(u, atol: float = ATOL) -> np.ndarray:
+def check_unitary(u) -> np.ndarray:
     """Validate U†U = 1 and return the coerced matrix.
 
     Raises InvalidStateError for NaN or infinite entries and when the
-    unitarity defect exceeds ``atol``.
+    unitarity defect exceeds ``ATOL``.
     """
     u = _require_finite(as_matrix(u))
     defect = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
-    if defect > atol:
+    if defect > ATOL:
         raise InvalidStateError(f"matrix is not unitary (defect {defect:.3e})")
     return u
 
@@ -79,6 +79,12 @@ def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
     Eigenvalues are allowed to dip to ``EIG_NEG_TOL`` below zero to absorb
     round-off from upstream arithmetic.
     """
+    return _density_spectrum(rho, atol)[0]
+
+
+def _density_spectrum(rho, atol: float) -> tuple[np.ndarray, np.ndarray]:
+    """check_density_matrix's validation; returns the matrix and the
+    eigenvalues its positivity check computed."""
     rho = _require_finite(as_matrix(rho))
     if np.abs(rho - dag(rho)).max() > atol:
         raise InvalidStateError("density matrix is not Hermitian")
@@ -89,14 +95,14 @@ def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
     if evals.min() < EIG_NEG_TOL:
         raise InvalidStateError(
             f"density matrix has negative eigenvalue {evals.min():.3e}")
-    return rho
+    return rho, evals
 
 
-def check_pure_state(vec, atol: float = ATOL) -> np.ndarray:
+def check_pure_state(vec) -> np.ndarray:
     """Validate a finite, unit-norm amplitude vector and return it as complex128."""
     v = _require_finite(np.asarray(vec, dtype=complex).reshape(-1))
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > atol:
+    if abs(norm - 1.0) > ATOL:
         raise InvalidStateError(f"state vector norm is {norm}, expected 1")
     return v
 
@@ -145,14 +151,15 @@ def partial_trace(rho, keep) -> np.ndarray:
     return np.einsum("kikj->ij", r)
 
 
-def von_neumann_entropy(rho, atol: float = ATOL) -> float:
+def von_neumann_entropy(rho) -> float:
     """Spectral entropy S = -Σ λ ln λ in nats, with 0·ln 0 = 0.
 
-    Raises InvalidStateError if an eigenvalue falls below ``EIG_NEG_TOL``;
-    smaller negative round-off is clipped to zero before the logarithm.
+    Validates ``rho`` as check_density_matrix does, with Hermiticity and trace
+    tolerance 1e-10, and takes the eigenvalues from that check. Raises
+    InvalidStateError if an eigenvalue falls below ``EIG_NEG_TOL``; smaller
+    negative round-off is clipped to zero before the logarithm.
     """
-    rho = check_density_matrix(rho, atol=max(atol, 1e-10))
-    evals = np.linalg.eigvalsh(rho)
+    _, evals = _density_spectrum(rho, 1e-10)
     evals = np.clip(evals.real, 0.0, 1.0)
     nz = evals[evals > 0.0]
     return float(-np.sum(nz * np.log(nz)))

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qdemon import engine as eng
+
 
 @pytest.fixture
 def rng():
@@ -22,3 +24,10 @@ def random_density(rng, n=2):
 def random_pure(rng, n=2):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def power_stationarity(p_e, bd_delta, eps):
+    """s(eps) = xi H'[p_e + eps xi] - H'[eps] + beta_d*delta_w, xi = 1 - 2 p_e:
+    the function optimize_epsilon_power finds the root of."""
+    xi = 1.0 - 2.0 * p_e
+    return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps) + bd_delta

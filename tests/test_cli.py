@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qdemon import cli
+from qdemon import engine as eng
 from qdemon.cli import _recorded_flags, main
 
 LN2 = math.log(2)
@@ -176,6 +177,60 @@ def test_engine_optimize_nonconvergence_exits_3(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "non-convergence" in err
+
+
+def cycle_json(report):
+    """The hand-written `engine report` document the CLI once built: the
+    oracle for the one built from the dataclass."""
+    return {
+        "p_e": report.p_e, "p_g": report.p_g, "heat": report.heat,
+        "w_minus": report.w_minus, "w_plus": report.w_plus,
+        "w_out": report.w_out, "w_in": report.w_in,
+        "net_work": report.net_work,
+        "eta_local": report.eta_local, "eta_2cy": report.eta_2cy,
+        "dit_out_entropy": report.dit_out_entropy,
+        "field_ledger": {name: value for name, value in report.field_ledger},
+    }
+
+
+@pytest.mark.parametrize("beta_delta,bd_delta,policy", [
+    (1e-6, 2.0, "ideal"), (0.5, 3.0, "opt-power"), (0.7, 2.0, "opt-eta"),
+    (0.5, 2.0, "fixed:0.4"),  # no heat absorbed: NaN efficiencies
+])
+def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_delta, policy):
+    code, text = run_text(capsys, ["engine", "report", "--beta-delta", str(beta_delta),
+                                   "--beta-d-delta", str(bd_delta), "--policy", policy])
+    assert code == 0
+    _, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+    eps = eng.resolve_epsilon(policy, p_e, bd_delta)
+    report = eng.run_cycle(eng.EngineParams(beta=beta_delta, beta_d=bd_delta,
+                                            delta_w=1.0, epsilon=eps))
+    doc = cycle_json(report)
+    doc["epsilon"] = eps
+    doc["policy"] = policy
+    assert text == json.dumps(doc, indent=2) + "\n"
+
+
+def test_engine_optimize_document_keys(capsys):
+    code, doc = run_json(capsys, ["engine", "optimize", "--pe", "0.3", "--beta-d-delta", "2"])
+    assert code == 0
+    assert list(doc) == ["epsilon_star", "objective_value", "converged", "iterations",
+                         "residual", "roots", "target", "p_e", "beta_d_delta"]
+    result = eng.optimize_epsilon_power(0.3, 2.0)
+    assert doc["roots"] == list(result.roots) == [result.epsilon_star]
+    assert (doc["target"], doc["p_e"], doc["beta_d_delta"]) == ("power", 0.3, 2.0)
+
+
+@pytest.mark.parametrize("args", [
+    ["engine", "report", "--beta-delta", "1", "--policy", "opt-power", "--beta-d-delta", "25"],
+    ["engine", "sweep", "--policy", "opt-power", "--beta-d-delta", "40", "--steps", "21"],
+])
+def test_engine_policy_nonconvergence_exits_3(capsys, args):
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("non-convergence: policy opt-power failed to converge")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("args", [

@@ -8,6 +8,7 @@ import pytest
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
+from conftest import power_stationarity
 
 LN2 = math.log(2)
 
@@ -387,3 +388,121 @@ def test_frontier_epsilon_orderings():
         assert row["eps_w_bd1"] > row["eps_w_bd1.38629"] > row["eps_w_bd2"]
     # the efficiency-optimal impurity is the demon-temperature-free column
     assert math.isclose(rows[-1]["eps_eta"], 0.5, abs_tol=1e-12)
+
+
+def golden_max(f, lo, hi, max_iter=300):
+    """The golden-section fallback optimize_epsilon_power used before it
+    returned a bracket end: the oracle for the no-sign-change branch."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    it = 0
+    while (b - a) > 1e-14 and it < max_iter:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        it += 1
+    x = 0.5 * (a + b)
+    return x, it
+
+
+def confirm_maximum(objective, eps_star, lo, hi):
+    """The finite-difference maximum check optimize_epsilon_power once ran."""
+    step = 1e-6
+    center = objective(eps_star)
+    left = objective(max(lo, eps_star - step))
+    right = objective(min(hi, eps_star + step))
+    return center >= left - 1e-12 and center >= right - 1e-12
+
+
+def power_bracket(p_e):
+    return eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR
+
+
+def no_sign_change_cases():
+    rng = np.random.default_rng(7557)
+    # root below the floor: s > 0 on the whole bracket, the objective falls
+    for _ in range(40):
+        _, p_e, _ = eng.thermal_wit(rng.uniform(0.0, 5.0), 1.0)
+        yield p_e, float(np.exp(rng.uniform(math.log(36.0), math.log(300.0)))), "lo"
+    # s(hi) < 0 once beta_d*delta_w falls below -s(hi) at beta_d*delta_w = 0
+    # (about ln 2 cold, beta_delta hot): the objective rises to hi
+    for _ in range(40):
+        _, p_e, _ = eng.thermal_wit(rng.uniform(0.5, 20.0), 1.0)
+        threshold = -power_stationarity(p_e, 0.0, power_bracket(p_e)[1])
+        yield p_e, threshold * rng.uniform(0.05, 0.95), "hi"
+
+
+@pytest.mark.parametrize("p_e,bd_delta,end", list(no_sign_change_cases()))
+def test_optimize_power_without_sign_change_returns_bracket_end(p_e, bd_delta, end):
+    lo, hi = power_bracket(p_e)
+    s_lo, s_hi = power_stationarity(p_e, bd_delta, lo), power_stationarity(p_e, bd_delta, hi)
+    assert (s_lo > 0.0 and s_hi > 0.0) if end == "lo" else (s_lo < 0.0 and s_hi < 0.0)
+
+    def objective(eps):
+        return net_per_delta(p_e, eps, bd_delta)
+
+    golden, _ = golden_max(objective, lo, hi)
+    golden_converged = (abs(power_stationarity(p_e, bd_delta, golden)) <= 1e-12
+                        and confirm_maximum(objective, golden, lo, hi))
+    result = eng.optimize_epsilon_power(p_e, bd_delta)
+    assert result.epsilon_star == (lo if end == "lo" else hi)
+    assert abs(result.epsilon_star - golden) <= 1e-12
+    assert result.converged is golden_converged is False
+    assert result.iterations == 0
+    assert result.roots == ()
+    assert result.residual == abs(power_stationarity(p_e, bd_delta, result.epsilon_star))
+    assert result.objective_value == eng._net_work_per_delta(p_e, result.epsilon_star, bd_delta)
+
+
+def test_optimize_power_root_at_upper_end_converges():
+    # beta = beta_d: s(hi) ~ 2 xi^3 ~ 1e-19, so the upper end solves the
+    # stationarity equation, though round-off in the objective (~1e-10 here)
+    # hides the maximum from a search on the objective within ~1e-9 of it
+    _, p_e, _ = eng.thermal_wit(1e-6, 1.0)
+    result = eng.optimize_epsilon_power(p_e, 1e-6)
+    assert result.epsilon_star == power_bracket(p_e)[1]
+    assert result.converged and result.residual <= 1e-12
+    assert result.iterations == 0 and result.roots == ()
+
+
+def width_only_bisect(f, lo, hi, max_iter=200):
+    """The bisection without the stop on a midpoint that rounds onto an end."""
+    flo = f(lo)
+    root = 0.5 * (lo + hi)
+    for it in range(1, max_iter + 1):
+        root = 0.5 * (lo + hi)
+        fr = f(root)
+        if fr == 0.0 or (hi - lo) < 1e-17:
+            return root, fr, it
+        if (fr < 0.0) == (flo < 0.0):
+            lo, flo = root, fr
+        else:
+            hi = root
+    return root, f(root), max_iter
+
+
+@pytest.mark.parametrize("max_iter", [200, 100])
+def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
+    _, p_e, _ = eng.thermal_wit(1e-6, 1.0)  # the `engine optimize` defaults
+    cases = [
+        (lambda eps: power_stationarity(p_e, 2.0, eps), *power_bracket(p_e)),
+        (lambda x: x * x - 2.0, 1.0, 2.0),
+        (math.cos, 1.0, 2.0),
+    ]
+    for f, lo, hi in cases:
+        want_root, want_fr, want_iters = width_only_bisect(f, lo, hi, max_iter)
+        root, fr, iters = eng._bisect(f, lo, hi, max_iter)
+        assert want_root > 0.05 and want_iters == max_iter  # the old loop spun to the cap
+        assert (root, fr) == (want_root, want_fr)
+        assert iters < max_iter
+    result = eng.optimize_epsilon_power(p_e, 2.0)
+    assert result.converged and result.iterations < 200
+    assert result.epsilon_star == width_only_bisect(*cases[0])[0]

@@ -159,6 +159,51 @@ def test_entropy_rejects_negative_eigenvalue():
         qm.von_neumann_entropy(bad)
 
 
+def two_decomposition_entropy(rho):
+    """The entropy as it was computed before it reused the validator's
+    eigenvalues: validate, then decompose a second time."""
+    rho = qm.check_density_matrix(rho, atol=1e-10)
+    evals = np.clip(np.linalg.eigvalsh(rho).real, 0.0, 1.0)
+    nz = evals[evals > 0.0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def test_entropy_identical_to_two_decomposition_oracle(rng):
+    states = [random_density(rng, n) for n in (2, 4) for _ in range(100)]
+    states += [qm.pure_density(random_pure(rng, n)) for n in (2, 4) for _ in range(20)]
+    states += [I2 / 2, np.eye(4) / 4, np.diag([1.0, 0.0]), np.diag([0.5, 0.5 + 5e-11])]
+    skew = random_density(rng, 2)
+    skew[0, 1] += 5e-11  # Hermitian within the entropy's 1e-10, not within 1e-12
+    states.append(skew)
+    for rho in states:
+        assert qm.von_neumann_entropy(rho) == two_decomposition_entropy(rho)
+
+
+def test_entropy_decomposes_once(monkeypatch, rng):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    for n in (2, 4):
+        calls.clear()
+        qm.von_neumann_entropy(random_density(rng, n))
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", [
+    np.diag([0.7, 0.7]),                      # trace
+    np.array([[0.5, 1e-9], [0.0, 0.5]]),      # Hermiticity
+    np.diag([1.1, -0.1]),                     # positivity
+    np.full((2, 2), np.nan),                  # finiteness
+    np.ones((2, 3)) / 2,                      # shape
+])
+def test_entropy_rejects_what_the_validator_rejects(bad):
+    with pytest.raises(qm.InvalidStateError) as want:
+        qm.check_density_matrix(bad, atol=1e-10)
+    with pytest.raises(qm.InvalidStateError) as got:
+        qm.von_neumann_entropy(bad)
+    assert str(got.value) == str(want.value)
+
+
 NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
 
 
