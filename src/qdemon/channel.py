@@ -24,6 +24,8 @@ import numpy as np
 
 from .qmatrix import (
     LOG_EIG_FLOOR,
+    _density_spectrum,
+    _spectrum_entropy,
     check_density_matrix,
     check_unitary,
     dag,
@@ -51,21 +53,20 @@ class ChannelConfig:
     demon_state: np.ndarray
 
     def __post_init__(self):
-        s = check_unitary(self.scattering)
-        us = tuple(check_unitary(u) for u in self.lead_unitaries)
-        if len(us) != 4:
+        mats = (self.scattering, *self.lead_unitaries)
+        if len(mats) != 5:
             raise ValueError("expected exactly four lead unitaries")
-        r = check_density_matrix(self.demon_state)
-        for name, arr in (("scattering", s), ("demon_state", r), *zip("1234", us)):
-            if arr.shape != (2, 2):
+        for name, m in zip(("scattering", *"1234"), mats):
+            if np.shape(m) != (2, 2):
+                check_unitary(m)    # its own fault first: non-square, non-finite, non-unitary
                 raise ValueError(f"lead/demon matrix {name} must be 2x2")
-        s = s.copy(); s.flags.writeable = False
-        us = tuple(u.copy() for u in us)
-        for u in us:
-            u.flags.writeable = False
-        r = r.copy(); r.flags.writeable = False
-        object.__setattr__(self, "scattering", s)
-        object.__setattr__(self, "lead_unitaries", us)
+        us = check_unitary(np.array(mats, dtype=complex))
+        r = check_density_matrix(self.demon_state)
+        if r.shape != (2, 2):
+            raise ValueError("lead/demon matrix demon_state must be 2x2")
+        r = r.copy(); us.flags.writeable = r.flags.writeable = False
+        object.__setattr__(self, "scattering", us[0])
+        object.__setattr__(self, "lead_unitaries", tuple(us[1:]))
         object.__setattr__(self, "demon_state", r)
 
 
@@ -91,18 +92,15 @@ class ChannelReport:
 
 
 def joint_unitary(config: ChannelConfig) -> np.ndarray:
-    """Assemble the 4x4 joint unitary U = Σ s[b,a] |b><a| ⊗ (u_out[b] u_in[a])."""
+    """Assemble the 4x4 joint unitary U = Σ s[b,a] |b><a| ⊗ (u_out[b] u_in[a]).
+
+    |b><a| ⊗ M puts M in block (b, a): U[2b:2b+2, 2a:2a+2] = s[b,a] u_out[b] u_in[a].
+    Adding 0.0 turns a -0.0 from s·0 into +0.0, as the sum of Kronecker terms did.
+    """
     s = config.scattering
-    u1, u2, u3, u4 = config.lead_unitaries
-    u_in = (u1, u2)
-    u_out = (u3, u4)
-    u = np.zeros((4, 4), dtype=complex)
-    for b in range(2):
-        for a in range(2):
-            hop = np.zeros((2, 2), dtype=complex)
-            hop[b, a] = 1.0
-            u += s[b, a] * tensor(hop, u_out[b] @ u_in[a])
-    return u
+    leads = np.array(config.lead_unitaries)         # u1, u2 (incoming), u3, u4 (outgoing)
+    blocks = leads[2:, None] @ leads[:2]            # [b, a] = u_out[b] u_in[a]
+    return (s[:, :, None, None] * blocks).transpose(0, 2, 1, 3).reshape(4, 4) + 0.0
 
 
 def gamma(config: ChannelConfig) -> complex:
@@ -192,13 +190,12 @@ def apply_channel(rho_in, config: ChannelConfig,
 
 def mutual_information(joint) -> float:
     """I = S(A) + S(B) - S(AB) of a two-qubit state, in nats (>= -1e-10)."""
-    joint = check_density_matrix(joint)
+    joint, evals = _density_spectrum(joint)
     if joint.shape != (4, 4):
         raise ValueError("mutual_information expects a 4x4 state")
     s_a = von_neumann_entropy(partial_trace(joint, "first"))
     s_b = von_neumann_entropy(partial_trace(joint, "second"))
-    s_ab = von_neumann_entropy(joint)
-    return s_a + s_b - s_ab
+    return s_a + s_b - _spectrum_entropy(evals)     # S(AB) from the validation's eigenvalues
 
 
 def report_to_json(report: ChannelReport) -> dict:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelReport, apply_channel, channel_report, gamma
+from .channel import ChannelReport, channel_report, gamma
 from .qmatrix import ParameterError, check_density_matrix, check_pure_state, dag, tensor
 from .spin_demon import SpinDemonParams, beam_splitter, spin_config
 
@@ -212,8 +212,3 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
     # operational frame equal the matrix as given
     g = gamma(spin_config(equivalent_spin_params(config), dot))
     return channel_report(rho_in, joint, g, tuple(flags))
-
-
-def reference_channel_report(rho_in, dot_state, config: DoubleDotConfig) -> ChannelReport:
-    """The spin-channel run the protocol is equivalent to (matched phases)."""
-    return apply_channel(rho_in, spin_config(equivalent_spin_params(config), dot_state))

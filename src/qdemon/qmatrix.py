@@ -41,14 +41,17 @@ class ConvergenceError(RuntimeError):
 
 
 def as_matrix(m) -> np.ndarray:
-    """Coerce input to a square complex128 array (no copy if already one)."""
+    """Coerce input to a finite square complex128 array (no copy if already one)."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim != 2:
         raise InvalidStateError(f"expected a square matrix, got shape {a.shape}")
-    return a
+    return _finite_squares(a)
 
 
-def _require_finite(a: np.ndarray) -> np.ndarray:
+def _finite_squares(a: np.ndarray) -> np.ndarray:
+    """``a`` once its last two axes are checked square and its entries finite."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise InvalidStateError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidStateError("entries must be finite, got NaN or inf")
     return a
@@ -60,15 +63,15 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def check_unitary(u) -> np.ndarray:
-    """Validate U†U = 1 and return the coerced matrix.
-
-    Raises InvalidStateError for NaN or infinite entries and when the
-    unitarity defect exceeds ``ATOL``.
+    """Validate U†U = 1 for a matrix, or each of a stack (..., n, n), and
+    return the coerced array. Raises InvalidStateError for NaN or infinite
+    entries and when a unitarity defect exceeds ``ATOL``, quoting the first.
     """
-    u = _require_finite(as_matrix(u))
-    defect = np.abs(dag(u) @ u - np.eye(u.shape[0])).max()
-    if defect > ATOL:
-        raise InvalidStateError(f"matrix is not unitary (defect {defect:.3e})")
+    u = _finite_squares(np.asarray(u, dtype=complex))
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
+    bad = defect[defect > ATOL]
+    if bad.size:
+        raise InvalidStateError(f"matrix is not unitary (defect {bad[0]:.3e})")
     return u
 
 
@@ -82,25 +85,34 @@ def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
     return _density_spectrum(rho, atol)[0]
 
 
-def _density_spectrum(rho, atol: float) -> tuple[np.ndarray, np.ndarray]:
+def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     """check_density_matrix's validation; returns the matrix and the
     eigenvalues its positivity check computed."""
-    rho = _require_finite(as_matrix(rho))
-    if np.abs(rho - dag(rho)).max() > atol:
+    rho = as_matrix(rho)
+    rows = rho.tolist()     # max|ρ - ρ†| on Python scalars: cheaper than numpy at 4x4
+    herm = 0.0
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            d = abs(row[j] - rows[j][i].conjugate())
+            if d > herm:
+                herm = d
+    if herm > atol:
         raise InvalidStateError("density matrix is not Hermitian")
-    tr = np.trace(rho)
+    tr = rho.trace()
     if abs(tr - 1.0) > max(atol, 1e-10):
         raise InvalidStateError(f"density matrix trace is {tr}, expected 1")
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < EIG_NEG_TOL:
+    if evals[0] < EIG_NEG_TOL:   # eigvalsh sorts ascending
         raise InvalidStateError(
-            f"density matrix has negative eigenvalue {evals.min():.3e}")
+            f"density matrix has negative eigenvalue {evals[0]:.3e}")
     return rho, evals
 
 
 def check_pure_state(vec) -> np.ndarray:
     """Validate a finite, unit-norm amplitude vector and return it as complex128."""
-    v = _require_finite(np.asarray(vec, dtype=complex).reshape(-1))
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    if not np.isfinite(v).all():
+        raise InvalidStateError("entries must be finite, got NaN or inf")
     norm = np.linalg.norm(v)
     if abs(norm - 1.0) > ATOL:
         raise InvalidStateError(f"state vector norm is {norm}, expected 1")
@@ -116,8 +128,9 @@ def pure_density(vec) -> np.ndarray:
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two square matrices (or two vectors).
 
-    Satisfies the mixed-product rule (A⊗B)(C⊗D) = AC ⊗ BD and realises
-    the row-major joint basis ordering documented in the module docstring.
+    A broadcast outer product, a[:, None, :, None] * b[None, :, None, :] (vectors:
+    a[:, None] * b[None, :]), reshaped: np.kron's products, bit for bit. Satisfies
+    (A⊗B)(C⊗D) = AC ⊗ BD and realises the module docstring's joint basis order.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -125,7 +138,9 @@ def tensor(a, b) -> np.ndarray:
         raise InvalidStateError("tensor expects two matrices or two vectors")
     if a.ndim == 2 and (a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]):
         raise InvalidStateError("tensor expects square matrices")
-    return np.kron(a, b)
+    if a.ndim == 1:
+        return (a[:, None] * b[None, :]).reshape(-1)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -140,15 +155,10 @@ def partial_trace(rho, keep) -> np.ndarray:
     if rho.shape != (4, 4):
         raise InvalidStateError("partial_trace expects a 4x4 matrix")
     if keep in ("first", 0):
-        axis = 0
-    elif keep in ("second", 1):
-        axis = 1
-    else:
-        raise ParameterError(f"invalid subsystem id {keep!r}")
-    r = rho.reshape(2, 2, 2, 2)
-    if axis == 0:
-        return np.einsum("ikjk->ij", r)
-    return np.einsum("kikj->ij", r)
+        return np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
+    if keep in ("second", 1):
+        return np.einsum("kikj->ij", rho.reshape(2, 2, 2, 2))
+    raise ParameterError(f"invalid subsystem id {keep!r}")
 
 
 def von_neumann_entropy(rho) -> float:
@@ -159,7 +169,11 @@ def von_neumann_entropy(rho) -> float:
     InvalidStateError if an eigenvalue falls below ``EIG_NEG_TOL``; smaller
     negative round-off is clipped to zero before the logarithm.
     """
-    _, evals = _density_spectrum(rho, 1e-10)
+    return _spectrum_entropy(_density_spectrum(rho, 1e-10)[1])
+
+
+def _spectrum_entropy(evals: np.ndarray) -> float:
+    """-Σ λ ln λ over eigenvalues clipped to [0, 1], with 0·ln 0 = 0."""
     evals = np.clip(evals.real, 0.0, 1.0)
     nz = evals[evals > 0.0]
     return float(-np.sum(nz * np.log(nz)))

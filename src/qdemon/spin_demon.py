@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
-from .qmatrix import ATOL, ParameterError, check_density_matrix, pure_density
+from .qmatrix import ATOL, ParameterError, pure_density
 
 I2 = np.eye(2, dtype=complex)
 
@@ -97,11 +97,10 @@ def scatter(rho_in, demon, params: SpinDemonParams) -> ChannelReport:
     but no purity exchange happens — the report is flagged rather than
     rejected.
     """
-    demon = check_density_matrix(demon)
-    flags = ()
-    if max(abs(demon[0, 1]), abs(demon[1, 0])) > ATOL:
-        flags = ("demon-not-diagonal",)
-    return apply_channel(rho_in, spin_config(params, demon), extra_flags=flags)
+    config = spin_config(params, demon)     # validates the demon state once
+    r = config.demon_state
+    flags = ("demon-not-diagonal",) if max(abs(r[0, 1]), abs(r[1, 0])) > ATOL else ()
+    return apply_channel(rho_in, config, extra_flags=flags)
 
 
 def demon_state_from_spec(kind: str, value=None) -> np.ndarray:

@@ -39,6 +39,31 @@ def unital_config(rng):
     )
 
 
+def sum_of_hops_unitary(config):
+    """U = Σ s[b,a] hop(b,a) ⊗ (u_out[b] u_in[a]), summed over Kronecker terms
+    with hop(b,a) = |b><a|: the assembly joint_unitary replaced."""
+    s = config.scattering
+    u1, u2, u3, u4 = config.lead_unitaries
+    u = np.zeros((4, 4), dtype=complex)
+    for b, u_out in enumerate((u3, u4)):
+        for a, u_in in enumerate((u1, u2)):
+            hop = np.zeros((2, 2), dtype=complex)
+            hop[b, a] = 1.0
+            u += s[b, a] * np.kron(hop, u_out @ u_in)
+    return u
+
+
+def test_joint_unitary_matches_sum_of_hops_bit_for_bit(rng):
+    configs = [random_config(rng) for _ in range(100)]
+    configs += [spin_config(SpinDemonParams(*rng.uniform(0.0, 2 * np.pi, size=5)), UP)
+                for _ in range(100)]
+    configs += [ch.ChannelConfig(I2, (SX, I2, -SZ, I2), DOWN),
+                ch.ChannelConfig(SX, (I2, SX, I2, I2), UP),
+                spin_config(SpinDemonParams(), I2 / 2)]
+    for config in configs:
+        assert ch.joint_unitary(config).tobytes() == sum_of_hops_unitary(config).tobytes()
+
+
 def test_joint_unitary_trivial_leads(rng):
     s = random_unitary(rng)
     config = ch.ChannelConfig(s, (I2, I2, I2, I2), UP)
@@ -208,6 +233,48 @@ def test_population_map_is_bare_scattering(rng):
         assert np.allclose(np.diag(out).real, smap @ np.diag(rho).real, atol=1e-12)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that logs each call; returns the log."""
+    calls, fn = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_apply_channel_makes_no_kron_and_three_decompositions(rng, monkeypatch):
+    configs = (random_config(rng),
+               spin_config(SpinDemonParams(*rng.uniform(0.0, 2 * np.pi, size=5)), UP))
+    kron = count_calls(monkeypatch, np, "kron")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    for config in configs:
+        eigvalsh.clear()
+        ch.apply_channel(random_density(rng), config)
+        # the input's validation, then one entropy each for input and output
+        assert (len(kron), len(eigvalsh), len(eigh)) == (0, 3, 0)
+
+
+def test_mutual_information_makes_three_decompositions(rng, monkeypatch):
+    joint = ch.apply_channel(random_density(rng), random_config(rng)).joint_out
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    ch.mutual_information(joint)
+    # the joint state's validation (which gives S_AB), then S_A and S_B
+    assert (len(eigvalsh), len(eigh)) == (3, 0)
+
+
+def test_mutual_information_takes_s_ab_from_the_validation(rng):
+    for _ in range(50):
+        joint = ch.apply_channel(random_density(rng), random_config(rng)).joint_out
+        s_a = qm.von_neumann_entropy(qm.partial_trace(joint, "first"))
+        s_b = qm.von_neumann_entropy(qm.partial_trace(joint, "second"))
+        assert ch.mutual_information(joint) == s_a + s_b - qm.von_neumann_entropy(joint)
+
+
 def test_mutual_information_product_state(rng):
     joint = qm.tensor(random_density(rng), random_density(rng))
     assert abs(ch.mutual_information(joint)) < 1e-10
@@ -327,6 +394,42 @@ def test_config_validation_rejects_bad_members(rng):
         ch.ChannelConfig(np.eye(2) * 2, (I2, I2, I2, I2), UP)
     with pytest.raises(qm.InvalidStateError):
         ch.ChannelConfig(I2, (I2, I2, I2, I2), np.diag([0.7, 0.7]))
+
+
+def test_config_validation_names_the_faulty_member(rng):
+    def message(*args):
+        with pytest.raises(ValueError) as err:
+            ch.ChannelConfig(*args)
+        return type(err.value), str(err.value)
+
+    # a non-unitary lead after a unitary scattering matrix and leads
+    assert message(I2, (I2, I2, np.diag([1.0, 2.0]), I2), UP) == (
+        qm.InvalidStateError, "matrix is not unitary (defect 3.000e+00)")
+    # two faulty leads: the first one is reported
+    assert message(I2, (I2, np.diag([1.0, 1.5]), I2, 2 * I2), UP)[1] == \
+        "matrix is not unitary (defect 1.250e+00)"
+    for bad in (np.nan, np.inf, -np.inf):
+        lead = I2.copy()
+        lead[0, 1] = bad
+        assert message(I2, (I2, I2, I2, lead), UP) == (
+            qm.InvalidStateError, "entries must be finite, got NaN or inf")
+    assert message(np.ones((2, 3)), (I2, I2, I2, I2), UP) == (
+        qm.InvalidStateError, "expected a square matrix, got shape (2, 3)")
+    assert message(I2, (I2, I2, np.eye(4), I2), UP) == (
+        ValueError, "lead/demon matrix 3 must be 2x2")
+    assert message(I2, (I2, I2, I2), UP) == (
+        ValueError, "expected exactly four lead unitaries")
+    assert message(I2, (I2, I2, I2, I2), np.eye(4) / 4) == (
+        ValueError, "lead/demon matrix demon_state must be 2x2")
+
+
+def test_config_members_are_read_only_copies(rng):
+    s, leads = random_unitary(rng), tuple(random_unitary(rng) for _ in range(4))
+    config = ch.ChannelConfig(s, leads, UP)
+    for given, kept in zip((s, *leads, UP), (config.scattering, *config.lead_unitaries,
+                                            config.demon_state)):
+        assert kept.tobytes() == given.astype(complex).tobytes()
+        assert not kept.flags.writeable and not np.shares_memory(kept, given)
 
 
 def test_config_from_json_and_report_serialisation():

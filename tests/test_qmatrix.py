@@ -70,6 +70,98 @@ def test_tensor_rejects_mismatched_shapes():
         qm.tensor(np.ones(2), I2)
 
 
+@pytest.mark.parametrize("shapes", [((2,), (2,)), ((2,), (4,)), ((2, 2), (2, 2)),
+                                    ((4, 4), (2, 2)), ((2, 2), (4, 4))])
+def test_tensor_is_kron_bit_for_bit(rng, shapes):
+    def draw(shape):
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        z[rng.uniform(size=shape) < 0.25] = 0.0        # exact zeros, signed by the products
+        return z
+    for _ in range(20):
+        a, b = draw(shapes[0]), draw(shapes[1])
+        got, want = qm.tensor(a, b), np.kron(a, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+def unitarity_defect(u):
+    """The per-matrix defect max|U†U - 1| as computed before stacks were accepted."""
+    return np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
+
+
+def near_unitary(rng, n, defect):
+    """A Haar unitary with one column scaled so that its defect is about ``defect``."""
+    u = random_unitary(rng, n)
+    u[:, n - 1] *= math.sqrt(1.0 + defect)
+    return u
+
+
+@pytest.mark.parametrize("stack_shape", [(5,), (3,), (2, 3)])
+@pytest.mark.parametrize("n", [2, 4])
+def test_check_unitary_stack_matches_per_matrix_check(rng, stack_shape, n):
+    # defects drawn within a few 1e-15 of ATOL: the stacked check must decide,
+    # and name the first failing matrix, exactly as the per-matrix check does
+    for _ in range(40):
+        mats = [near_unitary(rng, n, qm.ATOL + rng.integers(-4, 5) * 1e-15)
+                for _ in range(math.prod(stack_shape))]
+        defects = [unitarity_defect(u) for u in mats]
+        stack = np.array(mats).reshape(*stack_shape, n, n)
+        failing = [d for d in defects if d > qm.ATOL]
+        if not failing:
+            assert qm.check_unitary(stack).tobytes() == stack.tobytes()
+            continue
+        with pytest.raises(qm.InvalidStateError) as err:
+            qm.check_unitary(stack)
+        assert str(err.value) == f"matrix is not unitary (defect {failing[0]:.3e})"
+
+
+def test_check_unitary_stack_agrees_with_single_matrices(rng):
+    stack = np.array([random_unitary(rng, 2) for _ in range(5)])
+    assert qm.check_unitary(stack).tobytes() == stack.tobytes()
+    for u in stack:
+        assert qm.check_unitary(u).tobytes() == u.tobytes()
+    stack[3, 1, 1] = 2.0
+    with pytest.raises(qm.InvalidStateError) as batched:
+        qm.check_unitary(stack)
+    with pytest.raises(qm.InvalidStateError) as single:
+        qm.check_unitary(stack[3])
+    assert str(batched.value) == str(single.value)
+    # with two failing matrices the message quotes the first, not the larger
+    stack[1] = near_unitary(rng, 2, 1e-6)
+    with pytest.raises(qm.InvalidStateError) as batched:
+        qm.check_unitary(stack)
+    assert str(batched.value) == f"matrix is not unitary (defect {unitarity_defect(stack[1]):.3e})"
+
+
+def test_check_unitary_rejects_just_above_atol(rng):
+    for n in (2, 4):
+        u = near_unitary(rng, n, 1.01 * qm.ATOL)
+        assert unitarity_defect(u) > qm.ATOL
+        with pytest.raises(qm.InvalidStateError, match="not unitary"):
+            qm.check_unitary(u)
+        with pytest.raises(qm.InvalidStateError, match="not unitary"):
+            qm.check_unitary(np.array([random_unitary(rng, n), u]))
+        ok = near_unitary(rng, n, 0.5 * qm.ATOL)
+        qm.check_unitary(ok)
+        qm.check_unitary(np.array([ok, random_unitary(rng, n)]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_unitary_stack_rejects_non_finite(rng, bad):
+    stack = np.array([random_unitary(rng) for _ in range(5)])
+    stack[4, 0, 1] = bad
+    with pytest.raises(qm.InvalidStateError) as err:
+        qm.check_unitary(stack)
+    assert str(err.value) == "entries must be finite, got NaN or inf"
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (5, 2, 3)])
+def test_check_unitary_rejects_non_square(shape):
+    with pytest.raises(qm.InvalidStateError) as err:
+        qm.check_unitary(np.ones(shape))
+    assert str(err.value) == f"expected a square matrix, got shape {shape}"
+
+
 def test_partial_trace_product_state(rng):
     rho = random_density(rng)
     r = random_density(rng)
@@ -204,6 +296,27 @@ def test_entropy_rejects_what_the_validator_rejects(bad):
     assert str(got.value) == str(want.value)
 
 
+def test_hermiticity_check_matches_numpy_defect(rng):
+    # the validator takes max|ρ - ρ†| on Python scalars; it must decide as the
+    # numpy expression does, for every entry pair and on the diagonal
+    for n in (2, 3, 4):
+        for _ in range(200):
+            rho = random_density(rng, n)
+            i, j = rng.integers(0, n, size=2)
+            rho[i, j] += complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-13, -11)
+            defect = np.abs(rho - rho.conj().T).max()
+            if defect > qm.ATOL:
+                with pytest.raises(qm.InvalidStateError, match="not Hermitian"):
+                    qm.check_density_matrix(rho)
+            else:
+                qm.check_density_matrix(rho)
+
+
+def test_hermiticity_check_reads_the_diagonal():
+    with pytest.raises(qm.InvalidStateError, match="not Hermitian"):
+        qm.check_density_matrix(np.diag([0.5 + 1e-9j, 0.5 - 1e-9j]))
+
+
 NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
 
 
@@ -219,6 +332,21 @@ def test_validators_reject_non_finite_entries(bad):
         qm.check_density_matrix(rho)
     with pytest.raises(qm.InvalidStateError, match="finite"):
         qm.check_pure_state([bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_as_matrix_rejects_non_finite_entries(bad):
+    m = np.eye(4, dtype=complex) / 4
+    m[2, 3] = bad
+    for fn in (qm.as_matrix, qm.matrix_to_json, lambda x: qm.partial_trace(x, "first"),
+               lambda x: qm.partial_trace(x, "second")):
+        with pytest.raises(qm.InvalidStateError, match="finite"):
+            fn(m)
+
+
+def test_partial_trace_rejects_nan_matrix():
+    with pytest.raises(qm.InvalidStateError):
+        qm.partial_trace(np.full((4, 4), np.nan), "first")
 
 
 def test_entropy_rejects_nan_matrix():
