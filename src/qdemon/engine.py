@@ -15,6 +15,7 @@ Every function here is pure; grid sweeps may be evaluated in any order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,12 +27,13 @@ from .qmatrix import (
     InvalidStateError,
     ParameterError,
     dag,
-    partial_trace,
     tensor,
     von_neumann_entropy,
 )
 
-#: open both ends of every epsilon search bracket by this much (keeps ln finite)
+#: both ends of every epsilon search bracket stay this far inside (0, p_e).
+#: The logit-space search needs no floor; it stays while the benchmark's
+#: recorded outputs and declines rely on roots below it being reported as ends
 EPS_FLOOR = 1e-15
 
 #: cap on beta*delta_w: exp(-745) is the smallest subnormal, so beyond the cap
@@ -117,8 +119,9 @@ class OptimizationResult:
     """Root-finding outcome for an optimal demon impurity.
 
     residual is the absolute stationarity-equation value at epsilon_star
-    (<= 1e-12 when converged). roots lists every sign change found in the
-    bracket scan (normally exactly one).
+    (<= 1e-12 when converged). roots is (epsilon_star,) when the stationarity
+    equation changes sign on the search bracket and () when the answer is an
+    end of it. iterations counts Newton steps in t = ln(eps/(1-eps)).
     """
 
     epsilon_star: float
@@ -129,21 +132,22 @@ class OptimizationResult:
     roots: tuple[float, ...] = field(default=())
 
 
-def thermal_wit(beta: float, delta_w: float) -> tuple[float, float, np.ndarray]:
-    """Gibbs populations (p_g, p_e) and the diagonal state in the (e, g) basis.
-
-    Z = 1 + exp(-beta*delta_w), p_g = 1/Z, p_e = exp(-beta*delta_w)/Z.
-    """
+def _populations(beta: float, delta_w: float) -> tuple[float, float]:
+    """Gibbs populations (p_g, p_e): Z = 1 + exp(-beta*delta_w), p_g = 1/Z,
+    p_e = exp(-beta*delta_w)/Z."""
     _require_finite(beta=beta, delta_w=delta_w)
     if delta_w <= 0.0:
         raise ParameterError(f"delta_w must be positive, got {delta_w}")
     if beta < 0.0:
         raise ParameterError(f"beta must be non-negative, got {beta}")
-    x = min(beta * delta_w, BETA_DELTA_CAP)
-    boltz = math.exp(-x)
+    boltz = math.exp(-min(beta * delta_w, BETA_DELTA_CAP))
     z = 1.0 + boltz
-    p_g = 1.0 / z
-    p_e = boltz / z
+    return 1.0 / z, boltz / z
+
+
+def thermal_wit(beta: float, delta_w: float) -> tuple[float, float, np.ndarray]:
+    """Gibbs populations (p_g, p_e) and the diagonal state in the (e, g) basis."""
+    p_g, p_e = _populations(beta, delta_w)
     return p_g, p_e, np.diag([p_e, p_g]).astype(complex)
 
 
@@ -159,6 +163,19 @@ def _entropy_cost_ratio(p_e: float, eps: float) -> float:
     return (bit_entropy(x) - bit_entropy(eps)) / (p_e - eps)
 
 
+@functools.lru_cache(maxsize=8)
+def _route_gates(phase: float) -> tuple[tuple, tuple, np.ndarray]:
+    """pswap_route's four stage gates, their adjoints and the extraction
+    pulse, built once per drive phase and read-only."""
+    gates = (CNOT_UP.copy(), tensor(u14(phase), HBAR),
+             CNOT_UP.copy(), tensor(u14(phase), np.eye(2, dtype=complex)))
+    adjoints = tuple(dag(g) for g in gates)
+    pulse = half_rabi(phase)
+    for m in (*gates, *adjoints, pulse):
+        m.setflags(write=False)
+    return gates, adjoints, pulse
+
+
 def pswap_route(params: EngineParams, phase: float = -np.pi / 2) -> dict:
     """Density-matrix route through one cycle: states, marginals, and the
     per-stage field energies, all derived from the gate sequence alone.
@@ -168,39 +185,22 @@ def pswap_route(params: EngineParams, phase: float = -np.pi / 2) -> dict:
     heat) in the units of delta_w. Used as the independent cross-check of
     the closed-form bookkeeping.
     """
-    delta = params.delta_w
-    eps = params.epsilon
+    delta, eps = params.delta_w, params.epsilon
     _, p_e, rho_w = thermal_wit(params.beta, delta)
-    dits = (np.diag([1.0 - eps, eps]).astype(complex),
-            np.diag([eps, 1.0 - eps]).astype(complex))
-
-    stages = (CNOT_UP,
-              tensor(u14(phase), HBAR),
-              CNOT_UP,
-              tensor(u14(phase), np.eye(2, dtype=complex)))
-
-    def wit_energy(joint):
-        return delta * float(partial_trace(joint, "first")[0, 0].real)
-
-    stage_energy = np.zeros(len(stages))
-    finals = []
-    for dit in dits:
-        joint = tensor(rho_w, dit)
-        prev = wit_energy(joint)
-        for k, g in enumerate(stages):
-            joint = g @ joint @ dag(g)
-            now = wit_energy(joint)
-            stage_energy[k] += now - prev
-            prev = now
-        finals.append(joint)
-
-    wit_up = partial_trace(finals[0], "first")
-    wit_dn = partial_trace(finals[1], "first")
-    dit_up = partial_trace(finals[0], "second")
-    dit_dn = partial_trace(finals[1], "second")
+    gates, adjoints, pulse = _route_gates(phase)
+    # both demon branches (dit up, dit down) as one (2, 4, 4) stack, kept per stage
+    stacks = [np.stack([tensor(rho_w, np.diag(pops).astype(complex))
+                        for pops in ((1.0 - eps, eps), (eps, 1.0 - eps))])]
+    for g, g_dag in zip(gates, adjoints):
+        stacks.append(g @ stacks[-1] @ g_dag)
+    split = np.reshape(stacks, (len(stacks), 2, 2, 2, 2, 2))
+    wits = np.einsum("snikjk->snij", split)
+    steps = np.diff(delta * wits[:, :, 0, 0].real, axis=0)
+    stage_energy = 0.0 + steps[:, 0] + steps[:, 1]  # summed from +0.0, branch by branch
+    wit_up, wit_dn = wits[-1]
+    dit_up, dit_dn = np.einsum("nkikj->nij", split[-1])
 
     # extraction: half-Rabi NOT on the deterministically excited wit
-    pulse = half_rabi(phase)
     wit_dn_after = pulse @ wit_dn @ dag(pulse)
     w_plus = delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real)
 
@@ -213,11 +213,9 @@ def pswap_route(params: EngineParams, phase: float = -np.pi / 2) -> dict:
         "dit_marginals": (dit_up, dit_dn),
         "dit_marginals_unrotated": (dag(HBAR) @ dit_up @ HBAR,
                                     dag(HBAR) @ dit_dn @ HBAR),
-        "joints": tuple(finals),
+        "joints": tuple(stacks[-1]),
         "stage_field_energy": tuple(float(e) for e in stage_energy),
-        "w_minus": w_minus,
-        "w_plus": w_plus,
-        "heat": heat,
+        "w_minus": w_minus, "w_plus": w_plus, "heat": heat,
         "dit_entropies": (von_neumann_entropy(dit_up), von_neumann_entropy(dit_dn)),
     }
 
@@ -232,9 +230,8 @@ def run_cycle(params: EngineParams, quantum_check: bool = True) -> CycleReport:
     2 delta_w (p_e - eps), and w_in = (2/beta_d)(H[p_e + eps(1-2p_e)] -
     H[eps]) restores the demon pair.
     """
-    delta = params.delta_w
-    eps = params.epsilon
-    p_g, p_e, _ = thermal_wit(params.beta, delta)
+    delta, eps = params.delta_w, params.epsilon
+    p_g, p_e = _populations(params.beta, delta)
 
     x = p_e + eps * (1.0 - 2.0 * p_e)
     heat = 2.0 * delta * (p_e - eps)
@@ -250,24 +247,16 @@ def run_cycle(params: EngineParams, quantum_check: bool = True) -> CycleReport:
 
     if quantum_check:
         route = pswap_route(params)
-        checks = (
-            abs(route["w_minus"] - w_minus),
-            abs(route["w_plus"] - w_plus),
-            abs(route["heat"] - heat),
-            abs(route["dit_entropies"][0] - dit_entropy),
-            abs(route["dit_entropies"][1] - dit_entropy),
-            abs(route["stage_field_energy"][1] - w_minus),
-            abs(route["stage_field_energy"][3]),
-        )
-        if max(checks) > 1e-10 * max(1.0, delta):
-            raise InvalidStateError(
-                f"gate route disagrees with closed forms by {max(checks):.3e}")
+        gap = max(abs(route["w_minus"] - w_minus), abs(route["w_plus"] - w_plus),
+                  abs(route["heat"] - heat),
+                  *(abs(e - dit_entropy) for e in route["dit_entropies"]),
+                  abs(route["stage_field_energy"][1] - w_minus),
+                  abs(route["stage_field_energy"][3]))
+        if gap > 1e-10 * max(1.0, delta):
+            raise InvalidStateError(f"gate route disagrees with closed forms by {gap:.3e}")
 
-    ledger = (
-        ("pswap_mid_rotations", w_minus),
-        ("pswap_final_rotations", 0.0),
-        ("extraction_pulse", -w_plus),
-    )
+    ledger = (("pswap_mid_rotations", w_minus), ("pswap_final_rotations", 0.0),
+              ("extraction_pulse", -w_plus))
     return CycleReport(
         p_e=p_e, p_g=p_g, heat=heat,
         w_minus=w_minus, w_plus=w_plus, w_out=w_out, w_in=w_in,
@@ -280,31 +269,85 @@ def _bisect(f, lo: float, hi: float, max_iter: int = 200):
     """Plain bisection; assumes f(lo) and f(hi) have opposite signs. Stops on
     an exact zero, a bracket narrower than 1e-17, or a midpoint that rounds
     onto an end of the bracket (floats from 1/16 up are more than 1e-17 apart)."""
-    flo = f(lo)
+    lo_negative = f(lo) < 0.0
     root = 0.5 * (lo + hi)
     for it in range(1, max_iter + 1):
         root = 0.5 * (lo + hi)
         fr = f(root)
-        if fr == 0.0 or (hi - lo) < 1e-17 or root in (lo, hi):
+        if fr == 0.0 or (hi - lo) < 1e-17 or root == lo or root == hi:
             return root, fr, it
-        if (fr < 0.0) == (flo < 0.0):
-            lo, flo = root, fr
+        if (fr < 0.0) == lo_negative:
+            lo = root
         else:
             hi = root
     return root, f(root), max_iter
 
 
+#: Newton in t = ln(eps/(1-eps)) (ds/dt in [1/2, 1] on the bracket) ends one
+#: evaluation after a step this short, whose error is about its square ...
+_T_SETTLED = 1e-8
+#: ... or at a step below this many ulps of 1 + |t| + beta_d*delta_w: s's round-off
+_S_NOISE = 8.0 * 2.0**-52
+
+
+def _stationarity_base(p_e: float, xi: float, eps: float) -> float:
+    """xi H'[x] - H'[eps], x = p_e + eps xi: s(eps) without beta_d*delta_w."""
+    return xi * bit_entropy_prime(p_e + eps * xi) - bit_entropy_prime(eps)
+
+
+def _bracket(p_e: float, xi: float) -> tuple[float, float, float, float]:
+    """(lo, hi) = (EPS_FLOOR, min(p_e, 1/2) - EPS_FLOOR) and the base at both.
+    H' raises at hi for p_e <= EPS_FLOOR; below 2 EPS_FLOOR hi < lo is refused."""
+    lo, hi = EPS_FLOOR, min(p_e, 0.5) - EPS_FLOOR
+    ends = (_stationarity_base(p_e, xi, lo), _stationarity_base(p_e, xi, hi))
+    if hi < lo:
+        raise ParameterError(f"p_e={p_e} leaves no epsilon bracket above {EPS_FLOOR}")
+    return lo, hi, *ends
+
+
+def _max_net_work(p_e, xi, beta_d_delta, bracket, t):
+    """(eps, s(eps), Newton steps, t, root found) maximising the net work on
+    the bracket: without a sign change of s, the end where it is larger (lo if
+    s >= 0 there); else Newton on s(t) from t, bisecting when a step leaves the
+    sign bracket."""
+    lo, hi, g_lo, g_hi = bracket
+    s_lo, s_hi = g_lo + beta_d_delta, g_hi + beta_d_delta
+    if not s_lo * s_hi < 0.0:
+        return (lo, s_lo, 0, t, False) if s_lo >= 0.0 else (hi, s_hi, 0, t, False)
+    a, b = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
+    t, settled = min(max(t, a), b), False
+    for it in range(1, 101):
+        eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
+        x = p_e + eps * xi
+        # s(eps) with H' written as bit_entropy_prime writes it
+        s = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps) + beta_d_delta
+        if s < 0.0:
+            a = t
+        else:
+            b = t
+        step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
+        if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(beta_d_delta)):
+            break
+        if a < t - step < b:
+            t, settled = t - step, abs(step) <= _T_SETTLED
+        else:
+            t = 0.5 * (a + b)
+    return eps, s, it, t, True
+
+
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
     """Demon impurity maximising the net work per cycle.
 
-    Solves s(eps) = xi H'[x] - H'[eps] + beta_d*delta_w = 0, with xi = 1-2p_e
-    and x = p_e + eps xi, by bisection on (0, min(p_e, 1/2)). There s' =
-    1/(eps(1-eps)) - xi^2/(x(1-x)) > 0 (eps <= x <= 1-eps and xi^2 < 1), and
-    the net work N has N' = -2 s/(beta_d delta_w): N is strictly concave, so a
-    sign change of s pins its maximum. Without one (the root lies below the
-    1e-15 floor, or N rises up to the upper end) N is monotone, and the end
-    with the larger N is reported with iterations = 0 and roots = ().
-    objective_value is net work in units of delta_w.
+    Solves s(eps) = xi H'[x] - H'[eps] + beta_d*delta_w = 0 (xi = 1-2p_e,
+    x = p_e + eps xi) on [EPS_FLOOR, min(p_e, 1/2) - EPS_FLOOR]. The net work
+    N has N' = -2 s/(beta_d delta_w) with s increasing, so N is strictly
+    concave and a sign change of s pins its maximum. In t = ln(eps/(1-eps)),
+    s = xi H'[x] + t + beta_d*delta_w with ds/dt = 1 - xi^2 eps(1-eps)/(x(1-x))
+    in (0, 1]: Newton from t0 = -xi H'[p_e] - beta_d*delta_w takes a few steps
+    (iterations; roots = (eps*,)). Without a sign change (root below the
+    floor, or N rising up to the upper end) the end with the larger N is
+    reported with iterations = 0 and roots = (). objective_value is net work
+    in units of delta_w.
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
@@ -312,99 +355,59 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     if beta_d_delta <= 0.0:
         raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
     xi = 1.0 - 2.0 * p_e
-
-    def stationarity(eps: float) -> float:
-        return (xi * bit_entropy_prime(p_e + eps * xi)
-                - bit_entropy_prime(eps) + beta_d_delta)
-
-    def objective(eps: float) -> float:
-        return _net_work_per_delta(p_e, eps, beta_d_delta)
-
-    lo = EPS_FLOOR
-    hi = min(p_e, 0.5) - EPS_FLOOR
-    if stationarity(lo) * stationarity(hi) < 0.0:
-        eps, fr, iters = _bisect(stationarity, lo, hi)
-        roots = (eps,)
-    else:
-        eps, iters, roots = max((lo, hi), key=objective), 0, ()
-        fr = stationarity(eps)
-    residual = abs(fr)
+    t0 = -xi * bit_entropy_prime(p_e) - beta_d_delta
+    eps, s, iters, _, inside = _max_net_work(p_e, xi, beta_d_delta, _bracket(p_e, xi), t0)
     return OptimizationResult(
-        epsilon_star=eps, objective_value=objective(eps),
-        converged=residual <= 1e-12, iterations=iters, residual=residual,
-        roots=roots,
-    )
+        epsilon_star=eps, objective_value=_net_work_per_delta(p_e, eps, beta_d_delta),
+        converged=abs(s) <= 1e-12, iterations=iters, residual=abs(s),
+        roots=(eps,) if inside else ())
 
 
 def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     """Demon impurity maximising the two-cycle efficiency.
 
-    The stationarity equation
-    [(1-2p_e) H'[p_e + eps(1-2p_e)] - H'[eps]](p_e - eps)
-    + H[p_e + eps(1-2p_e)] - H[eps] = 0
-    contains no demon temperature, so the root maximises the efficiency for
-    every beta_d. The bracket (0, p_e) is scanned on a 1,001-point grid and
-    every sign change is bisected; the returned objective is the
-    entropy-cost ratio whose minimum the root realises. At p_e = 1/2 the
-    root sits exactly on the boundary eps = 1/2. The scan is one array
-    operation that repeats the scalar formulas in the same order, and its
-    results are those of a point-by-point scalar scan, which a test keeps
-    as the oracle. numpy's log may differ from math.log in the last bit; that
-    can change a result only where a scan decision (sign, exact zero, least
-    |value|) hinges on the last bit of a grid value.
+    It minimises R(eps) = (H[x] - H[eps])/(p_e - eps), free of the demon
+    temperature. R's stationarity equation [xi H'[x] - H'[eps]](p_e - eps) +
+    H[x] - H[eps] = 0 is the opt-power condition at beta_d*delta_w = R(eps),
+    so Dinkelbach's iteration lambda <- R(eps_power(lambda)) solves it (W.
+    Dinkelbach, "On nonlinear fractional programming", Management Science
+    13(7), 1967), stopping once lambda fails to fall by more than a few ulps.
+    Each opt-power solve starts from the last t; iterations sums their Newton
+    steps. converged needs a root inside opt-power's bracket (roots = (eps*,))
+    and a residual <= 1e-12. At p_e = 1/2 the root is the boundary eps = 1/2.
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
     if p_e == 0.5:
-        return OptimizationResult(
-            epsilon_star=0.5, objective_value=0.0, converged=True,
-            iterations=0, residual=0.0, roots=(0.5,),
-        )
+        return OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
+                                  iterations=0, residual=0.0, roots=(0.5,))
     xi = 1.0 - 2.0 * p_e
-
-    def stationarity(eps: float) -> float:
-        return ((xi * bit_entropy_prime(p_e + eps * xi) - bit_entropy_prime(eps))
-                * (p_e - eps)
-                + bit_entropy(p_e + eps * xi) - bit_entropy(eps))
-
-    lo = EPS_FLOOR
-    hi = p_e - EPS_FLOOR
-    grid = np.linspace(lo, hi, 1001)
-    x = p_e + grid * xi
-    in_domain = (0.0 < x) & (x < 1.0) & (0.0 < grid) & (grid < 1.0)
-    if not in_domain.all():
-        # raises the ParameterError of the first grid point outside H's domain
-        stationarity(float(grid[np.argmin(in_domain)]))
-    # stationarity() on the whole grid, same formulas and operation order
-    values = ((xi * np.log((1.0 - x) / x) - np.log((1.0 - grid) / grid))
-              * (p_e - grid)
-              + (-x * np.log(x) - (1.0 - x) * np.log(1.0 - x))
-              - (-grid * np.log(grid) - (1.0 - grid) * np.log(1.0 - grid)))
-    zero = values[:-1] == 0.0
-    change = values[:-1] * values[1:] < 0.0
-    roots = []
-    total_iters = 0
-    for i in np.flatnonzero(zero | change):
-        if zero[i]:
-            roots.append(float(grid[i]))
-        else:
-            root, _, iters = _bisect(stationarity, float(grid[i]), float(grid[i + 1]))
-            roots.append(root)
-            total_iters += iters
-    if not roots:
-        best = float(grid[int(np.argmin(np.abs(values)))])
-        return OptimizationResult(
-            epsilon_star=best, objective_value=_entropy_cost_ratio(p_e, best),
-            converged=False, iterations=total_iters,
-            residual=abs(stationarity(best)), roots=(),
-        )
-    best = min(roots, key=lambda r: _entropy_cost_ratio(p_e, r))
-    residual = abs(stationarity(best))
+    if p_e <= EPS_FLOOR:
+        # H' fails on part of the bracket: raise its error at the first point
+        # of the 1,001-point grid this search once scanned
+        grid = np.linspace(EPS_FLOOR, p_e - EPS_FLOOR, 1001)
+        x = p_e + grid * xi
+        in_domain = (0.0 < x) & (x < 1.0) & (0.0 < grid) & (grid < 1.0)
+        _stationarity_base(p_e, xi, float(grid[np.argmin(in_domain)]))
+    bracket = _bracket(p_e, xi)
+    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start
+    # near both (from p_e^2/2 lambda only halves per step near 1/2)
+    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
+    eps = min(max(eps, bracket[0]), bracket[1])
+    lam, t, iters = _entropy_cost_ratio(p_e, eps), math.log(eps / (1.0 - eps)), 0
+    for _ in range(60):
+        eps, _, steps, t, inside = _max_net_work(p_e, xi, lam, bracket, t)
+        iters += steps
+        ratio = _entropy_cost_ratio(p_e, eps)
+        if not ratio < lam - 4.0 * math.ulp(lam):
+            break
+        lam = ratio
+    x = p_e + eps * xi
+    residual = abs(_stationarity_base(p_e, xi, eps) * (p_e - eps)
+                   + bit_entropy(x) - bit_entropy(eps))
     return OptimizationResult(
-        epsilon_star=best, objective_value=_entropy_cost_ratio(p_e, best),
-        converged=residual <= 1e-12, iterations=total_iters,
-        residual=residual, roots=tuple(roots),
-    )
+        epsilon_star=eps, objective_value=ratio, converged=inside and residual <= 1e-12,
+        iterations=iters, residual=residual, roots=(eps,) if inside else ())
 
 
 def parse_policy(policy: str) -> tuple[str, float | None]:
@@ -451,7 +454,7 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     beta_d_delta = beta_d * delta_w
 
     def net(beta: float) -> float:
-        _, p_e, _ = thermal_wit(beta, delta_w)
+        _, p_e = _populations(beta, delta_w)
         eps = resolve_epsilon(policy, p_e, beta_d_delta)
         return _net_work_per_delta(p_e, eps, beta_d_delta)
 
@@ -476,20 +479,14 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     """
     rows = []
     for bd in np.asarray(beta_deltas, dtype=float):
-        _, p_e, _ = thermal_wit(float(bd), 1.0)
+        _, p_e = _populations(float(bd), 1.0)
         eps = resolve_epsilon(policy, p_e, beta_d_delta)
         report = run_cycle(EngineParams(beta=bd, beta_d=beta_d_delta,
                                         delta_w=1.0, epsilon=eps),
                            quantum_check=False)
-        rows.append({
-            "beta_delta": float(bd),
-            "p_e": report.p_e,
-            "epsilon": eps,
-            "heat": report.heat,
-            "net_work": report.net_work,
-            "eta_2cy": report.eta_2cy,
-            "eta_carnot": 1.0 - bd / beta_d_delta,
-        })
+        rows.append({"beta_delta": float(bd), "p_e": report.p_e, "epsilon": eps,
+                     "heat": report.heat, "net_work": report.net_work,
+                     "eta_2cy": report.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
     return rows
 
 

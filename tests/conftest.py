@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,3 +33,11 @@ def power_stationarity(p_e, bd_delta, eps):
     the function optimize_epsilon_power finds the root of."""
     xi = 1.0 - 2.0 * p_e
     return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps) + bd_delta
+
+
+def ratio_round_off(p_e, eps):
+    """A few ulps of the entropies the cost ratio R subtracts, over its
+    denominator: how far two evaluations of R may disagree by round-off alone
+    (ln(1 - x) is off by up to an ulp of 1 for any x)."""
+    x = p_e + eps * (1.0 - 2.0 * p_e)
+    return 8.0 * math.ulp(1.0) * (2.0 + eng.bit_entropy(x) + eng.bit_entropy(eps)) / (p_e - eps)

@@ -222,7 +222,8 @@ def test_engine_optimize_document_keys(capsys):
 
 
 @pytest.mark.parametrize("args", [
-    ["engine", "report", "--beta-delta", "1", "--policy", "opt-power", "--beta-d-delta", "25"],
+    # eps* ~ 2.7e-18 lies below the search floor EPS_FLOOR = 1e-15
+    ["engine", "report", "--beta-delta", "1", "--policy", "opt-power", "--beta-d-delta", "40"],
     ["engine", "sweep", "--policy", "opt-power", "--beta-d-delta", "40", "--steps", "21"],
 ])
 def test_engine_policy_nonconvergence_exits_3(capsys, args):

@@ -8,7 +8,8 @@ import pytest
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
-from conftest import power_stationarity
+from qdemon.circuits import CNOT_UP, HBAR, half_rabi, u14
+from conftest import power_stationarity, ratio_round_off
 
 LN2 = math.log(2)
 
@@ -161,6 +162,63 @@ def test_gate_route_phase_independent():
             assert math.isclose(base[key], other[key], abs_tol=1e-12)
 
 
+def branch_by_branch_route(params, phase=-np.pi / 2):
+    """pswap_route as it once ran, one dit branch after the other with the
+    stage gates rebuilt per call: the oracle for the stacked route."""
+    delta, eps = params.delta_w, params.epsilon
+    _, p_e, rho_w = eng.thermal_wit(params.beta, delta)
+    dits = (np.diag([1.0 - eps, eps]).astype(complex), np.diag([eps, 1.0 - eps]).astype(complex))
+    stages = (CNOT_UP, qm.tensor(u14(phase), HBAR), CNOT_UP,
+              qm.tensor(u14(phase), np.eye(2, dtype=complex)))
+
+    def wit_energy(joint):
+        return delta * float(qm.partial_trace(joint, "first")[0, 0].real)
+
+    stage_energy = np.zeros(len(stages))
+    finals = []
+    for dit in dits:
+        joint = qm.tensor(rho_w, dit)
+        prev = wit_energy(joint)
+        for k, g in enumerate(stages):
+            joint = g @ joint @ qm.dag(g)
+            now = wit_energy(joint)
+            stage_energy[k] += now - prev
+            prev = now
+        finals.append(joint)
+    wit_up, wit_dn = (qm.partial_trace(j, "first") for j in finals)
+    dit_up, dit_dn = (qm.partial_trace(j, "second") for j in finals)
+    pulse = half_rabi(phase)
+    wit_dn_after = pulse @ wit_dn @ qm.dag(pulse)
+    return {
+        "wit_marginals": (wit_up, wit_dn),
+        "dit_marginals": (dit_up, dit_dn),
+        "dit_marginals_unrotated": (qm.dag(HBAR) @ dit_up @ HBAR, qm.dag(HBAR) @ dit_dn @ HBAR),
+        "joints": tuple(finals),
+        "stage_field_energy": tuple(float(e) for e in stage_energy),
+        "w_minus": delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta,
+        "w_plus": delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real),
+        "heat": 2.0 * p_e * delta - delta * float((wit_up[0, 0] + wit_dn_after[0, 0]).real),
+        "dit_entropies": (qm.von_neumann_entropy(dit_up), qm.von_neumann_entropy(dit_dn)),
+    }
+
+
+def route_bytes(route):
+    return {key: [np.asarray(v).tobytes() for v in (value if isinstance(value, tuple) else (value,))]
+            for key, value in route.items()}
+
+
+def test_stacked_route_is_bit_identical_to_branch_by_branch():
+    rng = np.random.default_rng(3)
+    for _ in range(60):
+        delta_w = float(rng.choice([1.0, math.exp(rng.uniform(-7.0, 7.0))]))
+        params = eng.EngineParams(beta=float(rng.uniform(0.0, 40.0)) / delta_w, beta_d=50.0,
+                                  delta_w=delta_w,
+                                  epsilon=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])))
+        phase = float(rng.choice([-np.pi / 2, rng.uniform(-np.pi, np.pi)]))
+        assert (route_bytes(eng.pswap_route(params, phase))
+                == route_bytes(branch_by_branch_route(params, phase)))
+
+
 def test_stage_field_energies():
     params = eng.EngineParams(beta=0.6, beta_d=2.0, delta_w=2.0, epsilon=0.05)
     route = eng.pswap_route(params)
@@ -233,8 +291,9 @@ def test_optimize_eta_single_root_reported():
 
 
 def scalar_eta_scan(p_e):
-    """optimize_epsilon_eta as a point-by-point scalar scan: the oracle for
-    the array scan, which must give identical results."""
+    """optimize_epsilon_eta as it once was, a 1,001-point scan with every
+    sign change bisected: the oracle the Dinkelbach search must not fall
+    behind, and whose H' domain errors it keeps."""
     if not 0.0 < p_e <= 0.5:
         raise qm.ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
     if p_e == 0.5:
@@ -276,21 +335,32 @@ def scalar_eta_scan(p_e):
     )
 
 
-def test_optimize_eta_identical_to_scalar_scan():
+def test_optimize_eta_no_worse_than_scalar_scan():
     rng = np.random.default_rng(1604)
-    edges = [1.0000001e-15, 1.5e-15, 2e-15, 1e-10, 0.4999, 0.5, 0.49999999]
-    sample = np.concatenate([np.exp(rng.uniform(math.log(1e-15), math.log(0.5), 120)),
+    edges = [2e-15, 1e-10, 0.4999, 0.5, 0.49999999]
+    sample = np.concatenate([np.exp(rng.uniform(math.log(2e-15), math.log(0.5), 120)),
                              rng.uniform(0.0, 0.5, 30), edges])
     converged = 0
     for p_e in sample.tolist():
         want = scalar_eta_scan(p_e)
         got = eng.optimize_epsilon_eta(p_e)
-        for name in ("epsilon_star", "objective_value", "residual", "converged",
-                     "iterations", "roots"):
-            assert getattr(got, name) == getattr(want, name), (p_e, name)
-        converged += want.converged
-    # both branches are exercised: converged roots and the argmin fallback
+        if want.converged:
+            # R is flat at its minimum: its round-off, not the search, sets the margin
+            assert got.converged and got.residual <= 1e-12, p_e
+            slack = 0.0 if p_e == 0.5 else ratio_round_off(p_e, want.epsilon_star)
+            assert got.objective_value <= want.objective_value + slack, p_e
+            converged += 1
+    # both kinds of point are sampled: roots inside the bracket and below its floor
     assert 0 < converged < len(sample)
+
+
+@pytest.mark.parametrize("p_e", [1.0000001e-15, 1.5e-15, 1.9999999e-15])
+def test_optimizers_reject_an_empty_bracket(p_e):
+    # min(p_e, 1/2) - EPS_FLOOR < EPS_FLOOR: no impurity lies above the floor
+    for optimize in (eng.optimize_epsilon_eta, lambda pe: eng.optimize_epsilon_power(pe, 2.0)):
+        with pytest.raises(qm.ParameterError, match="no epsilon bracket"):
+            optimize(p_e)
+    assert eng.optimize_epsilon_power(2e-15, 2.0).epsilon_star == eng.EPS_FLOOR
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # oracle at 5e-324
@@ -505,4 +575,6 @@ def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
         assert iters < max_iter
     result = eng.optimize_epsilon_power(p_e, 2.0)
     assert result.converged and result.iterations < 200
-    assert result.epsilon_star == width_only_bisect(*cases[0])[0]
+    want = width_only_bisect(*cases[0])[0]
+    assert abs(result.epsilon_star - want) <= 4 * math.ulp(want)
+    assert abs(power_stationarity(p_e, 2.0, result.epsilon_star)) <= 1e-12

@@ -2,6 +2,7 @@
 docstrings state."""
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -12,7 +13,7 @@ from qdemon import engine as eng
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.spin_demon import SpinDemonParams, spin_config
-from conftest import power_stationarity, random_density, random_unitary
+from conftest import power_stationarity, random_density, random_unitary, ratio_round_off
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -137,3 +138,71 @@ def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_d
             assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
     else:
         assert math.isnan(r.eta_2cy)
+
+
+# excited populations for opt-eta, log-uniform down to two floors, with the
+# edges p_e -> 2 EPS_FLOOR (the narrowest bracket) and p_e -> 1/2 (beta*delta_w -> 0)
+eta_pes = st.one_of(
+    st.sampled_from([2 * eng.EPS_FLOOR, 2.5e-15, 1e-12, 0.5 - 1e-6, 0.5 - 1e-12, 0.5]),
+    st.floats(math.log(2 * eng.EPS_FLOOR), math.log(0.5)).map(math.exp),
+    st.floats(2 * eng.EPS_FLOOR, 0.5))
+
+
+@PROPERTY
+@given(p_e=eta_pes)
+@example(p_e=2 * eng.EPS_FLOOR)
+@example(p_e=0.5)
+def test_eta_optimum_beats_its_neighbours(p_e):
+    result = eng.optimize_epsilon_eta(p_e)
+    lo, hi = eng.EPS_FLOOR, p_e - eng.EPS_FLOOR
+    star = result.epsilon_star
+    if not result.converged or p_e == 0.5:
+        return
+    assert lo <= star <= hi and result.residual <= 1e-12
+    assert result.objective_value == eng._entropy_cost_ratio(p_e, star)
+    for delta in (1e-6, 1e-3 * star, 1e-3 * (p_e - star)):
+        for eps in (max(lo, star - delta), min(hi, star + delta)):
+            assert (result.objective_value
+                    <= eng._entropy_cost_ratio(p_e, eps) + ratio_round_off(p_e, eps))
+
+
+@PROPERTY
+@given(p_e=eta_pes, bd_delta=beta_d_deltas,
+       policy=st.sampled_from(["opt-eta", "fixed:0", "fixed:0.5"]),
+       delta_w=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+@example(p_e=2 * eng.EPS_FLOOR, bd_delta=40.0, policy="opt-eta", delta_w=1.0)
+@example(p_e=0.5, bd_delta=2.0, policy="opt-eta", delta_w=1.0)
+@example(p_e=0.5, bd_delta=1e-2, policy="fixed:0", delta_w=1.0)
+def test_cycle_at_eta_optimum_balances_and_stays_below_carnot(p_e, bd_delta, policy, delta_w):
+    name, fixed = eng.parse_policy(policy)
+    eps = fixed if name == "fixed" else eng.optimize_epsilon_eta(p_e).epsilon_star
+    beta_delta = eng.bit_entropy_prime(p_e)
+    beta, beta_d = beta_delta / delta_w, bd_delta / delta_w
+    if beta_d <= beta:
+        return  # no Carnot window: the demon reservoir is not the colder one
+    r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
+                                       epsilon=eps), quantum_check=False)
+    assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12 * delta_w
+    if r.heat > 0.0:
+        assert r.net_work <= (1.0 - beta / beta_d) * r.heat + 1e-12 * delta_w
+        if r.heat > 1e-6 * delta_w:
+            assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
+    else:
+        assert math.isnan(r.eta_2cy)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p_e=eta_pes, bd_delta=beta_d_deltas)
+@example(p_e=0.5, bd_delta=1e-2)
+@example(p_e=0.5 - 1e-12, bd_delta=1e3)
+# round-off makes the sign of s near these roots random: without the round-off
+# stop, Newton steps leave the collapsed sign bracket and bisection spins to the cap
+@example(p_e=1.1963389572118127e-09, bd_delta=12.163959564779178)
+@example(p_e=7.841790901344699e-12, bd_delta=2.230765139808152)
+def test_optimizer_step_counts_stay_small(p_e, bd_delta):
+    # a slip in a stop rule shows up here before it shows up as a latency tail
+    assert eng.optimize_epsilon_power(p_e, bd_delta).iterations <= 6
+    with mock.patch.object(eng, "_max_net_work", wraps=eng._max_net_work) as solve:
+        result = eng.optimize_epsilon_eta(p_e)
+    assert solve.call_count <= 8  # Dinkelbach steps
+    assert result.iterations <= 6 * solve.call_count
