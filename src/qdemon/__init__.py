@@ -28,8 +28,6 @@ from .circuits import (
     build_SWAP,
     build_UD,
     build_VD,
-    build_gates,
-    build_minimal_pswap,
     double_dot_protocol,
     half_rabi,
     pswap_counterexample,
@@ -62,7 +60,6 @@ from .qmatrix import (
     check_pure_state,
     check_unitary,
     dag,
-    matrix_from_json,
     matrix_to_json,
     partial_trace,
     pure_density,
@@ -72,7 +69,6 @@ from .qmatrix import (
 from .spin_demon import (
     SpinDemonParams,
     beam_splitter,
-    config_from_json,
     demon_state_from_spec,
     demon_unitaries,
     scatter,

@@ -65,18 +65,6 @@ def conditional_pi_phase(phi: float) -> np.ndarray:
     return np.diag([np.exp(1j * phi), -np.exp(1j * phi), 1.0, 1.0]).astype(complex)
 
 
-def build_gates(phase: float) -> dict[str, np.ndarray]:
-    """The gate set, embedded in the joint basis (4x4 each)."""
-    return {
-        "CNOT_on_demon_control_up": CNOT_UP.copy(),
-        "CNOT_on_demon_control_down": CNOT_DOWN.copy(),
-        "HBAR_system": tensor(HBAR, I2),
-        "HBAR_demon": tensor(I2, HBAR),
-        "U14_system": tensor(u14(phase), I2),
-        "U14_demon": tensor(I2, u14(phase)),
-    }
-
-
 def build_UD() -> np.ndarray:
     """Purification circuit CNOT · (H̄ ⊗ H̄) · CNOT."""
     return CNOT_UP @ tensor(HBAR, HBAR) @ CNOT_UP
@@ -90,21 +78,6 @@ def build_VD() -> np.ndarray:
 def build_SWAP() -> np.ndarray:
     """Full SWAP = CNOT(control active on system-down) · VD."""
     return CNOT_DOWN @ build_VD()
-
-
-def build_minimal_pswap() -> np.ndarray:
-    """Two-CNOT partial SWAP with exchanged controller.
-
-    CNOT on the *system* controlled by the demon's second state, then CNOT on
-    the demon controlled by the system's second state. Equal to build_VD()
-    exactly under this package's conventions (equivalently: the up-active
-    pair conjugated by σ_x ⊗ σ_x).
-    """
-    cnot_on_system_demon_down = np.array([[1, 0, 0, 0],
-                                          [0, 0, 0, 1],
-                                          [0, 0, 1, 0],
-                                          [0, 1, 0, 0]], dtype=complex)
-    return cnot_on_system_demon_down @ CNOT_DOWN
 
 
 def pswap_gate(phase: float = -np.pi / 2) -> np.ndarray:
@@ -189,7 +162,10 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
     if dot_basis not in ("physical", "operational"):
         raise ParameterError(f"unknown dot basis {dot_basis!r}")
     rho_in = check_density_matrix(rho_in)
-    dot = check_density_matrix(dot_state)
+    # the equivalent spin channel validates the dot once; the dot coordinates
+    # in the operational frame equal the matrix as given, so γ comes from it
+    spin = spin_config(equivalent_spin_params(config), dot_state)
+    dot = spin.demon_state
 
     quarter = u14(config.tunneling_phase)
     # the operational-basis change matrix IS the preparation rotation, so both
@@ -208,7 +184,4 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
         joint = undo @ joint @ dag(undo)
         flags.append("rotation-completed")
 
-    # γ comes from the equivalent channel phases; the dot coordinates in the
-    # operational frame equal the matrix as given
-    g = gamma(spin_config(equivalent_spin_params(config), dot))
-    return channel_report(rho_in, joint, g, tuple(flags))
+    return channel_report(rho_in, joint, gamma(spin), tuple(flags))

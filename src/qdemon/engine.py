@@ -55,7 +55,7 @@ def bit_entropy(x: float) -> float:
     """H[x] = -x ln x - (1-x) ln(1-x) in nats, with H[0] = H[1] = 0."""
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return float(-x * math.log(x) - (1.0 - x) * math.log(1.0 - x))
+    return float(-x * math.log(x) - (1.0 - x) * math.log1p(-x))
 
 
 def bit_entropy_prime(x: float) -> float:
@@ -151,16 +151,19 @@ def thermal_wit(beta: float, delta_w: float) -> tuple[float, float, np.ndarray]:
     return p_g, p_e, np.diag([p_e, p_g]).astype(complex)
 
 
+def _entropy_rise(p_e: float, eps: float) -> float:
+    """H[x] - H[eps], x = p_e + eps(1-2p_e): the entropy a demon qubit takes up."""
+    return bit_entropy(p_e + eps * (1.0 - 2.0 * p_e)) - bit_entropy(eps)
+
+
 def _net_work_per_delta(p_e: float, eps: float, beta_d_delta: float) -> float:
-    x = p_e + eps * (1.0 - 2.0 * p_e)
-    return 2.0 * (p_e - eps - (bit_entropy(x) - bit_entropy(eps)) / beta_d_delta)
+    return 2.0 * (p_e - eps - _entropy_rise(p_e, eps) / beta_d_delta)
 
 
 def _entropy_cost_ratio(p_e: float, eps: float) -> float:
-    """(H[p_e + eps(1-2p_e)] - H[eps]) / (p_e - eps); minimising it maximises
-    the two-cycle efficiency for every demon temperature."""
-    x = p_e + eps * (1.0 - 2.0 * p_e)
-    return (bit_entropy(x) - bit_entropy(eps)) / (p_e - eps)
+    """R = (H[p_e + eps(1-2p_e)] - H[eps]) / (p_e - eps); minimising it
+    maximises the two-cycle efficiency for every demon temperature."""
+    return _entropy_rise(p_e, eps) / (p_e - eps)
 
 
 @functools.lru_cache(maxsize=8)
@@ -239,8 +242,7 @@ def run_cycle(params: EngineParams, quantum_check: bool = True) -> CycleReport:
     w_plus = (1.0 - 2.0 * eps) * delta
     w_out = heat  # identical by construction: w_plus - w_minus up to round-off
     dit_entropy = bit_entropy(x)
-    ds_total = 2.0 * (dit_entropy - bit_entropy(eps))
-    w_in = ds_total / params.beta_d
+    w_in = 2.0 * _entropy_rise(p_e, eps) / params.beta_d
     net = w_out - w_in
     eta_local = w_out / heat if heat > 0.0 else math.nan
     eta_2cy = net / heat if heat > 0.0 else math.nan
@@ -382,13 +384,6 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
         return OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
                                   iterations=0, residual=0.0, roots=(0.5,))
     xi = 1.0 - 2.0 * p_e
-    if p_e <= EPS_FLOOR:
-        # H' fails on part of the bracket: raise its error at the first point
-        # of the 1,001-point grid this search once scanned
-        grid = np.linspace(EPS_FLOOR, p_e - EPS_FLOOR, 1001)
-        x = p_e + grid * xi
-        in_domain = (0.0 < x) & (x < 1.0) & (0.0 < grid) & (grid < 1.0)
-        _stationarity_base(p_e, xi, float(grid[np.argmin(in_domain)]))
     bracket = _bracket(p_e, xi)
     # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start
     # near both (from p_e^2/2 lambda only halves per step near 1/2)
@@ -423,6 +418,14 @@ def parse_policy(policy: str) -> tuple[str, float | None]:
         f"unknown policy {policy!r}; expected ideal, opt-power, opt-eta or fixed:<eps>")
 
 
+def _converged(policy: str, p_e: float, result: OptimizationResult) -> OptimizationResult:
+    """``result`` once it has converged; ConvergenceError naming the policy otherwise."""
+    if not result.converged:
+        raise ConvergenceError(f"policy {policy} failed to converge at p_e={p_e} "
+                               f"(residual {result.residual:.3e})")
+    return result
+
+
 def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
     """Demon impurity selected by a policy at the given operating point."""
     name, fixed = parse_policy(policy)
@@ -430,44 +433,40 @@ def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
         return 0.0
     if name == "fixed":
         return float(fixed)
-    if name == "opt-power":
-        result = optimize_epsilon_power(p_e, beta_d_delta)
-    else:
-        result = optimize_epsilon_eta(p_e)
-    if not result.converged:
-        raise ConvergenceError(
-            f"policy {policy} failed to converge at p_e={p_e} "
-            f"(residual {result.residual:.3e})")
-    return result.epsilon_star
+    result = (optimize_epsilon_power(p_e, beta_d_delta) if name == "opt-power"
+              else optimize_epsilon_eta(p_e))
+    return _converged(policy, p_e, result).epsilon_star
 
 
 def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     """Largest working-reservoir beta with positive net work under a policy.
 
-    Scans beta on 257 points over [0, beta_d], brackets the last sign change
-    of the net work, and bisects it. Returns NaN when the engine never produces
-    positive work (e.g. the ideal policy at beta_d*delta_w <= 2 ln 2).
+    Net work is 2 (p_e - eps)(1 - R/(beta_d delta_w)), R the entropy cost ratio
+    at the policy's eps (+inf once p_e <= eps); the optimal policies share R's
+    minimum over eps, opt-eta's objective (Dinkelbach's fixed point). R rises
+    with beta, so the answer is the one root of R = beta_d delta_w on [0, beta_d],
+    bisected; NaN when R at beta = 0 is not below beta_d delta_w (e.g. the
+    ideal policy at beta_d*delta_w <= 2 ln 2).
     """
     _require_finite(beta_d=beta_d, delta_w=delta_w)
     if beta_d <= 0.0 or delta_w <= 0.0:
         raise ParameterError("beta_d and delta_w must be positive")
     beta_d_delta = beta_d * delta_w
+    name, fixed = parse_policy(policy)
 
-    def net(beta: float) -> float:
+    def excess(beta: float) -> float:
         _, p_e = _populations(beta, delta_w)
-        eps = resolve_epsilon(policy, p_e, beta_d_delta)
-        return _net_work_per_delta(p_e, eps, beta_d_delta)
+        if not name.startswith("opt-"):
+            eps = fixed or 0.0
+            return (_entropy_cost_ratio(p_e, eps) if p_e > eps else math.inf) - beta_d_delta
+        # eps* lies below the floor wherever p_e <= 2 EPS_FLOOR; opt-eta reports
+        # that as non-convergence at 2 EPS_FLOOR, where its bracket is one point
+        result = optimize_epsilon_eta(max(p_e, 2.0 * EPS_FLOOR))
+        return _converged(policy, p_e, result).objective_value - beta_d_delta
 
-    grid = np.linspace(0.0, beta_d, 257)
-    values = [net(b) for b in grid]
-    positive = [i for i, v in enumerate(values) if v > 0.0]
-    if not positive:
+    if not excess(0.0) < 0.0:
         return math.nan
-    i = positive[-1]
-    if i == len(grid) - 1:
-        return float(grid[-1])
-    root, _, _ = _bisect(net, float(grid[i]), float(grid[i + 1]), max_iter=100)
-    return float(root)
+    return float(_bisect(excess, 0.0, beta_d)[0])
 
 
 def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:

@@ -75,14 +75,14 @@ def check_unitary(u) -> np.ndarray:
     return u
 
 
-def check_density_matrix(rho, atol: float = ATOL) -> np.ndarray:
+def check_density_matrix(rho) -> np.ndarray:
     """Validate finiteness, Hermiticity, unit trace and positivity of a
     density matrix.
 
     Eigenvalues are allowed to dip to ``EIG_NEG_TOL`` below zero to absorb
     round-off from upstream arithmetic.
     """
-    return _density_spectrum(rho, atol)[0]
+    return _density_spectrum(rho)[0]
 
 
 def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -185,13 +185,3 @@ def matrix_to_json(m) -> dict:
     entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
     return {"dim": int(m.shape[0]), "entries": entries}
 
-
-def matrix_from_json(doc: dict) -> np.ndarray:
-    """Inverse of :func:`matrix_to_json`."""
-    dim = int(doc["dim"])
-    entries = doc["entries"]
-    if len(entries) != dim * dim:
-        raise ParameterError(
-            f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    return flat.reshape(dim, dim)

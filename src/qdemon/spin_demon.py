@@ -10,7 +10,6 @@ depend on the input state.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,20 +126,3 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
         return pure_density(vec / norm)
     raise ParameterError(f"unknown demon kind {kind!r}")
 
-
-def config_from_json(doc) -> ChannelConfig:
-    """Parse {theta, eta, phi, alpha, beta, demon:{kind, p or [a,b]}} into a config."""
-    if isinstance(doc, str):
-        doc = json.loads(doc)
-    params = SpinDemonParams(
-        theta=float(doc.get("theta", 0.0)),
-        eta=float(doc.get("eta", 0.0)),
-        phi=float(doc.get("phi", 0.0)),
-        alpha=float(doc.get("alpha", 0.0)),
-        beta_phase=float(doc.get("beta", 0.0)),
-    )
-    demon_doc = doc.get("demon", {"kind": "up"})
-    kind = demon_doc["kind"]
-    value = demon_doc.get("p", demon_doc.get("amplitudes"))
-    demon = demon_state_from_spec(kind, value)
-    return spin_config(params, demon)

@@ -37,7 +37,6 @@ def power_stationarity(p_e, bd_delta, eps):
 
 def ratio_round_off(p_e, eps):
     """A few ulps of the entropies the cost ratio R subtracts, over its
-    denominator: how far two evaluations of R may disagree by round-off alone
-    (ln(1 - x) is off by up to an ulp of 1 for any x)."""
+    denominator: how far two evaluations of R may disagree by round-off alone."""
     x = p_e + eps * (1.0 - 2.0 * p_e)
-    return 8.0 * math.ulp(1.0) * (2.0 + eng.bit_entropy(x) + eng.bit_entropy(eps)) / (p_e - eps)
+    return 8.0 * math.ulp(1.0) * (eng.bit_entropy(x) + eng.bit_entropy(eps)) / (p_e - eps)

@@ -1,6 +1,5 @@
 """Dilated channel: unitality, the coherence parameter, entropy-gain bound."""
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,7 @@ import pytest
 from qdemon import channel as ch
 from qdemon import qmatrix as qm
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
-from qdemon.spin_demon import SpinDemonParams, beam_splitter, config_from_json, spin_config
+from qdemon.spin_demon import SpinDemonParams, beam_splitter, spin_config
 from conftest import random_density, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -432,23 +431,12 @@ def test_config_members_are_read_only_copies(rng):
         assert not kept.flags.writeable and not np.shares_memory(kept, given)
 
 
-def test_config_from_json_and_report_serialisation():
-    doc = {
-        "theta": 0.0, "eta": np.pi, "phi": 0.0, "alpha": 0.0, "beta": 0.0,
-        "demon": {"kind": "up"},
-    }
-    config = config_from_json(json.dumps(doc))
+def test_report_serialisation():
+    config = spin_config(SpinDemonParams(eta=np.pi), UP)
     report = ch.apply_channel(I2 / 2, config)
     blob = ch.report_to_json(report)
     assert math.isclose(blob["entropy_gain"], -math.log(2), abs_tol=1e-9)
     assert math.isclose(blob["gamma_abs"], 1.0, abs_tol=1e-12)
     assert blob["unital"] is False
-    rho_back = qm.matrix_from_json(blob["rho_out"])
-    assert np.allclose(rho_back, report.rho_out, atol=0.0)
-
-
-def test_config_from_json_demon_kinds():
-    sup = config_from_json({"demon": {"kind": "superposition", "amplitudes": [1.0, 1.0]}})
-    assert abs(ch.gamma(sup)) < 1e-12
-    mix = config_from_json({"theta": 0.1, "demon": {"kind": "mixture", "p": 0.5}})
-    assert np.allclose(mix.demon_state, I2 / 2, atol=1e-12)
+    rho_back = np.array([complex(re, im) for re, im in blob["rho_out"]["entries"]])
+    assert np.allclose(rho_back.reshape(2, 2), report.rho_out, atol=0.0)

@@ -7,7 +7,7 @@ import pytest
 
 from qdemon import circuits as qc
 from qdemon import qmatrix as qm
-from qdemon.channel import apply_channel
+from qdemon.channel import ChannelConfig, apply_channel
 from qdemon.spin_demon import spin_config
 from conftest import random_density, random_pure
 
@@ -48,8 +48,20 @@ def test_cnot_self_inverse():
     assert np.allclose(qc.CNOT_DOWN @ qc.CNOT_DOWN, np.eye(4), atol=1e-12)
 
 
+def build_gates(phase: float) -> dict[str, np.ndarray]:
+    """The gate set, embedded in the joint basis (4x4 each)."""
+    return {
+        "CNOT_on_demon_control_up": qc.CNOT_UP.copy(),
+        "CNOT_on_demon_control_down": qc.CNOT_DOWN.copy(),
+        "HBAR_system": qm.tensor(qc.HBAR, I2),
+        "HBAR_demon": qm.tensor(I2, qc.HBAR),
+        "U14_system": qm.tensor(qc.u14(phase), I2),
+        "U14_demon": qm.tensor(I2, qc.u14(phase)),
+    }
+
+
 def test_build_gates_unitary_and_commuting_factors(rng):
-    gates = qc.build_gates(0.37)
+    gates = build_gates(0.37)
     assert set(gates) == {
         "CNOT_on_demon_control_up", "CNOT_on_demon_control_down",
         "HBAR_system", "HBAR_demon", "U14_system", "U14_demon",
@@ -111,8 +123,23 @@ def test_swap_exchanges_product_states(rng):
         assert np.allclose(swap @ qm.tensor(psi, chi), qm.tensor(chi, psi), atol=1e-12)
 
 
+def build_minimal_pswap() -> np.ndarray:
+    """Two-CNOT partial SWAP with exchanged controller.
+
+    CNOT on the *system* controlled by the demon's second state, then CNOT on
+    the demon controlled by the system's second state. Equal to build_VD()
+    exactly under this package's conventions (equivalently: the up-active
+    pair conjugated by σ_x ⊗ σ_x).
+    """
+    cnot_on_system_demon_down = np.array([[1, 0, 0, 0],
+                                          [0, 0, 0, 1],
+                                          [0, 0, 1, 0],
+                                          [0, 1, 0, 0]], dtype=complex)
+    return cnot_on_system_demon_down @ qc.CNOT_DOWN
+
+
 def test_minimal_pswap_equals_vd():
-    minimal = qc.build_minimal_pswap()
+    minimal = build_minimal_pswap()
     assert np.allclose(minimal, qc.build_VD(), atol=1e-12)
     # equivalent statement: the up-active controller pair conjugated by X⊗X
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -221,6 +248,24 @@ def test_protocol_dot_basis_flagged():
     assert "dot-basis-operational" in oper.flags
     with pytest.raises(qm.ParameterError):
         qc.double_dot_protocol(I2 / 2, dot, config, dot_basis="z")
+
+
+def test_protocol_validates_once_and_builds_one_config(monkeypatch, rng):
+    # rho_in and the dot are each decomposed once to validate them, rho_out and
+    # rho_in once more for the entropies; the spin config serves dot and γ alike
+    eig_calls, configs = [], []
+    eigvalsh, post_init = np.linalg.eigvalsh, ChannelConfig.__post_init__
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eig_calls.append(1) or eigvalsh(m))
+    monkeypatch.setattr(ChannelConfig, "__post_init__",
+                        lambda self: configs.append(1) or post_init(self))
+    for basis in ("physical", "operational"):
+        for complete in (False, True):
+            eig_calls.clear()
+            configs.clear()
+            config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
+            qc.double_dot_protocol(random_density(rng), random_density(rng), config,
+                                   dot_basis=basis, complete_rotation=complete)
+            assert (len(eig_calls), len(configs)) == (4, 1)
 
 
 def test_canonical_phases_give_real_circuits():

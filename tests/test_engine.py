@@ -367,8 +367,11 @@ def test_optimizers_reject_an_empty_bracket(p_e):
 @pytest.mark.parametrize("p_e", [1e-15, 5e-16, 1e-16, 5e-324, 0.0, -0.1, 0.6,
                                  math.nan, math.inf])
 def test_optimize_eta_raises_where_scalar_scan_raises(p_e):
-    with pytest.raises(qm.ParameterError) as want:
+    with pytest.raises(qm.ParameterError):
         scalar_eta_scan(p_e)
+    # both optimisers decline a p_e without an impurity bracket the same way
+    with pytest.raises(qm.ParameterError) as want:
+        eng.optimize_epsilon_power(p_e, 2.0)
     with pytest.raises(qm.ParameterError, match=re.escape(str(want.value))):
         eng.optimize_epsilon_eta(p_e)
 
@@ -426,6 +429,63 @@ def test_minimal_beta_hot_regime_optimized():
     bw = eng.minimal_beta(2.0, 1.0, "opt-power")
     be = eng.minimal_beta(2.0, 1.0, "opt-eta")
     assert abs(bw - be) < 1e-6
+
+
+def policy_net_work(delta_w, policy, bd_delta):
+    """Net work per delta_w at a working beta under the policy's own eps."""
+    def net(beta):
+        p_e = eng._populations(beta, delta_w)[1]
+        return eng._net_work_per_delta(p_e, eng.resolve_epsilon(policy, p_e, bd_delta),
+                                       bd_delta)
+    return net
+
+
+def scan_minimal_beta(beta_d, delta_w, policy):
+    """minimal_beta as it once was: the net work on 257 points over
+    [0, beta_d], its last sign change bisected. The oracle for the single root."""
+    net = policy_net_work(delta_w, policy, beta_d * delta_w)
+    grid = np.linspace(0.0, beta_d, 257)
+    positive = [i for i, beta in enumerate(grid) if net(float(beta)) > 0.0]
+    if not positive:
+        return math.nan
+    i = positive[-1]
+    if i == len(grid) - 1:
+        return float(grid[-1])
+    return eng._bisect(net, float(grid[i]), float(grid[i + 1]), max_iter=100)[0]
+
+
+def minimal_beta_outcome(find, *args):
+    """("no convergence" | "nan" | "number", value) of a minimal-beta search."""
+    try:
+        value = find(*args)
+    except qm.ConvergenceError:
+        return "no convergence", None
+    return ("nan", None) if math.isnan(value) else ("number", value)
+
+
+def test_minimal_beta_matches_the_scan():
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(600):
+        bd_delta = math.exp(rng.uniform(math.log(0.1), math.log(60.0)))
+        delta_w = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        policy = ("ideal", "opt-power", "opt-eta",
+                  f"fixed:{rng.uniform(0.0, 0.5)!r}")[rng.integers(4)]
+        case = (bd_delta / delta_w, delta_w, policy)
+        want, want_value = minimal_beta_outcome(scan_minimal_beta, *case)
+        got, value = minimal_beta_outcome(eng.minimal_beta, *case)
+        seen.add(got)
+        if (want, got) == ("no convergence", "number"):
+            # the scan also solves at grid points colder than the root, where
+            # eps* drops below the floor; net work changes sign at the root,
+            # with the policy's optimiser converged on both sides
+            net = policy_net_work(delta_w, policy, bd_delta)
+            assert net(value * (1.0 - 1e-9)) > 0.0 > net(value * (1.0 + 1e-9)), case
+            continue
+        assert got == want, case
+        if got == "number":
+            assert abs(value - want_value) <= 1e-11 * want_value, case
+    assert seen == {"no convergence", "nan", "number"}
 
 
 def test_carnot_bound_on_grid():

@@ -12,6 +12,7 @@ from qdemon import channel as ch
 from qdemon import engine as eng
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.interferometer import MziConfig, run_double_mzi
+from qdemon.qmatrix import ConvergenceError
 from qdemon.spin_demon import SpinDemonParams, spin_config
 from conftest import power_stationarity, random_density, random_unitary, ratio_round_off
 
@@ -206,3 +207,41 @@ def test_optimizer_step_counts_stay_small(p_e, bd_delta):
         result = eng.optimize_epsilon_eta(p_e)
     assert solve.call_count <= 8  # Dinkelbach steps
     assert result.iterations <= 6 * solve.call_count
+
+
+@PROPERTY
+@given(beta_d=st.floats(1e-2, 60.0), delta_w=st.one_of(st.just(1.0), st.floats(1e-2, 1e2)))
+@example(beta_d=17.0, delta_w=1.0)   # eps* falls below the floor past the root
+@example(beta_d=40.0, delta_w=1.0)   # p_e falls below 2 EPS_FLOOR before beta_d
+def test_optimal_policies_share_minimal_beta(beta_d, delta_w):
+    # the best net work over eps is positive exactly where min R < beta_d delta_w
+    outcomes = []
+    for policy in ("opt-power", "opt-eta"):
+        try:
+            outcomes.append(repr(eng.minimal_beta(beta_d, delta_w, policy)))
+        except ConvergenceError:
+            outcomes.append("no convergence")
+    assert outcomes[0] == outcomes[1]
+
+
+@PROPERTY
+@given(beta_deltas=st.lists(st.floats(1e-6, 16.5), min_size=2, max_size=2, unique=True))
+@example(beta_deltas=[1e-6, 16.5])
+def test_minimal_cost_ratio_falls_with_p_e(beta_deltas):
+    # beta*delta_w <= 16.5 keeps p_e where opt-eta's root lies above EPS_FLOOR
+    (p_cold, cold), (p_hot, hot) = (
+        (p_e, eng.optimize_epsilon_eta(p_e))
+        for p_e in sorted(eng.thermal_wit(b, 1.0)[1] for b in beta_deltas))
+    assert cold.converged and hot.converged
+    assert cold.objective_value >= hot.objective_value - (
+        ratio_round_off(p_cold, cold.epsilon_star) + ratio_round_off(p_hot, hot.epsilon_star))
+
+
+@PROPERTY
+@given(eps=st.one_of(st.just(0.0), st.floats(0.0, 0.49)),
+       fractions=st.lists(st.floats(1e-6, 1.0), min_size=2, max_size=2, unique=True))
+@example(eps=0.0, fractions=[1e-6, 1.0])
+def test_cost_ratio_falls_with_p_e(eps, fractions):
+    p_cold, p_hot = sorted(eps + (0.5 - eps) * f for f in fractions)
+    assert eng._entropy_cost_ratio(p_cold, eps) >= eng._entropy_cost_ratio(p_hot, eps) - (
+        ratio_round_off(p_cold, eps) + ratio_round_off(p_hot, eps))
