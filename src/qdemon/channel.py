@@ -74,11 +74,11 @@ class ChannelConfig:
 class ChannelReport:
     """Full bookkeeping of one channel application.
 
-    ``entropy_gain`` >= ``lower_bound`` - 1e-9 always holds; ``unital`` is
-    |γ| <= 1e-12. ``flags`` collects soft diagnostics ("bound-clipped" when
-    the bound's smaller eigenvalue 1 - |γ| of Φ(1) had to be floored at
-    ``LOG_EIG_FLOOR`` to keep its logarithm finite, "demon-not-diagonal" from
-    the spin wrapper).
+    ``entropy_gain`` >= ``lower_bound`` - 1e-9 always holds; ``entropy_out``
+    is S(``rho_out``), the gain's first term; ``unital`` is |γ| <= 1e-12.
+    ``flags`` collects soft diagnostics ("bound-clipped" when the bound's
+    smaller eigenvalue 1 - |γ| of Φ(1) had to be floored at ``LOG_EIG_FLOOR``
+    to keep its logarithm finite, "demon-not-diagonal" from the spin wrapper).
     """
 
     rho_out: np.ndarray
@@ -87,6 +87,7 @@ class ChannelReport:
     gamma: complex
     entropy_gain: float
     lower_bound: float
+    entropy_out: float
     unital: bool
     flags: tuple[str, ...] = field(default=())
 
@@ -112,8 +113,11 @@ def gamma(config: ChannelConfig) -> complex:
     """
     s = config.scattering
     u1, u2, u3, u4 = config.lead_unitaries
-    bracket = dag(u1) @ dag(u4) @ u3 @ u1 - dag(u2) @ dag(u4) @ u3 @ u2
-    return complex(s[0, 0] * np.conj(s[1, 0]) * np.trace(config.demon_state @ bracket))
+    u4_dag = dag(u4)
+    bracket = dag(u1) @ u4_dag @ u3 @ u1 - dag(u2) @ u4_dag @ u3 @ u2
+    m = (config.demon_state @ bracket).tolist()
+    trace = 0j + m[0][0] + m[1][1]      # np.trace's sum, bit for bit, on Python scalars
+    return complex(s[0, 0] * np.conj(s[1, 0]) * trace)
 
 
 def channel_on_identity(config: ChannelConfig) -> tuple[np.ndarray, bool]:
@@ -162,13 +166,15 @@ def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
         clipped = 1.0 - a < LOG_EIG_FLOOR
         bound = -0.5 * ((1.0 + c) * math.log(1.0 + a)
                         + (1.0 - c) * math.log(max(1.0 - a, LOG_EIG_FLOOR)))
+    entropy_out = von_neumann_entropy(rho_out)
     return ChannelReport(
         rho_out=rho_out,
         demon_out=partial_trace(joint, "second"),
         joint_out=joint,
         gamma=g,
-        entropy_gain=von_neumann_entropy(rho_out) - von_neumann_entropy(rho_in),
+        entropy_gain=entropy_out - von_neumann_entropy(rho_in),
         lower_bound=bound,
+        entropy_out=entropy_out,
         unital=bool(a <= UNITAL_TOL),
         flags=tuple(flags) + (("bound-clipped",) if clipped else ()),
     )
@@ -208,7 +214,7 @@ def report_to_json(report: ChannelReport) -> dict:
         "gamma_abs": float(abs(report.gamma)),
         "entropy_gain": float(report.entropy_gain),
         "lower_bound": float(report.lower_bound),
-        "entropy_out": float(von_neumann_entropy(report.rho_out)),
+        "entropy_out": float(report.entropy_out),
         "unital": bool(report.unital),
         "flags": list(report.flags),
     }

@@ -9,7 +9,8 @@ output destination (``--output`` in any spelling argparse accepts), which says
 where the bytes go, not what they are. Given identical flags, whatever the
 destination, the output is byte-identical across runs.
 
-Exit codes: 0 success, 2 usage error, 3 numerical non-convergence.
+Exit codes: 0 success, 2 usage error (a rejected parameter or state
+included), 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import engine as eng
 from .channel import report_to_json
 from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, u14
 from .interferometer import MziConfig, run_double_mzi
-from .qmatrix import ParameterError, matrix_to_json, von_neumann_entropy
+from .qmatrix import InvalidStateError, ParameterError, matrix_to_json, von_neumann_entropy
 from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
 
 EXIT_USAGE = 2
@@ -312,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "mzi":
             return cmd_mzi(parser, args, argv)
         return cmd_engine(parser, args, argv)
-    except ParameterError as exc:
+    except (ParameterError, InvalidStateError) as exc:
         parser.error(str(exc))
     except eng.ConvergenceError as exc:
         sys.stderr.write(f"non-convergence: {exc}\n")

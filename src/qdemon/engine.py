@@ -446,7 +446,10 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     minimum over eps, opt-eta's objective (Dinkelbach's fixed point). R rises
     with beta, so the answer is the one root of R = beta_d delta_w on [0, beta_d],
     bisected; NaN when R at beta = 0 is not below beta_d delta_w (e.g. the
-    ideal policy at beta_d*delta_w <= 2 ln 2).
+    ideal policy at beta_d*delta_w <= 2 ln 2). ParameterError when R at
+    beta_d is not above it either: p_e stops falling at BETA_DELTA_CAP, so
+    for the ideal and fixed policies beyond about beta_d*delta_w = 745 no
+    root is left to bracket (the optimal ones stop converging long before).
     """
     _require_finite(beta_d=beta_d, delta_w=delta_w)
     if beta_d <= 0.0 or delta_w <= 0.0:
@@ -466,6 +469,11 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
 
     if not excess(0.0) < 0.0:
         return math.nan
+    if not name.startswith("opt-") and not excess(beta_d) > 0.0:
+        raise ParameterError(
+            f"beta_d*delta_w = {beta_d_delta} lies past what p_e resolves: beta*delta_w "
+            f"is capped at BETA_DELTA_CAP = {BETA_DELTA_CAP}, so net work under policy "
+            f"{policy} does not change sign on [0, beta_d]")
     return float(_bisect(excess, 0.0, beta_d)[0])
 
 

@@ -16,6 +16,8 @@ concurrent workers.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 #: default elementwise (absolute) tolerance for matrix equality checks
@@ -88,17 +90,27 @@ def check_density_matrix(rho) -> np.ndarray:
 def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     """check_density_matrix's validation; returns the matrix and the
     eigenvalues its positivity check computed."""
-    rho = as_matrix(rho)
-    rows = rho.tolist()     # max|ρ - ρ†| on Python scalars: cheaper than numpy at 4x4
-    herm = 0.0
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
+    rows = rho.tolist()     # finiteness, max|ρ - ρ†| and trace on Python scalars: cheaper
+    finite, herm = True, 0.0
     for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            d = abs(row[j] - rows[j][i].conjugate())
-            if d > herm:
-                herm = d
+        for j, z in enumerate(row):
+            finite = finite and cmath.isfinite(z)
+            if j >= i:
+                d = abs(z - rows[j][i].conjugate())
+                if d > herm:
+                    herm = d
+    diag = [row[i] for i, row in enumerate(rows)]
+    # np.trace's sum, bit for bit: in order up to three terms, pairwise at four
+    tr = (sum(diag, 0j) if len(diag) < 4
+          else 0j + ((diag[0] + diag[1]) + (diag[2] + diag[3])) if len(diag) == 4
+          else rho.trace())
+    if not finite:
+        raise InvalidStateError("entries must be finite, got NaN or inf")
     if herm > atol:
         raise InvalidStateError("density matrix is not Hermitian")
-    tr = rho.trace()
     if abs(tr - 1.0) > max(atol, 1e-10):
         raise InvalidStateError(f"density matrix trace is {tr}, expected 1")
     evals = np.linalg.eigvalsh(rho)
@@ -154,11 +166,18 @@ def partial_trace(rho, keep) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError("partial_trace expects a 4x4 matrix")
+    r = rho.tolist()
+    # the sums an einsum over the traced index makes, 0 + a + b (so -0.0 + -0.0
+    # gives +0.0 as there), on Python scalars: cheaper than numpy at 2x2
     if keep in ("first", 0):
-        return np.einsum("ikjk->ij", rho.reshape(2, 2, 2, 2))
-    if keep in ("second", 1):
-        return np.einsum("kikj->ij", rho.reshape(2, 2, 2, 2))
-    raise ParameterError(f"invalid subsystem id {keep!r}")
+        out = [[0j + r[0][0] + r[1][1], 0j + r[0][2] + r[1][3]],
+               [0j + r[2][0] + r[3][1], 0j + r[2][2] + r[3][3]]]
+    elif keep in ("second", 1):
+        out = [[0j + r[0][0] + r[2][2], 0j + r[0][1] + r[2][3]],
+               [0j + r[1][0] + r[3][2], 0j + r[1][1] + r[3][3]]]
+    else:
+        raise ParameterError(f"invalid subsystem id {keep!r}")
+    return np.array(out)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -173,10 +192,15 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _spectrum_entropy(evals: np.ndarray) -> float:
-    """-Σ λ ln λ over eigenvalues clipped to [0, 1], with 0·ln 0 = 0."""
-    evals = np.clip(evals.real, 0.0, 1.0)
-    nz = evals[evals > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    """-Σ λ ln λ over eigenvalues clipped to [0, 1], with 0·ln 0 = 0. On Python
+    floats, with np.log (math.log can differ in the last bit) and the sum negated
+    last, so a pure state keeps numpy's -0.0."""
+    total = 0.0
+    for lam in evals.tolist():
+        if lam > 0.0:
+            lam = min(lam, 1.0)
+            total += lam * float(np.log(lam))
+    return -total
 
 
 def matrix_to_json(m) -> dict:

@@ -8,6 +8,7 @@ import pytest
 
 from qdemon import cli
 from qdemon import engine as eng
+from qdemon import qmatrix as qm
 from qdemon.cli import _recorded_flags, main
 
 LN2 = math.log(2)
@@ -55,6 +56,29 @@ def test_channel_bad_demon_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["channel", "--demon", "mixture", "1.5"])
     assert err.value.code == 2
+
+
+def test_invalid_state_exits_2_with_its_message(capsys, monkeypatch):
+    def reject(*args, **kwargs):
+        raise qm.InvalidStateError("density matrix is not Hermitian")
+
+    monkeypatch.setattr(cli, "scatter", reject)
+    with pytest.raises(SystemExit) as err:
+        main(["channel"])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.rstrip().endswith("error: density matrix is not Hermitian")
+
+
+def test_channel_decomposes_five_times(capsys, monkeypatch):
+    # the demon's validation, apply_channel's three, and the input's entropy:
+    # the JSON's entropy_out is the report's, not a sixth decomposition
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    code, doc = run_json(capsys, ["channel", "--theta", "0.3", "--eta", "1.1",
+                                  "--input", "up", "--demon", "mixture", "0.8"])
+    assert code == 0 and len(calls) == 5
+    assert doc["entropy_out"] == qm.von_neumann_entropy(
+        np.array([complex(re, im) for re, im in doc["rho_out"]["entries"]]).reshape(2, 2))
 
 
 def test_gates_ud_json(capsys):

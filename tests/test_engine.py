@@ -421,6 +421,21 @@ def test_minimal_beta_ideal_cold_regime():
     assert abs(beta_m - 19.0) / 19.0 < 0.02
 
 
+@pytest.mark.parametrize("beta_d, delta_w, policy", [
+    (760.0, 1.0, "ideal"), (1000.0, 1.0, "ideal"), (380.0, 2.0, "ideal"),
+    (760.0, 1.0, "fixed:0"),
+])
+def test_minimal_beta_raises_past_the_population_cap(beta_d, delta_w, policy):
+    # p_e stops falling at BETA_DELTA_CAP, so R never reaches beta_d*delta_w and
+    # net work never changes sign; the bisection once returned beta_d itself
+    with pytest.raises(qm.ParameterError, match="BETA_DELTA_CAP"):
+        eng.minimal_beta(beta_d, delta_w, policy)
+
+
+def test_minimal_beta_below_the_population_cap_unchanged():
+    assert eng.minimal_beta(700.0, 1.0, "ideal") == 698.9999999999999
+
+
 def test_minimal_beta_hot_regime_optimized():
     for policy in ("opt-power", "opt-eta"):
         beta_m = eng.minimal_beta(0.1, 1.0, policy)

@@ -1,9 +1,12 @@
 """Core matrix routines: tensor products, partial traces, spectral entropy."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdemon import qmatrix as qm
 from conftest import random_density, random_pure, random_unitary
@@ -378,3 +381,152 @@ def test_json_round_trip(rng):
     assert all(len(pair) == 2 for pair in doc["entries"])
     back = np.array([complex(re, im) for re, im in doc["entries"]]).reshape(4, 4)
     assert np.allclose(back, m, atol=0.0)
+
+
+# ---------------------------------------------------------------- numpy oracles
+# The L0 primitives work on Python scalars around numpy's eigensolver; these
+# are the numpy expressions they replaced, kept to pin the same bits and the
+# same errors.
+
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def bits(x) -> bytes:
+    return struct.pack("<d", x)
+
+
+def numpy_spectrum_entropy(evals):
+    evals = np.clip(evals.real, 0.0, 1.0)
+    nz = evals[evals > 0.0]
+    return float(-np.sum(nz * np.log(nz)))
+
+
+def einsum_partial_trace(rho, keep):
+    rho = qm.as_matrix(rho)
+    spec = "ikjk->ij" if keep in ("first", 0) else "kikj->ij"
+    return np.einsum(spec, rho.reshape(2, 2, 2, 2))
+
+
+def numpy_density_spectrum(rho, atol=qm.ATOL):
+    rho = qm.as_matrix(rho)
+    if np.abs(rho - rho.conj().T).max() > atol:
+        raise qm.InvalidStateError("density matrix is not Hermitian")
+    tr = rho.trace()
+    if abs(tr - 1.0) > max(atol, 1e-10):
+        raise qm.InvalidStateError(f"density matrix trace is {tr}, expected 1")
+    evals = np.linalg.eigvalsh(rho)
+    if evals[0] < qm.EIG_NEG_TOL:
+        raise qm.InvalidStateError(f"density matrix has negative eigenvalue {evals[0]:.3e}")
+    return rho, evals
+
+
+def spectrum_outcome(fn, rho, atol=qm.ATOL):
+    """The matrix and eigenvalue bytes ``fn`` returns, or its error message."""
+    try:
+        m, evals = fn(rho, atol)
+    except qm.InvalidStateError as exc:
+        return str(exc)
+    return m.tobytes(), evals.tobytes()
+
+
+# eigenvalues as eigvalsh returns them and past [0, 1]: exact ones and zeros of
+# both signs, round-off below zero, subnormals and values above one
+eigenvalues = st.one_of(
+    st.sampled_from([1.0, 0.0, -0.0, -1e-10, -1e-17, 5e-324, 1e-300, 1.0 + 2**-52, 0.5]),
+    st.floats(-1e-10, 1.5))
+
+
+@ORACLE
+@given(st.lists(eigenvalues, min_size=1, max_size=4))
+@example([0.0, 1.0])
+@example([-0.0, 1.0])
+@example([-1e-17, 1.0])
+@example([-1e-17, 0.0, 0.0, 1.0])
+@example([0.5, 0.5])
+def test_spectrum_entropy_matches_numpy_bits(values):
+    evals = np.array(values)
+    assert bits(qm._spectrum_entropy(evals)) == bits(numpy_spectrum_entropy(evals))
+
+
+def test_spectrum_entropy_matches_numpy_bits_on_states(rng):
+    states = [random_density(rng, n) for n in (2, 4) for _ in range(500)]
+    states += [qm.pure_density(random_pure(rng, n)) for n in (2, 4) for _ in range(100)]
+    for rho in states:
+        evals = np.linalg.eigvalsh(rho)
+        assert bits(qm._spectrum_entropy(evals)) == bits(numpy_spectrum_entropy(evals))
+    # a pure state's -0.0 survives
+    assert bits(qm._spectrum_entropy(np.array([0.0, 1.0]))) == bits(-0.0)
+
+
+# entries with zeros of both signs, so the sums' signs of zero are pinned too
+entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25]), st.floats(-1e3, 1e3))
+
+
+@ORACLE
+@given(st.lists(entries, min_size=32, max_size=32), st.sampled_from(["first", 0, "second", 1]))
+@example([-0.0] * 32, "first")
+@example([-0.0] * 32, "second")
+def test_partial_trace_matches_einsum_bits(parts, keep):
+    m = np.empty((4, 4), dtype=complex)
+    m.real = np.reshape(parts[:16], (4, 4))
+    m.imag = np.reshape(parts[16:], (4, 4))
+    got = qm.partial_trace(m, keep)
+    assert got.shape == (2, 2) and got.dtype == complex
+    assert got.tobytes() == einsum_partial_trace(m, keep).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("bad", NON_FINITE + (complex(np.inf, 0.0), complex(0.0, -np.inf)))
+def test_density_spectrum_rejects_each_non_finite_entry(rng, n, bad):
+    for i in range(n):
+        for j in range(n):
+            rho = random_density(rng, n)
+            rho[i, j] = bad
+            want = spectrum_outcome(numpy_density_spectrum, rho)
+            assert want == "entries must be finite, got NaN or inf"
+            assert spectrum_outcome(qm._density_spectrum, rho) == want
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 2), (1, 2, 2), ()])
+def test_density_spectrum_rejects_shapes_as_as_matrix_does(shape):
+    rho = np.full(shape, 0.5)
+    want = spectrum_outcome(numpy_density_spectrum, rho)
+    assert want == f"expected a square matrix, got shape {shape}"
+    assert spectrum_outcome(qm._density_spectrum, rho) == want
+
+
+@ORACLE
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 4, 5, 8]),
+       scale=st.one_of(st.just(1.0), st.floats(0.5, 1.5)),
+       skew=st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9)),
+       diag_imag=st.one_of(st.sampled_from([0.0, -0.0, 1e-13]), st.floats(-1e-9, 1e-9)),
+       shift=st.one_of(st.just(0.0), st.floats(-0.2, 0.0)),
+       atol=st.sampled_from([qm.ATOL, 1e-10]))
+@example(seed=0, n=2, scale=1.4, skew=0.0, diag_imag=0.0, shift=0.0, atol=qm.ATOL)
+@example(seed=0, n=2, scale=1.0, skew=1e-9, diag_imag=0.0, shift=0.0, atol=qm.ATOL)
+@example(seed=0, n=4, scale=1.0, skew=0.0, diag_imag=0.0, shift=-0.2, atol=qm.ATOL)
+@example(seed=0, n=2, scale=1.2, skew=0.0, diag_imag=1e-13, shift=0.0, atol=1e-10)
+@example(seed=1, n=4, scale=1.4375, skew=0.0, diag_imag=0.0, shift=0.0, atol=qm.ATOL)
+def test_density_spectrum_matches_numpy_checks(seed, n, scale, skew, diag_imag, shift, atol):
+    # a valid state, then a trace, Hermiticity or positivity fault, or none
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, n) * scale
+    i, j = rng.integers(0, n, size=2)
+    rho[i, j] += skew
+    rho[i, i] += complex(0.0, diag_imag)
+    if shift:
+        v = random_pure(rng, n)
+        rho = rho + shift * np.outer(v, v.conj()) - shift * np.eye(n) / n
+    assert (spectrum_outcome(qm._density_spectrum, rho, atol)
+            == spectrum_outcome(numpy_density_spectrum, rho, atol))
+
+
+@pytest.mark.parametrize("rho", [
+    np.diag([0.7, 0.7]), np.diag([0.7 - 0.0j, 0.7 - 0.0j]), np.diag([1.1, -0.1]),
+    np.array([[0.5, 1e-9], [0.0, 0.5]]), np.eye(4) / 4, np.eye(4) / 3,
+    np.zeros((0, 0)),
+])
+def test_density_spectrum_matches_numpy_checks_at_edges(rho):
+    want = (spectrum_outcome(numpy_density_spectrum, rho) if rho.size
+            else "density matrix trace is 0j, expected 1")
+    assert spectrum_outcome(qm._density_spectrum, rho) == want
