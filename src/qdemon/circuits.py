@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelReport, channel_report, gamma
-from .qmatrix import ParameterError, check_density_matrix, check_pure_state, dag, tensor
+from .qmatrix import (ParameterError, _require_finite, check_density_matrix,
+                      check_pure_state, dag, tensor)
 from .spin_demon import SpinDemonParams, beam_splitter, spin_config
 
 I2 = np.eye(2, dtype=complex)
@@ -50,6 +51,7 @@ def u14(phase: float) -> np.ndarray:
     Reduces to HBAR at ϕ = -π/2; its square is the half-Rabi NOT
     [[0, i e^{iϕ}], [i e^{-iϕ}, 0]].
     """
+    _require_finite(phase=phase)
     return np.array([[1.0, 1j * np.exp(1j * phase)],
                      [1j * np.exp(-1j * phase), 1.0]], dtype=complex) / np.sqrt(2)
 
@@ -62,6 +64,7 @@ def half_rabi(phase: float) -> np.ndarray:
 def conditional_pi_phase(phi: float) -> np.ndarray:
     """Joint interaction: relative π on the demon's physical states, gated on
     the system's first state; diag(e^{iφ}, -e^{iφ}, 1, 1)."""
+    _require_finite(phi=phi)
     return np.diag([np.exp(1j * phi), -np.exp(1j * phi), 1.0, 1.0]).astype(complex)
 
 
@@ -125,9 +128,7 @@ class DoubleDotConfig:
     eta: float = np.pi
 
     def __post_init__(self):
-        for name in ("tunneling_phase", "interaction_phase", "theta", "eta"):
-            if not np.isfinite(getattr(self, name)):
-                raise ParameterError(f"{name} must be finite")
+        _require_finite(**vars(self))
 
 
 def equivalent_spin_params(config: DoubleDotConfig) -> SpinDemonParams:

@@ -109,23 +109,13 @@ def _demon_from_args(parser, spec: list[str]) -> np.ndarray:
 
 def _input_state(parser, args) -> np.ndarray:
     if args.input == "chaotic":
-        return np.eye(2, dtype=complex) / 2.0
-    if args.input == "up":
-        return np.diag([1.0, 0.0]).astype(complex)
-    if args.input == "down":
-        return np.diag([0.0, 1.0]).astype(complex)
+        return demon_state_from_spec("mixture", 0.5)
     if args.input == "pure":
         if args.amplitudes is None:
             parser.error("--input pure requires --amplitudes RE IM RE IM")
-        a = complex(args.amplitudes[0], args.amplitudes[1])
-        b = complex(args.amplitudes[2], args.amplitudes[3])
-        vec = np.array([a, b])
-        norm = np.linalg.norm(vec)
-        if not 0.0 < norm < np.inf:
-            parser.error("pure input amplitudes must be finite and not both vanish")
-        vec = vec / norm
-        return np.outer(vec, vec.conj())
-    parser.error(f"unknown input {args.input!r}")
+        re_a, im_a, re_b, im_b = args.amplitudes
+        return demon_state_from_spec("superposition", (complex(re_a, im_a), complex(re_b, im_b)))
+    return demon_state_from_spec(args.input)
 
 
 def cmd_channel(parser, args, argv) -> int:
@@ -186,6 +176,8 @@ def cmd_mzi(parser, args, argv) -> int:
 
 def cmd_engine(parser, args, argv) -> int:
     bd_delta = args.beta_d_delta[0]
+    if args.steps < 1 and (args.mode == "sweep" or args.mode == "frontier" and args.pe is None):
+        raise ParameterError(f"steps must be at least 1, got {args.steps}")
     if args.mode == "report":
         _, p_e, _ = eng.thermal_wit(args.beta_delta, 1.0)
         eps = eng.resolve_epsilon(args.policy, p_e, bd_delta)

@@ -26,6 +26,7 @@ from .qmatrix import (
     ConvergenceError,
     InvalidStateError,
     ParameterError,
+    _require_finite,
     dag,
     tensor,
     von_neumann_entropy,
@@ -43,17 +44,10 @@ BETA_DELTA_CAP = 745.0
 _POLICIES = ("ideal", "opt-power", "opt-eta")
 
 
-def _require_finite(**values: float) -> None:
-    """Raise ParameterError for the first NaN or infinite value, which every
-    range check would otherwise let through."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value}")
-
-
 def bit_entropy(x: float) -> float:
     """H[x] = -x ln x - (1-x) ln(1-x) in nats, with H[0] = H[1] = 0."""
-    if x <= 0.0 or x >= 1.0:
+    if not 0.0 < x < 1.0:
+        _require_finite(x=x)
         return 0.0
     return float(-x * math.log(x) - (1.0 - x) * math.log1p(-x))
 
@@ -76,11 +70,8 @@ class EngineParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        _require_finite(beta=self.beta, beta_d=self.beta_d, delta_w=self.delta_w)
-        if self.delta_w <= 0.0:
-            raise ParameterError(f"delta_w must be positive, got {self.delta_w}")
-        if self.beta < 0.0:
-            raise ParameterError(f"beta must be non-negative, got {self.beta}")
+        _populations(self.beta, self.delta_w)
+        _require_finite(beta_d=self.beta_d)
         if self.beta_d <= 0.0:
             raise ParameterError(f"beta_d must be positive, got {self.beta_d}")
         if not 0.0 <= self.epsilon <= 0.5:
@@ -410,7 +401,10 @@ def parse_policy(policy: str) -> tuple[str, float | None]:
     if policy in _POLICIES:
         return policy, None
     if policy.startswith("fixed:"):
-        eps = float(policy.split(":", 1)[1])
+        try:
+            eps = float(policy.split(":", 1)[1])
+        except ValueError:
+            raise ParameterError(f"fixed epsilon must be a number, got {policy!r}") from None
         if not 0.0 <= eps <= 0.5:
             raise ParameterError(f"fixed epsilon must lie in [0, 1/2], got {eps}")
         return "fixed", eps

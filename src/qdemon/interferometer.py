@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmatrix import ParameterError, check_density_matrix, dag
+from .qmatrix import ParameterError, _require_finite, check_density_matrix, dag
 from .spin_demon import SpinDemonParams, beam_splitter, scatter
 
 I2 = np.eye(2, dtype=complex)
@@ -49,8 +49,7 @@ class MziConfig:
             raise ParameterError(f"epsilon must lie in [0, 1/2], got {self.epsilon}")
         if self.flux_samples < 8:
             raise ParameterError("flux_samples must be at least 8")
-        if not np.isfinite(self.chi) or not np.isfinite(self.arm_phase):
-            raise ParameterError("angles must be finite")
+        _require_finite(chi=self.chi, arm_phase=self.arm_phase)
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,7 @@ def dephase(rho, chi: float) -> np.ndarray:
     The dilation's closed form: off-diagonals shrink by cos χ, populations
     are untouched; χ = π/2 is full decoherence.
     """
+    _require_finite(chi=chi)
     c = np.cos(chi)
     return check_density_matrix(rho) * np.array([[1.0, c], [c, 1.0]])
 

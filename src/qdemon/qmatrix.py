@@ -17,6 +17,7 @@ concurrent workers.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -40,6 +41,14 @@ class ParameterError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """An iterative solver failed to converge."""
+
+
+def _require_finite(**values: float) -> None:
+    """Raise ParameterError for the first NaN or infinite value, which every
+    range check would otherwise let through."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
 
 
 def as_matrix(m) -> np.ndarray:

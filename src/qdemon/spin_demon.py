@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
-from .qmatrix import ATOL, ParameterError, pure_density
+from .qmatrix import ATOL, ParameterError, _require_finite, pure_density
 
 I2 = np.eye(2, dtype=complex)
 
@@ -35,10 +35,7 @@ class SpinDemonParams:
     beta_phase: float = 0.0
 
     def __post_init__(self):
-        for name in ("theta", "eta", "phi", "alpha", "beta_phase"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ParameterError(f"{name} must be a finite angle, got {v}")
+        _require_finite(**vars(self))
 
 
 def beam_splitter(theta: float, eta: float) -> np.ndarray:
@@ -47,6 +44,7 @@ def beam_splitter(theta: float, eta: float) -> np.ndarray:
     |s00 s10*| = 1/2 for every (θ, η), the largest value a unitary 2x2
     matrix admits.
     """
+    _require_finite(theta=theta, eta=eta)
     return np.array(
         [[np.exp(1j * theta), -np.exp(-1j * eta)],
          [np.exp(1j * eta), np.exp(-1j * theta)]], dtype=complex) / np.sqrt(2)
@@ -82,6 +80,7 @@ def xy_states(theta: float, eta: float, phi: float) -> tuple[np.ndarray, np.ndar
     (e^{i(φ+θ)}|0> ± e^{iη}|1>)/√2; the channel sends every input onto the
     first (demon up) or second (demon down) of these.
     """
+    _require_finite(theta=theta, eta=eta, phi=phi)
     up = np.array([np.exp(1j * (phi + theta)), np.exp(1j * eta)], dtype=complex)
     dn = np.array([np.exp(1j * (phi + theta)), -np.exp(1j * eta)], dtype=complex)
     return up / np.sqrt(2), dn / np.sqrt(2)
@@ -122,7 +121,7 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
         vec = np.array([complex(a), complex(b)])
         norm = np.linalg.norm(vec)
         if not 0.0 < norm < np.inf:
-            raise ParameterError("superposition amplitudes must be finite and not both vanish")
+            raise ParameterError("amplitudes must be finite and not both vanish")
         return pure_density(vec / norm)
     raise ParameterError(f"unknown demon kind {kind!r}")
 

@@ -1,6 +1,7 @@
 """Gate identities, partial-SWAP semantics, and the double-dot protocol."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -289,3 +290,19 @@ def test_pswap_gate_routes_demon_up_inputs_to_ground():
         assert singular[1] < 1e-12  # output stays a product state
         system_marginal = out @ out.conj().T
         assert math.isclose(abs(system_marginal[1, 1]), 1.0, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(bad):
+    calls = {
+        "u14": ("phase", lambda: qc.u14(bad)),
+        "half_rabi": ("phase", lambda: qc.half_rabi(bad)),
+        "pswap_gate": ("phase", lambda: qc.pswap_gate(bad)),
+        "conditional_pi_phase": ("phi", lambda: qc.conditional_pi_phase(bad)),
+        **{f"DoubleDotConfig({name})": (name, lambda name=name: qc.DoubleDotConfig(**{name: bad}))
+           for name in ("tunneling_phase", "interaction_phase", "theta", "eta")},
+    }
+    for label, (name, call) in calls.items():
+        with pytest.raises(qm.ParameterError, match=re.escape(f"{name} must be finite, got {bad}")):
+            call()
+            pytest.fail(f"{label} accepted {bad}")

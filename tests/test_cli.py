@@ -9,7 +9,9 @@ import pytest
 from qdemon import cli
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
+from qdemon.channel import report_to_json
 from qdemon.cli import _recorded_flags, main
+from qdemon.spin_demon import SpinDemonParams, scatter
 
 LN2 = math.log(2)
 
@@ -50,6 +52,44 @@ def test_channel_balanced_mixture(capsys):
         "--input", "chaotic", "--demon", "mixture", "0.5"])
     assert code == 0
     assert math.isclose(doc["entropy_out"], LN2, abs_tol=1e-10)
+
+
+def normalised_outer(a, b):
+    v = np.array([a, b])
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+#: ``--input`` kind: (extra flags, the input state expected from them)
+CHANNEL_INPUTS = {
+    "chaotic": ([], np.eye(2, dtype=complex) / 2.0),
+    "up": ([], np.diag([1.0, 0.0]).astype(complex)),
+    "down": ([], np.diag([0.0, 1.0]).astype(complex)),
+    "pure": (["--amplitudes", "0.3", "-1.2", "2.5", "0.7"],
+             normalised_outer(complex(0.3, -1.2), complex(2.5, 0.7))),
+}
+
+#: ``--demon`` spec: the demon state expected from it
+CHANNEL_DEMONS = {
+    ("up",): np.diag([1.0, 0.0]).astype(complex),
+    ("mixture", "0.25"): np.diag([0.25, 0.75]).astype(complex),
+    ("superposition", "1", "-2.5"): normalised_outer(1 + 0j, -2.5 + 0j),
+}
+
+
+@pytest.mark.parametrize("demon", list(CHANNEL_DEMONS))
+@pytest.mark.parametrize("kind", list(CHANNEL_INPUTS))
+def test_channel_report_matches_library_on_expected_states(capsys, kind, demon):
+    extra, rho_in = CHANNEL_INPUTS[kind]
+    code, doc = run_json(capsys, [
+        "channel", "--input", kind, *extra, "--demon", *demon, "--theta", "0.4",
+        "--eta", "2.1", "--phi", "-0.7", "--alpha", "1.3", "--beta-phase", "0.2"])
+    assert code == 0
+    params = SpinDemonParams(theta=0.4, eta=2.1, phi=-0.7, alpha=1.3, beta_phase=0.2)
+    want = report_to_json(scatter(rho_in, CHANNEL_DEMONS[demon], params))
+    assert doc.pop("entropy_in") == qm.von_neumann_entropy(rho_in)
+    doc.pop("flags_cli")
+    assert doc == json.loads(json.dumps(want))
 
 
 def test_channel_bad_demon_exits_2(capsys):
@@ -272,6 +312,48 @@ def test_engine_non_finite_input_exits_2(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
+def test_gates_non_finite_phase_exits_2(capsys, fmt, phase):
+    with pytest.raises(SystemExit) as err:
+        main(["gates", "--which", "U14", "--format", fmt, f"--phase={phase}"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"phase must be finite, got {phase}" in captured.err
+
+
+@pytest.mark.parametrize("policy", ["fixed:abc", "fixed:"])
+def test_engine_unparsable_fixed_policy_exits_2(capsys, policy):
+    with pytest.raises(SystemExit) as err:
+        main(["engine", "sweep", "--policy", policy, "--steps", "3"])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"fixed epsilon must be a number, got {policy!r}" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["engine", "sweep", "--steps", "0"],
+    ["engine", "sweep", "--steps", "-1"],
+    ["engine", "frontier", "--steps", "0"],
+    ["engine", "frontier", "--steps", "-1"],
+])
+def test_engine_grid_steps_below_one_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"steps must be at least 1, got {args[-1]}" in captured.err
+
+
+def test_engine_frontier_at_one_pe_ignores_steps(capsys):
+    code, text = run_text(capsys, ["engine", "frontier", "--pe", "0.3", "--steps", "0"])
+    assert code == 0
+    assert len(text.splitlines()) == 3  # header, one row, flags
 
 
 def test_engine_optimize_eta_rejects_non_positive_beta_d_delta(capsys):

@@ -27,6 +27,7 @@ def eta_2cy(p_e, eps, bd_delta):
 def test_bit_entropy_values():
     assert eng.bit_entropy(0.0) == 0.0
     assert eng.bit_entropy(1.0) == 0.0
+    assert eng.bit_entropy(-0.5) == eng.bit_entropy(1.5) == 0.0
     assert math.isclose(eng.bit_entropy(0.5), LN2, abs_tol=1e-15)
     assert math.isclose(eng.bit_entropy(0.3), 0.6108643020548935, abs_tol=1e-15)
     assert math.isclose(eng.bit_entropy_prime(0.25), math.log(3), abs_tol=1e-15)
@@ -53,6 +54,19 @@ def test_thermal_wit_cap_keeps_smallest_subnormal():
         p_g, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
         assert p_e == 5e-324 == math.ulp(0.0)
         assert p_g == 1.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_bit_entropy_rejects_non_finite(bad):
+    with pytest.raises(qm.ParameterError, match=re.escape(f"x must be finite, got {bad}")):
+        eng.bit_entropy(bad)
+
+
+@pytest.mark.parametrize("policy", ["fixed:abc", "fixed:", "fixed:0.1x"])
+def test_parse_policy_rejects_unparsable_fixed_epsilon(policy):
+    with pytest.raises(qm.ParameterError, match=re.escape(
+            f"fixed epsilon must be a number, got {policy!r}")):
+        eng.parse_policy(policy)
 
 
 def test_params_validation():

@@ -1,6 +1,7 @@
 """Double Mach-Zehnder: dephasing, restoration, fringe visibility."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,3 +173,16 @@ def test_config_validation():
         MziConfig(epsilon=-0.1)
     with pytest.raises(qm.ParameterError):
         MziConfig(flux_samples=4)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(bad):
+    calls = {
+        "dephase": ("chi", lambda: dephase(balanced_pure(), bad)),
+        "MziConfig(chi)": ("chi", lambda: MziConfig(chi=bad)),
+        "MziConfig(arm_phase)": ("arm_phase", lambda: MziConfig(arm_phase=bad)),
+    }
+    for label, (name, call) in calls.items():
+        with pytest.raises(qm.ParameterError, match=re.escape(f"{name} must be finite, got {bad}")):
+            call()
+            pytest.fail(f"{label} accepted {bad}")

@@ -1,6 +1,7 @@
 """Spin realisation: splitter, demon rotations, purity exchange."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,3 +171,20 @@ def test_demon_state_from_spec_rejects_bad_superposition(amplitudes):
 def test_demon_state_from_spec_rejects_nan_mixture():
     with pytest.raises(qm.ParameterError):
         sd.demon_state_from_spec("mixture", float("nan"))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angles_rejected(bad):
+    calls = {
+        "beam_splitter(theta)": ("theta", lambda: sd.beam_splitter(bad, 0.0)),
+        "beam_splitter(eta)": ("eta", lambda: sd.beam_splitter(0.0, bad)),
+        "xy_states(theta)": ("theta", lambda: sd.xy_states(bad, 0.0, 0.0)),
+        "xy_states(eta)": ("eta", lambda: sd.xy_states(0.0, bad, 0.0)),
+        "xy_states(phi)": ("phi", lambda: sd.xy_states(0.0, 0.0, bad)),
+        **{f"SpinDemonParams({name})": (name, lambda name=name: sd.SpinDemonParams(**{name: bad}))
+           for name in ("theta", "eta", "phi", "alpha", "beta_phase")},
+    }
+    for label, (name, call) in calls.items():
+        with pytest.raises(qm.ParameterError, match=re.escape(f"{name} must be finite, got {bad}")):
+            call()
+            pytest.fail(f"{label} accepted {bad}")
