@@ -32,6 +32,7 @@ from .circuits import (
     half_rabi,
     pswap_counterexample,
     pswap_gate,
+    pswap_route,
     u14,
 )
 from .engine import (
@@ -44,7 +45,6 @@ from .engine import (
     minimal_beta,
     optimize_epsilon_eta,
     optimize_epsilon_power,
-    pswap_route,
     resolve_epsilon,
     run_cycle,
     sweep_beta,

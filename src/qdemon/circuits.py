@@ -11,6 +11,10 @@ demon; two extra Hadamard-type gates reduce it to a pure relabelling that
 swaps states exactly in the demon-up sector and swaps-up-to-NOT in the
 demon-down sector; one more CNOT (control active on the down state) promotes
 it to the textbook SWAP.
+
+The engine's partial SWAP is written once, as four stages: ``pswap_gate``
+multiplies them out, and ``pswap_route`` pushes the engine's states through
+them, the gate route the tests compare with ``engine.run_cycle``.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelReport, channel_report, gamma
+from .engine import EngineParams, thermal_wit
 from .qmatrix import (ParameterError, _require_finite, check_density_matrix,
-                      check_pure_state, dag, tensor)
+                      check_pure_state, dag, tensor, von_neumann_entropy)
 from .spin_demon import SpinDemonParams, beam_splitter, spin_config
 
 I2 = np.eye(2, dtype=complex)
@@ -83,6 +88,11 @@ def build_SWAP() -> np.ndarray:
     return CNOT_DOWN @ build_VD()
 
 
+def _pswap_stages(phase: float) -> tuple[np.ndarray, ...]:
+    """The partial SWAP's four gates in the order they act: CNOT, u14 ⊗ H̄, CNOT, u14 ⊗ 1."""
+    return CNOT_UP, tensor(u14(phase), HBAR), CNOT_UP, tensor(u14(phase), I2)
+
+
 def pswap_gate(phase: float = -np.pi / 2) -> np.ndarray:
     """Work-extracting partial SWAP used by the engine:
     (u14 ⊗ 1) · CNOT · (u14 ⊗ H̄) · CNOT.
@@ -91,8 +101,52 @@ def pswap_gate(phase: float = -np.pi / 2) -> np.ndarray:
     the demon-side Hadamard-type rotation happens between the two
     interactions.
     """
-    return (tensor(u14(phase), I2) @ CNOT_UP
-            @ tensor(u14(phase), HBAR) @ CNOT_UP)
+    s1, s2, s3, s4 = _pswap_stages(phase)
+    return s4 @ s3 @ s2 @ s1
+
+
+def pswap_route(params: EngineParams, phase: float = -np.pi / 2) -> dict:
+    """Density-matrix route through one engine cycle: states, marginals, and
+    the per-stage field energies, all derived from the gate sequence alone.
+
+    Returns a dict with the final wit/dit marginals of both pairs, the
+    stage-resolved field ledger, and the energy figures (w_minus, w_plus,
+    heat) in the units of delta_w. It is what the tests compare
+    ``engine.run_cycle``'s closed forms with.
+    """
+    delta, eps = params.delta_w, params.epsilon
+    _, p_e, rho_w = thermal_wit(params.beta, delta)
+    # both demon branches (dit up, dit down) as one (2, 4, 4) stack, kept per stage
+    stacks = [np.stack([tensor(rho_w, np.diag(pops).astype(complex))
+                        for pops in ((1.0 - eps, eps), (eps, 1.0 - eps))])]
+    for g in _pswap_stages(phase):
+        stacks.append(g @ stacks[-1] @ dag(g))
+    split = np.reshape(stacks, (len(stacks), 2, 2, 2, 2, 2))
+    wits = np.einsum("snikjk->snij", split)
+    steps = np.diff(delta * wits[:, :, 0, 0].real, axis=0)
+    stage_energy = 0.0 + steps[:, 0] + steps[:, 1]  # summed from +0.0, branch by branch
+    wit_up, wit_dn = wits[-1]
+    dit_up, dit_dn = np.einsum("nkikj->nij", split[-1])
+
+    # extraction: half-Rabi NOT on the deterministically excited wit
+    pulse = half_rabi(phase)
+    wit_dn_after = pulse @ wit_dn @ dag(pulse)
+    w_plus = delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real)
+
+    w_minus = delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta
+    leftover = delta * float((wit_up[0, 0] + wit_dn_after[0, 0]).real)
+    heat = 2.0 * p_e * delta - leftover
+
+    return {
+        "wit_marginals": (wit_up, wit_dn),
+        "dit_marginals": (dit_up, dit_dn),
+        "dit_marginals_unrotated": (dag(HBAR) @ dit_up @ HBAR,
+                                    dag(HBAR) @ dit_dn @ HBAR),
+        "joints": tuple(stacks[-1]),
+        "stage_field_energy": tuple(float(e) for e in stage_energy),
+        "w_minus": w_minus, "w_plus": w_plus, "heat": heat,
+        "dit_entropies": (von_neumann_entropy(dit_up), von_neumann_entropy(dit_dn)),
+    }
 
 
 def pswap_counterexample(demon) -> bool:

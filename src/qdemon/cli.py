@@ -27,7 +27,8 @@ from . import engine as eng
 from .channel import report_to_json
 from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, u14
 from .interferometer import MziConfig, run_double_mzi
-from .qmatrix import InvalidStateError, ParameterError, matrix_to_json, von_neumann_entropy
+from .qmatrix import (InvalidStateError, ParameterError, _require_finite, matrix_to_json,
+                      von_neumann_entropy)
 from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
 
 EXIT_USAGE = 2
@@ -189,7 +190,9 @@ def cmd_engine(parser, args, argv) -> int:
         return 0
 
     if args.mode == "sweep":
-        grid = np.linspace(args.beta_min, bd_delta * args.beta_max_frac, args.steps)
+        end = bd_delta * args.beta_max_frac  # checked: linspace makes NaNs of an inf end
+        _require_finite(beta_min=args.beta_min, beta_d_delta=bd_delta, beta_max=end)
+        grid = np.linspace(args.beta_min, end, args.steps)
         rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))
         return 0
@@ -198,6 +201,7 @@ def cmd_engine(parser, args, argv) -> int:
         if args.pe is not None:
             pes = [args.pe]
         else:
+            _require_finite(pe_min=args.pe_min)
             pes = np.linspace(args.pe_min, 0.5, args.steps)
         rows = eng.frontier_epsilons(pes, args.beta_d_delta)
         bad = [r for r in rows if any(v != v for v in r.values())]

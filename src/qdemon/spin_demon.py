@@ -119,7 +119,12 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
     if kind == "superposition":
         a, b = value
         vec = np.array([complex(a), complex(b)])
-        norm = np.linalg.norm(vec)
+        scale = np.abs(vec.view(float)).max()
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(vec)
+        if norm in (0.0, np.inf) and 0.0 < scale < np.inf:  # finite, but the squares under/overflow
+            vec = (vec.view(float) / scale).view(complex)
+            norm = np.linalg.norm(vec)
         if not 0.0 < norm < np.inf:
             raise ParameterError("amplitudes must be finite and not both vanish")
         return pure_density(vec / norm)

@@ -292,6 +292,16 @@ def test_pswap_gate_routes_demon_up_inputs_to_ground():
         assert math.isclose(abs(system_marginal[1, 1]), 1.0, abs_tol=1e-12)
 
 
+def test_pswap_gate_is_bit_identical_to_the_inline_product():
+    # oracle: the partial SWAP as one inline product, independent of _pswap_stages
+    rng = np.random.default_rng(11)
+    for phase in [-np.pi / 2, 0.0, *rng.uniform(-np.pi, np.pi, 50), *rng.uniform(-1e3, 1e3, 10)]:
+        phase = float(phase)
+        inline = (qm.tensor(qc.u14(phase), I2) @ qc.CNOT_UP
+                  @ qm.tensor(qc.u14(phase), qc.HBAR) @ qc.CNOT_UP)
+        assert qc.pswap_gate(phase).tobytes() == inline.tobytes(), phase
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_rejected(bad):
     calls = {

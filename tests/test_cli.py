@@ -304,6 +304,11 @@ def test_engine_policy_nonconvergence_exits_3(capsys, args):
     ["engine", "optimize", "--beta-d-delta", "nan"],
     ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "nan"],
     ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta=-inf"],
+    # grid ends, checked before numpy builds a grid of NaNs from them
+    ["engine", "sweep", "--beta-max-frac", "inf"],
+    ["engine", "sweep", "--beta-d-delta", "1e308", "--beta-max-frac", "10"],
+    ["engine", "sweep", "--beta-min=-inf"],
+    ["engine", "frontier", "--pe-min", "inf"],
 ])
 def test_engine_non_finite_input_exits_2(capsys, args):
     with pytest.raises(SystemExit) as err:
@@ -311,7 +316,9 @@ def test_engine_non_finite_input_exits_2(capsys, args):
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "must be finite" in captured.err
+    usage, error = captured.err.splitlines()  # one error, no warning before it
+    assert usage.startswith("usage: ") and "must be finite" in error
+    assert not error.endswith("got nan") or "nan" in args  # no NaN the user never typed
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -379,6 +386,24 @@ def test_channel_non_finite_input_exits_2(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "finite" in captured.err
+
+
+def report_numbers(doc):
+    return np.array([doc[k] for k in ("entropy_in", "entropy_out", "entropy_gain")]
+                    + [x for k in ("rho_out", "demon_out", "joint_out")
+                       for x in np.ravel(doc[k]["entries"])])
+
+
+@pytest.mark.parametrize("amplitudes, unit", [
+    (["1e-300", "0", "0", "2e-300"], ["1", "0", "0", "2"]),
+    (["1e200", "0", "1e200", "0"], ["1", "0", "1", "0"]),
+])
+def test_channel_accepts_amplitudes_at_any_finite_scale(capsys, amplitudes, unit):
+    # their squares under- or overflow, so the plain norm reads 0 or inf
+    code, doc = run_json(capsys, ["channel", "--input", "pure", "--amplitudes", *amplitudes])
+    assert code == 0
+    _, want = run_json(capsys, ["channel", "--input", "pure", "--amplitudes", *unit])
+    assert np.allclose(report_numbers(doc), report_numbers(want), rtol=0.0, atol=1e-15)
 
 
 def test_outputs_byte_identical_across_runs(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
-from qdemon.circuits import CNOT_UP, HBAR, half_rabi, u14
+from qdemon.circuits import CNOT_UP, HBAR, half_rabi, pswap_route, u14
 from conftest import power_stationarity, ratio_round_off
 
 LN2 = math.log(2)
@@ -135,8 +135,7 @@ def test_entropy_cycle_cost_never_negative():
     for beta_delta in (0.0, 0.1, 0.5, 1.0, 3.0):
         for eps in (0.0, 0.1, 0.3, 0.49):
             r = eng.run_cycle(eng.EngineParams(beta=beta_delta, beta_d=2.0,
-                                               delta_w=1.0, epsilon=eps),
-                              quantum_check=False)
+                                               delta_w=1.0, epsilon=eps))
             assert r.w_in >= -1e-15
 
 
@@ -144,8 +143,8 @@ def test_entropy_cycle_cost_never_negative():
 @pytest.mark.parametrize("eps", [0.0, 0.07, 0.3])
 def test_gate_route_matches_closed_forms(beta_delta, eps):
     params = eng.EngineParams(beta=beta_delta, beta_d=2.0, delta_w=1.0, epsilon=eps)
-    report = eng.run_cycle(params)  # raises internally on disagreement
-    route = eng.pswap_route(params)
+    report = eng.run_cycle(params)
+    route = pswap_route(params)
     assert abs(route["w_minus"] - report.w_minus) < 1e-10
     assert abs(route["w_plus"] - report.w_plus) < 1e-10
     assert abs(route["heat"] - report.heat) < 1e-10
@@ -169,9 +168,9 @@ def test_gate_route_matches_closed_forms(beta_delta, eps):
 def test_gate_route_phase_independent():
     # the drive phase moves individual amplitudes but no energy averages
     params = eng.EngineParams(beta=0.9, beta_d=2.0, delta_w=1.0, epsilon=0.12)
-    base = eng.pswap_route(params)
+    base = pswap_route(params)
     for phase in (0.0, 0.7, 2.2):
-        other = eng.pswap_route(params, phase=phase)
+        other = pswap_route(params, phase=phase)
         for key in ("w_minus", "w_plus", "heat"):
             assert math.isclose(base[key], other[key], abs_tol=1e-12)
 
@@ -229,13 +228,13 @@ def test_stacked_route_is_bit_identical_to_branch_by_branch():
                                   delta_w=delta_w,
                                   epsilon=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])))
         phase = float(rng.choice([-np.pi / 2, rng.uniform(-np.pi, np.pi)]))
-        assert (route_bytes(eng.pswap_route(params, phase))
+        assert (route_bytes(pswap_route(params, phase))
                 == route_bytes(branch_by_branch_route(params, phase)))
 
 
 def test_stage_field_energies():
     params = eng.EngineParams(beta=0.6, beta_d=2.0, delta_w=2.0, epsilon=0.05)
-    route = eng.pswap_route(params)
+    route = pswap_route(params)
     stage = route["stage_field_energy"]
     assert abs(stage[0]) < 1e-12 and abs(stage[2]) < 1e-12  # interactions are free
     report = eng.run_cycle(params)
@@ -522,8 +521,7 @@ def test_carnot_bound_on_grid():
     for beta in np.linspace(0.0, 2.0, 21):
         for eps in np.linspace(0.0, 0.5, 21):
             r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d,
-                                               delta_w=1.0, epsilon=eps),
-                              quantum_check=False)
+                                               delta_w=1.0, epsilon=eps))
             if r.net_work > 0:
                 assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
 

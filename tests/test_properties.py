@@ -5,12 +5,12 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdemon import channel as ch
 from qdemon import engine as eng
-from qdemon.circuits import DoubleDotConfig, double_dot_protocol
+from qdemon.circuits import DoubleDotConfig, double_dot_protocol, pswap_route
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.qmatrix import ConvergenceError
 from qdemon.spin_demon import SpinDemonParams, spin_config
@@ -129,7 +129,7 @@ def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_d
     eps = eng.optimize_epsilon_power(p_e, bd_delta).epsilon_star
     beta, beta_d = beta_delta / delta_w, bd_delta / delta_w
     r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
-                                       epsilon=eps), quantum_check=False)
+                                       epsilon=eps))
     assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12 * delta_w
     if r.heat > 0.0:
         # eta_2cy <= 1 - beta/beta_d, times heat > 0 so that a vanishing heat
@@ -139,6 +139,42 @@ def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_d
             assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
     else:
         assert math.isnan(r.eta_2cy)
+
+
+# beta*delta_w from 0 through BETA_DELTA_CAP (where p_e stops at 5e-324) far
+# past it, delta_w over the normal floats, eps with both ends of [0, 1/2]
+route_beta_deltas = st.one_of(
+    st.sampled_from([0.0, eng.BETA_DELTA_CAP, 2 * eng.BETA_DELTA_CAP, 1e300]),
+    st.floats(0.0, 2 * eng.BETA_DELTA_CAP),
+    st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+route_delta_ws = st.one_of(st.sampled_from([1.0, 1e-300, 1e300]),
+                           st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
+route_epsilons = st.one_of(st.sampled_from([0.0, 0.5, 1e-300]), st.floats(0.0, 0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta_delta=route_beta_deltas, delta_w=route_delta_ws, eps=route_epsilons)
+@example(beta_delta=0.0, delta_w=1.0, eps=0.0)
+@example(beta_delta=0.0, delta_w=1.0, eps=0.5)
+@example(beta_delta=eng.BETA_DELTA_CAP, delta_w=1.0, eps=0.0)
+@example(beta_delta=2 * eng.BETA_DELTA_CAP, delta_w=1.0, eps=0.5)
+@example(beta_delta=1e300, delta_w=1e-8, eps=0.25)
+@example(beta_delta=1.0, delta_w=1e-300, eps=0.0)
+@example(beta_delta=1.0, delta_w=1e300, eps=0.5)
+@example(beta_delta=eng.BETA_DELTA_CAP, delta_w=1e300, eps=0.1)
+@example(beta_delta=2 * eng.BETA_DELTA_CAP, delta_w=1e-300, eps=0.3)
+def test_gate_route_matches_closed_forms_over_the_valid_range(beta_delta, delta_w, eps):
+    beta = beta_delta / delta_w
+    assume(math.isfinite(beta))
+    params = eng.EngineParams(beta=beta, beta_d=2.0, delta_w=delta_w, epsilon=eps)
+    r, route = eng.run_cycle(params), pswap_route(params)
+    stage = route["stage_field_energy"]
+    gaps = {"w_minus": route["w_minus"] - r.w_minus, "w_plus": route["w_plus"] - r.w_plus,
+            "heat": route["heat"] - r.heat,
+            "dit_up_entropy": route["dit_entropies"][0] - r.dit_out_entropy,
+            "dit_down_entropy": route["dit_entropies"][1] - r.dit_out_entropy,
+            "mid_rotations": stage[1] - r.w_minus, "final_rotations": stage[3]}
+    assert max(abs(g) for g in gaps.values()) <= 1e-10 * max(1.0, delta_w), gaps
 
 
 # excited populations for opt-eta, log-uniform down to two floors, with the
@@ -182,7 +218,7 @@ def test_cycle_at_eta_optimum_balances_and_stays_below_carnot(p_e, bd_delta, pol
     if beta_d <= beta:
         return  # no Carnot window: the demon reservoir is not the colder one
     r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
-                                       epsilon=eps), quantum_check=False)
+                                       epsilon=eps))
     assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12 * delta_w
     if r.heat > 0.0:
         assert r.net_work <= (1.0 - beta / beta_d) * r.heat + 1e-12 * delta_w

@@ -168,6 +168,19 @@ def test_demon_state_from_spec_rejects_bad_superposition(amplitudes):
         sd.demon_state_from_spec("superposition", amplitudes)
 
 
+def test_superposition_keeps_the_plain_norm_bits():
+    # wherever the plain norm neither under- nor overflows no rescaling happens:
+    # the state is the plain-norm one, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(2000):
+        parts = rng.choice([-1.0, 0.0, 1.0], 4) * np.exp(rng.uniform(np.log(1e-150), np.log(1e150), 4))
+        parts[rng.integers(4)] = np.exp(rng.uniform(np.log(1e-150), np.log(1e150)))
+        a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+        vec = np.array([a, b])
+        old = qm.pure_density(vec / np.linalg.norm(vec))
+        assert sd.demon_state_from_spec("superposition", (a, b)).tobytes() == old.tobytes(), (a, b)
+
+
 def test_demon_state_from_spec_rejects_nan_mixture():
     with pytest.raises(qm.ParameterError):
         sd.demon_state_from_spec("mixture", float("nan"))
