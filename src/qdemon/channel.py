@@ -25,12 +25,11 @@ import numpy as np
 from .qmatrix import (
     LOG_EIG_FLOOR,
     _density_spectrum,
+    _marginals,
     _spectrum_entropy,
     check_density_matrix,
     check_unitary,
-    dag,
     matrix_to_json,
-    partial_trace,
     tensor,
     von_neumann_entropy,
 )
@@ -56,17 +55,17 @@ class ChannelConfig:
         mats = (self.scattering, *self.lead_unitaries)
         if len(mats) != 5:
             raise ValueError("expected exactly four lead unitaries")
-        for name, m in zip(("scattering", *"1234"), mats):
-            if np.shape(m) != (2, 2):
+        for name, m in zip(("scattering", *"1234"), mats):   # arrays skip np.shape's dispatch
+            if getattr(m, "shape", None) != (2, 2) and np.shape(m) != (2, 2):
                 check_unitary(m)    # its own fault first: non-square, non-finite, non-unitary
                 raise ValueError(f"lead/demon matrix {name} must be 2x2")
         us = check_unitary(np.array(mats, dtype=complex))
         r = check_density_matrix(self.demon_state)
         if r.shape != (2, 2):
             raise ValueError("lead/demon matrix demon_state must be 2x2")
-        r = r.copy(); us.flags.writeable = r.flags.writeable = False
+        r = r.copy(); us.setflags(write=False); r.setflags(write=False)
         object.__setattr__(self, "scattering", us[0])
-        object.__setattr__(self, "lead_unitaries", tuple(us[1:]))
+        object.__setattr__(self, "lead_unitaries", (us[1], us[2], us[3], us[4]))
         object.__setattr__(self, "demon_state", r)
 
 
@@ -109,15 +108,27 @@ def gamma(config: ChannelConfig) -> complex:
 
     γ = s[0,0] s*[1,0] Tr{ r (u1† u4† u3 u1 - u2† u4† u3 u2) }, bounded by
     |γ| <= 2 |s00 s10*| <= 1; it vanishes whenever the two effective demon
-    rotations commute.
+    rotations commute. Each trace is the Frobenius product
+    Tr{r u† u4† u3 u} = Σ_kj conj((u4 u)_kj) (u3 u r)_kj, on Python complexes.
     """
-    s = config.scattering
-    u1, u2, u3, u4 = config.lead_unitaries
-    u4_dag = dag(u4)
-    bracket = dag(u1) @ u4_dag @ u3 @ u1 - dag(u2) @ u4_dag @ u3 @ u2
-    m = (config.demon_state @ bracket).tolist()
-    trace = 0j + m[0][0] + m[1][1]      # np.trace's sum, bit for bit, on Python scalars
-    return complex(s[0, 0] * np.conj(s[1, 0]) * trace)
+    (s00, _), (s10, _) = config.scattering.tolist()
+    u1, u2, u3, u4 = (u.tolist() for u in config.lead_unitaries)
+    r = config.demon_state.tolist()
+    traces = []
+    for u in (u1, u2):
+        (a00, a01), (a10, a11) = _mul(u4, u)
+        (b00, b01), (b10, b11) = _mul(_mul(u3, u), r)
+        traces.append((a00.conjugate() * b00 + a01.conjugate() * b01)
+                      + (a10.conjugate() * b10 + a11.conjugate() * b11))
+    return s00 * s10.conjugate() * (traces[0] - traces[1])
+
+
+def _mul(a, b) -> tuple:
+    """a @ b for 2x2 matrices given as rows of Python complexes."""
+    (a00, a01), (a10, a11) = a
+    (b00, b01), (b10, b11) = b
+    return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
+            (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
 
 
 def channel_on_identity(config: ChannelConfig) -> tuple[np.ndarray, bool]:
@@ -147,7 +158,7 @@ def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:
 
 def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
                    flags: tuple[str, ...]) -> ChannelReport:
-    """Trace both qubits out of the evolved joint state and report the channel.
+    """Trace both qubits out of the evolved 4x4 joint state and report the channel.
 
     Φ(1) = [[1, γ], [γ*, 1]] has eigenvalues 1 ± a (a = |γ|) with
     projectors (1/2)[[1, ±γ/a], [±γ*/a, 1]], so with c = 2 Re(ρ_out[1,0] γ)/a
@@ -158,7 +169,7 @@ def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
     exactly when 1 - a falls below the floor. ``rho_in`` must already be a
     validated density matrix.
     """
-    rho_out = partial_trace(joint, "first")
+    rho_out, demon_out = _marginals(joint.tolist())
     a = abs(g)
     bound, clipped = 0.0, False
     if a > 0.0:
@@ -169,7 +180,7 @@ def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
     entropy_out = von_neumann_entropy(rho_out)
     return ChannelReport(
         rho_out=rho_out,
-        demon_out=partial_trace(joint, "second"),
+        demon_out=demon_out,
         joint_out=joint,
         gamma=g,
         entropy_gain=entropy_out - von_neumann_entropy(rho_in),
@@ -190,18 +201,18 @@ def apply_channel(rho_in, config: ChannelConfig,
     """
     rho_in = check_density_matrix(rho_in)
     u = joint_unitary(config)
-    joint = u @ tensor(rho_in, config.demon_state) @ dag(u)
+    joint = u @ tensor(rho_in, config.demon_state) @ u.conj().T
     return channel_report(rho_in, joint, gamma(config), extra_flags)
 
 
 def mutual_information(joint) -> float:
     """I = S(A) + S(B) - S(AB) of a two-qubit state, in nats (>= -1e-10)."""
-    joint, evals = _density_spectrum(joint)
+    joint, evals, rows = _density_spectrum(joint)
     if joint.shape != (4, 4):
         raise ValueError("mutual_information expects a 4x4 state")
-    s_a = von_neumann_entropy(partial_trace(joint, "first"))
-    s_b = von_neumann_entropy(partial_trace(joint, "second"))
-    return s_a + s_b - _spectrum_entropy(evals)     # S(AB) from the validation's eigenvalues
+    rho_a, rho_b = _marginals(rows)
+    # S(AB) from the validation's eigenvalues, the marginals from its rows
+    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - _spectrum_entropy(evals)
 
 
 def report_to_json(report: ChannelReport) -> dict:

@@ -19,6 +19,7 @@ them, the gate route the tests compare with ``engine.run_cycle``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,7 @@ from .channel import ChannelReport, channel_report, gamma
 from .engine import EngineParams, thermal_wit
 from .qmatrix import (ParameterError, _require_finite, check_density_matrix,
                       check_pure_state, dag, tensor, von_neumann_entropy)
-from .spin_demon import SpinDemonParams, beam_splitter, spin_config
+from .spin_demon import SpinDemonParams, spin_config
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -57,8 +58,8 @@ def u14(phase: float) -> np.ndarray:
     [[0, i e^{iϕ}], [i e^{-iϕ}, 0]].
     """
     _require_finite(phase=phase)
-    return np.array([[1.0, 1j * np.exp(1j * phase)],
-                     [1j * np.exp(-1j * phase), 1.0]], dtype=complex) / np.sqrt(2)
+    return np.array([[1.0, 1j * cmath.exp(1j * phase)],
+                     [1j * cmath.exp(-1j * phase), 1.0]]) / np.sqrt(2)
 
 
 def half_rabi(phase: float) -> np.ndarray:
@@ -70,7 +71,8 @@ def conditional_pi_phase(phi: float) -> np.ndarray:
     """Joint interaction: relative π on the demon's physical states, gated on
     the system's first state; diag(e^{iφ}, -e^{iφ}, 1, 1)."""
     _require_finite(phi=phi)
-    return np.diag([np.exp(1j * phi), -np.exp(1j * phi), 1.0, 1.0]).astype(complex)
+    e = cmath.exp(1j * phi)
+    return np.diag([e, -e, 1.0, 1.0])
 
 
 def build_UD() -> np.ndarray:
@@ -227,10 +229,10 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
     # basis conventions prepare the same physical dot state
     dot_phys = quarter @ dot @ dag(quarter)
 
-    interaction = conditional_pi_phase(config.interaction_phase)
-    sequence = (interaction
-                @ tensor(beam_splitter(config.theta, config.eta), quarter)
-                @ interaction)
+    # interaction · (s ⊗ quarter) · interaction, the interaction being diagonal;
+    # s = beam_splitter(θ, η) is the spin channel's scattering matrix
+    d = conditional_pi_phase(config.interaction_phase).diagonal()
+    sequence = d[:, None] * tensor(spin.scattering, quarter) * d
     joint = sequence @ tensor(rho_in, dot_phys) @ dag(sequence)
 
     flags = [f"dot-basis-{dot_basis}"]

@@ -36,8 +36,6 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and x != x:  # NaN
-        return "nan"
     return f"{x:.12g}"
 
 
@@ -192,6 +190,8 @@ def cmd_engine(parser, args, argv) -> int:
     if args.mode == "sweep":
         end = bd_delta * args.beta_max_frac  # checked: linspace makes NaNs of an inf end
         _require_finite(beta_min=args.beta_min, beta_d_delta=bd_delta, beta_max=end)
+        if args.beta_min < 0.0:  # refused before linspace, where -1e308 to 1e308 overflows
+            raise ParameterError(f"beta must be non-negative, got {args.beta_min}")
         grid = np.linspace(args.beta_min, end, args.steps)
         rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))

@@ -109,5 +109,6 @@ def run_double_mzi(config: MziConfig) -> VisibilityReport:
     fringe = (np.exp(1j * flux) * rho[0, 1]).real
     p3 = 0.5 + fringe
     p4 = 0.5 - fringe
-    visibility = float((p3.max() - p3.min()) / (p3.max() + p3.min()))
+    hi, lo = p3.max(), p3.min()
+    visibility = float((hi - lo) / (hi + lo))
     return VisibilityReport(flux=flux, p3=p3, p4=p4, visibility=visibility)

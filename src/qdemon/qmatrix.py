@@ -79,10 +79,12 @@ def check_unitary(u) -> np.ndarray:
     entries and when a unitarity defect exceeds ``ATOL``, quoting the first.
     """
     u = _finite_squares(np.asarray(u, dtype=complex))
-    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max(axis=(-2, -1))
-    bad = defect[defect > ATOL]
-    if bad.size:
-        raise InvalidStateError(f"matrix is not unitary (defect {bad[0]:.3e})")
+    defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
+    if not defect.size or defect.max() > ATOL:  # one reduction when every matrix passes
+        worst = defect.max(axis=(-2, -1))
+        bad = worst[worst > ATOL]
+        if bad.size:
+            raise InvalidStateError(f"matrix is not unitary (defect {bad[0]:.3e})")
     return u
 
 
@@ -96,27 +98,28 @@ def check_density_matrix(rho) -> np.ndarray:
     return _density_spectrum(rho)[0]
 
 
-def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
-    """check_density_matrix's validation; returns the matrix and the
-    eigenvalues its positivity check computed."""
+def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray, list]:
+    """check_density_matrix's validation; returns the matrix, the eigenvalues
+    its positivity check computed, and its rows as Python complexes."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    rows = rho.tolist()     # finiteness, max|ρ - ρ†| and trace on Python scalars: cheaper
-    finite, herm = True, 0.0
+    rows = rho.tolist()     # one pass on Python scalars: the diagonal, and max and sum
+    # of |ρ_ij - ρ*_ji| over i <= j. A NaN or inf entry (or an overflow) makes the
+    # sum non-finite, and only then are the entries checked one by one
+    herm, total, diag = 0.0, 0.0, []
     for i, row in enumerate(rows):
-        for j, z in enumerate(row):
-            finite = finite and cmath.isfinite(z)
-            if j >= i:
-                d = abs(z - rows[j][i].conjugate())
-                if d > herm:
-                    herm = d
-    diag = [row[i] for i, row in enumerate(rows)]
+        diag.append(row[i])
+        for j in range(i, len(row)):
+            d = abs(row[j] - rows[j][i].conjugate())
+            total += d
+            if d > herm:
+                herm = d
     # np.trace's sum, bit for bit: in order up to three terms, pairwise at four
     tr = (sum(diag, 0j) if len(diag) < 4
           else 0j + ((diag[0] + diag[1]) + (diag[2] + diag[3])) if len(diag) == 4
           else rho.trace())
-    if not finite:
+    if not (math.isfinite(total) or all(cmath.isfinite(z) for row in rows for z in row)):
         raise InvalidStateError("entries must be finite, got NaN or inf")
     if herm > atol:
         raise InvalidStateError("density matrix is not Hermitian")
@@ -126,7 +129,7 @@ def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
     if evals[0] < EIG_NEG_TOL:   # eigvalsh sorts ascending
         raise InvalidStateError(
             f"density matrix has negative eigenvalue {evals[0]:.3e}")
-    return rho, evals
+    return rho, evals, rows
 
 
 def check_pure_state(vec) -> np.ndarray:
@@ -175,18 +178,18 @@ def partial_trace(rho, keep) -> np.ndarray:
     rho = as_matrix(rho)
     if rho.shape != (4, 4):
         raise InvalidStateError("partial_trace expects a 4x4 matrix")
-    r = rho.tolist()
-    # the sums an einsum over the traced index makes, 0 + a + b (so -0.0 + -0.0
-    # gives +0.0 as there), on Python scalars: cheaper than numpy at 2x2
-    if keep in ("first", 0):
-        out = [[0j + r[0][0] + r[1][1], 0j + r[0][2] + r[1][3]],
-               [0j + r[2][0] + r[3][1], 0j + r[2][2] + r[3][3]]]
-    elif keep in ("second", 1):
-        out = [[0j + r[0][0] + r[2][2], 0j + r[0][1] + r[2][3]],
-               [0j + r[1][0] + r[3][2], 0j + r[1][1] + r[3][3]]]
-    else:
+    if keep not in ("first", 0, "second", 1):
         raise ParameterError(f"invalid subsystem id {keep!r}")
-    return np.array(out)
+    return _marginals(rho.tolist())[keep not in ("first", 0)]
+
+
+def _marginals(r: list) -> tuple[np.ndarray, np.ndarray]:
+    """Both reduced states (system, demon) of a 4x4 matrix given by its rows: the
+    sums an einsum makes, 0 + a + b (so -0.0 + -0.0 gives +0.0 as there)."""
+    return (np.array([[0j + r[0][0] + r[1][1], 0j + r[0][2] + r[1][3]],
+                      [0j + r[2][0] + r[3][1], 0j + r[2][2] + r[3][3]]]),
+            np.array([[0j + r[0][0] + r[2][2], 0j + r[0][1] + r[2][3]],
+                      [0j + r[1][0] + r[3][2], 0j + r[1][1] + r[3][3]]]))
 
 
 def von_neumann_entropy(rho) -> float:

@@ -10,6 +10,7 @@ depend on the input state.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,8 @@ def beam_splitter(theta: float, eta: float) -> np.ndarray:
     """
     _require_finite(theta=theta, eta=eta)
     return np.array(
-        [[np.exp(1j * theta), -np.exp(-1j * eta)],
-         [np.exp(1j * eta), np.exp(-1j * theta)]], dtype=complex) / np.sqrt(2)
+        [[cmath.exp(1j * theta), -cmath.exp(-1j * eta)],
+         [cmath.exp(1j * eta), cmath.exp(-1j * theta)]]) / np.sqrt(2)
 
 
 def demon_unitaries(params: SpinDemonParams) -> tuple[np.ndarray, np.ndarray]:
@@ -57,10 +58,10 @@ def demon_unitaries(params: SpinDemonParams) -> tuple[np.ndarray, np.ndarray]:
     u3 is diagonal with a relative π: u3|up> = -e^{iφ}|up>,
     u3|down> = +e^{iφ}|down>.
     """
-    u1 = np.array([[0.0, np.exp(1j * params.beta_phase)],
-                   [np.exp(1j * params.alpha), 0.0]], dtype=complex)
-    u3 = np.array([[-np.exp(1j * params.phi), 0.0],
-                   [0.0, np.exp(1j * params.phi)]], dtype=complex)
+    u1 = np.array([[0j, cmath.exp(1j * params.beta_phase)],
+                   [cmath.exp(1j * params.alpha), 0j]])
+    e = cmath.exp(1j * params.phi)     # np.exp's bits, without a ufunc call per phase
+    u3 = np.array([[-e, 0j], [0j, e]])
     return u1, u3
 
 

@@ -9,7 +9,7 @@ from qdemon import channel as ch
 from qdemon import qmatrix as qm
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, spin_config
-from conftest import random_density, random_unitary
+from conftest import random_density, random_pure, random_unitary
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -162,6 +162,35 @@ def test_gamma_maximal_value_and_sign():
     assert abs(g_up - expected) < 1e-12
     assert abs(abs(g_up) - 1.0) < 1e-12
     assert abs(g_down + expected) < 1e-12
+
+
+def matrix_product_gamma(config):
+    """γ = s00 s10* Tr{r (u1† u4† u3 u1 - u2† u4† u3 u2)} by numpy 2x2 products:
+    the evaluation the scalar contraction replaced."""
+    s = config.scattering
+    u1, u2, u3, u4 = config.lead_unitaries
+    u4_dag = qm.dag(u4)
+    bracket = qm.dag(u1) @ u4_dag @ u3 @ u1 - qm.dag(u2) @ u4_dag @ u3 @ u2
+    m = (config.demon_state @ bracket).tolist()
+    return complex(s[0, 0] * np.conj(s[1, 0]) * (0j + m[0][0] + m[1][1]))
+
+
+def test_gamma_matches_matrix_product_oracle(rng):
+    # bit equality cannot be had: numpy's 2x2 products round differently
+    demons = {"pure": lambda: qm.pure_density(random_pure(rng)), "up": lambda: UP,
+              "down": lambda: DOWN, "mixed": lambda: random_density(rng),
+              "superposition": lambda: qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2)),
+              "maximally mixed": lambda: I2 / 2}
+    for kind, demon in demons.items():
+        for _ in range(150):
+            for config in (random_config(rng, demon()),
+                           spin_config(SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5)),
+                                       demon())):
+                g = ch.gamma(config)
+                assert type(g) is complex
+                assert abs(g - matrix_product_gamma(config)) <= 1e-15, kind
+                s = config.scattering
+                assert abs(g) <= 2.0 * abs(s[0, 0] * np.conj(s[1, 0])) + 1e-15, kind
 
 
 def test_gamma_superposition_demon_vanishes():

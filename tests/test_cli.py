@@ -321,6 +321,26 @@ def test_engine_non_finite_input_exits_2(capsys, args):
     assert not error.endswith("got nan") or "nan" in args  # no NaN the user never typed
 
 
+@pytest.mark.parametrize("args", [
+    # finite ends whose difference overflows inside np.linspace
+    ["engine", "sweep", "--beta-min=-1e308", "--beta-d-delta", "1e308"],
+    ["engine", "sweep", "--beta-min=-0.5", "--steps", "3"],
+])
+def test_engine_negative_beta_min_exits_2(capsys, args):
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()  # one error, no numpy warning before it
+    assert usage.startswith("usage: ") and "beta must be non-negative, got -" in error
+
+
+def test_csv_writes_nan_cells_as_nan():
+    rows = [{"a": float("nan"), "b": np.float64("nan"), "c": -np.float64("nan"), "d": 0.5}]
+    assert cli._csv(rows, []).splitlines()[:2] == ["a,b,c,d", "nan,nan,nan,0.5"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
 def test_gates_non_finite_phase_exits_2(capsys, fmt, phase):

@@ -409,7 +409,9 @@ def einsum_partial_trace(rho, keep):
 
 def numpy_density_spectrum(rho, atol=qm.ATOL):
     rho = qm.as_matrix(rho)
-    if np.abs(rho - rho.conj().T).max() > atol:
+    with np.errstate(over="ignore"):    # finite entries whose difference overflows
+        herm = np.abs(rho - rho.conj().T).max()
+    if herm > atol:
         raise qm.InvalidStateError("density matrix is not Hermitian")
     tr = rho.trace()
     if abs(tr - 1.0) > max(atol, 1e-10):
@@ -423,7 +425,7 @@ def numpy_density_spectrum(rho, atol=qm.ATOL):
 def spectrum_outcome(fn, rho, atol=qm.ATOL):
     """The matrix and eigenvalue bytes ``fn`` returns, or its error message."""
     try:
-        m, evals = fn(rho, atol)
+        m, evals = fn(rho, atol)[:2]
     except qm.InvalidStateError as exc:
         return str(exc)
     return m.tobytes(), evals.tobytes()
@@ -530,3 +532,58 @@ def test_density_spectrum_matches_numpy_checks_at_edges(rho):
     want = (spectrum_outcome(numpy_density_spectrum, rho) if rho.size
             else "density matrix trace is 0j, expected 1")
     assert spectrum_outcome(qm._density_spectrum, rho) == want
+
+
+def ulps(x, k):
+    """``x`` moved by ``k`` units in the last place."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def edge_cases(n, atol):
+    """(label, matrix, rejected?) with one fault a few ulps either side of where
+    the check rejects it; the faults sit where they can be set exactly."""
+    flat = np.diag([1.0 / n] * n).astype(complex)
+    for k in range(-3, 4):
+        herm = ulps(atol, k)
+        for label, (i, j, value) in {"off-diagonal": (0, n - 1, herm),
+                                     "imaginary off-diagonal": (n - 1, 0, 1j * herm),
+                                     "imaginary diagonal": (1, 1, 1.0 / n + 0.5j * herm)}.items():
+            rho = flat.copy()
+            rho[i, j] = value           # |ρ_ij - ρ*_ji| is exactly ``herm``
+            yield f"{label} {k:+d}", rho, herm > atol
+        for side in (1.0, -1.0):        # trace 1 ± 1e-10, whatever atol
+            top = ulps(1.0 + side * 1e-10, k)
+            rho = np.zeros((n, n), dtype=complex)
+            rho[0, 0] = top             # the trace is exactly ``top``
+            yield f"trace {side:+} {k:+d}", rho, abs(top - 1.0) > max(atol, 1e-10)
+        low = ulps(qm.EIG_NEG_TOL, k)
+        rho = np.zeros((n, n), dtype=complex)
+        rho[0, 0], rho[1, 1] = 1.0 - low, low   # eigvalsh returns a diagonal as it is
+        yield f"eigenvalue {k:+d}", rho, low < qm.EIG_NEG_TOL
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("atol", [qm.ATOL, 1e-10])
+def test_density_spectrum_decides_as_numpy_a_few_ulps_from_each_tolerance(n, atol):
+    outcomes = set()
+    for label, rho, rejected in edge_cases(n, atol):
+        got = spectrum_outcome(qm._density_spectrum, rho, atol)
+        assert got == spectrum_outcome(numpy_density_spectrum, rho, atol), label
+        assert isinstance(got, str) == rejected, label
+        outcomes.add((label.rsplit(" ", 1)[0], rejected))
+    assert len(outcomes) == 2 * 6     # each fault seen both accepted and rejected
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_density_spectrum_huge_finite_entries_are_not_hermitian(n):
+    # finite entries whose |ρ_ij - ρ*_ji|, or only the sum of those, overflows:
+    # the entries are finite, so the Hermiticity check, not the finiteness one, rejects
+    for value in (1e308, 8e307):
+        rho = np.diag([1.0 / n] * n).astype(complex)
+        rho[0, 1], rho[1, 0] = value, -value
+        rho[n - 2, n - 1], rho[n - 1, n - 2] = value, -value
+        want = spectrum_outcome(numpy_density_spectrum, rho)
+        assert want == "density matrix is not Hermitian"
+        assert spectrum_outcome(qm._density_spectrum, rho) == want
