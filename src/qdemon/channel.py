@@ -24,6 +24,7 @@ import numpy as np
 
 from .qmatrix import (
     LOG_EIG_FLOOR,
+    InvalidStateError,
     _density_spectrum,
     _marginals,
     _spectrum_entropy,
@@ -197,9 +198,11 @@ def apply_channel(rho_in, config: ChannelConfig,
 
     The joint evolution is unitary, so the output is a valid state whenever
     the inputs are; trace and positivity are preserved exactly up to
-    round-off.
+    round-off. A valid ``rho_in`` of any size but 2x2 raises InvalidStateError.
     """
     rho_in = check_density_matrix(rho_in)
+    if rho_in.shape != (2, 2):
+        raise InvalidStateError(f"rho_in must be a 2x2 state, got shape {rho_in.shape}")
     u = joint_unitary(config)
     joint = u @ tensor(rho_in, config.demon_state) @ u.conj().T
     return channel_report(rho_in, joint, gamma(config), extra_flags)

@@ -12,6 +12,10 @@ swaps states exactly in the demon-up sector and swaps-up-to-NOT in the
 demon-down sector; one more CNOT (control active on the down state) promotes
 it to the textbook SWAP.
 
+The double-dot protocol is the four-lead channel of ``channel`` with lead
+unitaries (q·d·q, q·q, d, 1), q = u14(ϕ), d = e^{iφ}σ_z; its ``dot_basis``
+changes only a flag, since both conventions prepare the same physical dot.
+
 The engine's partial SWAP is written once, as four stages: ``pswap_gate``
 multiplies them out, and ``pswap_route`` pushes the engine's states through
 them, the gate route the tests compare with ``engine.run_cycle``.
@@ -24,14 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelReport, channel_report, gamma
+from .channel import ChannelConfig, ChannelReport, apply_channel
 from .engine import EngineParams, thermal_wit
-from .qmatrix import (ParameterError, _require_finite, check_density_matrix,
-                      check_pure_state, dag, tensor, von_neumann_entropy)
-from .spin_demon import SpinDemonParams, spin_config
+from .qmatrix import (ParameterError, _require_finite, check_pure_state, dag, tensor,
+                      von_neumann_entropy)
+from .spin_demon import SpinDemonParams, beam_splitter
 
 I2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -204,41 +207,27 @@ def equivalent_spin_params(config: DoubleDotConfig) -> SpinDemonParams:
 def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
                         dot_basis: str = "physical",
                         complete_rotation: bool = False) -> ChannelReport:
-    """Four-step protocol: prepare the dot with a quarter rotation, interact,
-    scatter the system while rotating the dot by another quarter, interact
-    again. The trailing inverse quarter rotation is dropped.
+    """Four-step protocol: prepare the dot with a quarter rotation q = u14(ϕ),
+    interact, scatter the system by s = beam_splitter(θ, η) while rotating the
+    dot by another quarter, interact again; the trailing inverse quarter
+    rotation is dropped. It is the four-lead channel with lead unitaries
+    (q·d·q, q·q, d, 1), d = e^{iφ}σ_z being the upper block of
+    ``conditional_pi_phase``, and ``dot_state`` as its demon state.
 
-    dot_basis="physical" treats ``dot_state`` as written in the localised
-    basis (the preparation rotation is part of the protocol);
-    "operational" treats it as coordinates in the rotated operational basis.
-    Either way the system output equals the spin-channel output with matched
-    phases. With ``complete_rotation=True`` the dropped rotation is applied,
-    which also maps the joint/demon output onto the spin channel's (expressed
-    in the operational basis).
+    ``complete_rotation=True`` applies the dropped rotation h = half_rabi(ϕ)†,
+    so the outgoing pair is (h·d, h) and the joint and demon outputs equal the
+    spin channel's with ``equivalent_spin_params``; the system output equals
+    it either way. Both ``dot_basis`` conventions ("physical", "operational")
+    prepare the same physical dot, so it changes only the ``dot-basis-*`` flag.
     """
     if dot_basis not in ("physical", "operational"):
         raise ParameterError(f"unknown dot basis {dot_basis!r}")
-    rho_in = check_density_matrix(rho_in)
-    # the equivalent spin channel validates the dot once; the dot coordinates
-    # in the operational frame equal the matrix as given, so γ comes from it
-    spin = spin_config(equivalent_spin_params(config), dot_state)
-    dot = spin.demon_state
-
-    quarter = u14(config.tunneling_phase)
-    # the operational-basis change matrix IS the preparation rotation, so both
-    # basis conventions prepare the same physical dot state
-    dot_phys = quarter @ dot @ dag(quarter)
-
-    # interaction · (s ⊗ quarter) · interaction, the interaction being diagonal;
-    # s = beam_splitter(θ, η) is the spin channel's scattering matrix
-    d = conditional_pi_phase(config.interaction_phase).diagonal()
-    sequence = d[:, None] * tensor(spin.scattering, quarter) * d
-    joint = sequence @ tensor(rho_in, dot_phys) @ dag(sequence)
-
-    flags = [f"dot-basis-{dot_basis}"]
+    q = u14(config.tunneling_phase)
+    d = conditional_pi_phase(config.interaction_phase)[:2, :2]
+    outgoing, flags = (d, I2), (f"dot-basis-{dot_basis}",)
     if complete_rotation:
-        undo = tensor(I2, dag(half_rabi(config.tunneling_phase)))
-        joint = undo @ joint @ dag(undo)
-        flags.append("rotation-completed")
-
-    return channel_report(rho_in, joint, gamma(spin), tuple(flags))
+        h = dag(half_rabi(config.tunneling_phase))
+        outgoing, flags = (h @ d, h), flags + ("rotation-completed",)
+    leads = (q @ d @ q, q @ q, *outgoing)
+    return apply_channel(rho_in, ChannelConfig(beam_splitter(config.theta, config.eta),
+                                               leads, dot_state), flags)

@@ -190,8 +190,9 @@ def cmd_engine(parser, args, argv) -> int:
     if args.mode == "sweep":
         end = bd_delta * args.beta_max_frac  # checked: linspace makes NaNs of an inf end
         _require_finite(beta_min=args.beta_min, beta_d_delta=bd_delta, beta_max=end)
-        if args.beta_min < 0.0:  # refused before linspace, where -1e308 to 1e308 overflows
-            raise ParameterError(f"beta must be non-negative, got {args.beta_min}")
+        for beta in (args.beta_min, end):  # refused before linspace, which can overflow
+            if beta < 0.0:
+                raise ParameterError(f"beta must be non-negative, got {beta}")
         grid = np.linspace(args.beta_min, end, args.steps)
         rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))

@@ -108,13 +108,16 @@ def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray, 
     # of |ρ_ij - ρ*_ji| over i <= j. A NaN or inf entry (or an overflow) makes the
     # sum non-finite, and only then are the entries checked one by one
     herm, total, diag = 0.0, 0.0, []
-    for i, row in enumerate(rows):
-        diag.append(row[i])
-        for j in range(i, len(row)):
-            d = abs(row[j] - rows[j][i].conjugate())
-            total += d
-            if d > herm:
-                herm = d
+    try:
+        for i, row in enumerate(rows):
+            diag.append(row[i])
+            for j in range(i, len(row)):
+                d = abs(row[j] - rows[j][i].conjugate())
+                total += d
+                if d > herm:
+                    herm = d
+    except OverflowError:   # abs() of a finite difference past the largest float
+        herm = total = math.inf
     # np.trace's sum, bit for bit: in order up to three terms, pairwise at four
     tr = (sum(diag, 0j) if len(diag) < 4
           else 0j + ((diag[0] + diag[1]) + (diag[2] + diag[3])) if len(diag) == 4

@@ -1,6 +1,7 @@
 """Dilated channel: unitality, the coherence parameter, entropy-gain bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from qdemon import channel as ch
 from qdemon import qmatrix as qm
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
-from qdemon.spin_demon import SpinDemonParams, beam_splitter, spin_config
+from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter, spin_config
 from conftest import random_density, random_pure, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -415,6 +416,19 @@ def test_entropy_gain_is_apply_channel_fields(rng):
         rho_in, config = random_density(rng), random_config(rng)
         report = ch.apply_channel(rho_in, config)
         assert ch.entropy_gain(rho_in, config) == (report.entropy_gain, report.lower_bound)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_channel_paths_refuse_a_valid_state_that_is_not_a_qubit(rng, n):
+    rho_in = random_density(rng, n)
+    config = random_config(rng)
+    message = f"rho_in must be a 2x2 state, got shape {(n, n)}"
+    for call in (lambda: ch.apply_channel(rho_in, config),
+                 lambda: ch.entropy_gain(rho_in, config),
+                 lambda: scatter(rho_in, UP, SpinDemonParams()),
+                 lambda: double_dot_protocol(rho_in, UP, DoubleDotConfig())):
+        with pytest.raises(qm.InvalidStateError, match=re.escape(message)):
+            call()
 
 
 def test_config_validation_rejects_bad_members(rng):

@@ -8,8 +8,8 @@ import pytest
 
 from qdemon import circuits as qc
 from qdemon import qmatrix as qm
-from qdemon.channel import ChannelConfig, apply_channel
-from qdemon.spin_demon import spin_config
+from qdemon.channel import ChannelConfig, apply_channel, gamma
+from qdemon.spin_demon import beam_splitter, spin_config
 from conftest import random_density, random_pure
 
 I2 = np.eye(2, dtype=complex)
@@ -231,6 +231,38 @@ def test_protocol_completion_matches_channel_joint(rng):
         reference = reference_channel_report(rho_in, dot, config)
         assert np.allclose(completed.joint_out, reference.joint_out, atol=1e-12)
         assert np.allclose(completed.demon_out, reference.demon_out, atol=1e-12)
+
+
+def reference_double_dot(rho_in, dot, config, complete_rotation):
+    """The protocol as its own joint evolution: D·(s ⊗ q)·D on ρ_in ⊗ q·dot·q†, with
+    D = conditional_pi_phase(φ), q = u14(ϕ), s the splitter, and the dropped
+    rotation 1 ⊗ half_rabi(ϕ)† applied on request. Returns (joint, γ)."""
+    quarter = qc.u14(config.tunneling_phase)
+    d = qc.conditional_pi_phase(config.interaction_phase)
+    sequence = d @ qm.tensor(beam_splitter(config.theta, config.eta), quarter) @ d
+    joint = sequence @ qm.tensor(rho_in, quarter @ dot @ quarter.conj().T) @ sequence.conj().T
+    if complete_rotation:
+        undo = qm.tensor(I2, qc.half_rabi(config.tunneling_phase).conj().T)
+        joint = undo @ joint @ undo.conj().T
+    return joint, gamma(spin_config(qc.equivalent_spin_params(config), dot))
+
+
+@pytest.mark.parametrize("complete", [False, True])
+def test_protocol_matches_its_joint_evolution(rng, complete):
+    dots = {"pure": lambda: qm.pure_density(random_pure(rng)),
+            "diagonal": lambda: np.diag([p := rng.uniform(), 1.0 - p]).astype(complex),
+            "general": lambda: random_density(rng)}
+    for kind, make_dot in dots.items():
+        for _ in range(100):
+            config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
+            rho_in, dot = random_density(rng), make_dot()
+            report = qc.double_dot_protocol(rho_in, dot, config, complete_rotation=complete)
+            joint, g = reference_double_dot(rho_in, dot, config, complete)
+            for got, want in ((report.joint_out, joint),
+                              (report.rho_out, qm.partial_trace(joint, "first")),
+                              (report.demon_out, qm.partial_trace(joint, "second"))):
+                assert np.abs(got - want).max() <= 2e-15, kind
+            assert abs(report.gamma - g) <= 4e-15, kind
 
 
 def test_protocol_equivalent_phases():

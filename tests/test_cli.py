@@ -325,6 +325,9 @@ def test_engine_non_finite_input_exits_2(capsys, args):
     # finite ends whose difference overflows inside np.linspace
     ["engine", "sweep", "--beta-min=-1e308", "--beta-d-delta", "1e308"],
     ["engine", "sweep", "--beta-min=-0.5", "--steps", "3"],
+    # a negative sweep end, whose span from 1e308 overflows inside np.linspace
+    ["engine", "sweep", "--beta-min", "1e308", "--beta-d-delta", "1e308",
+     "--beta-max-frac", "-1"],
 ])
 def test_engine_negative_beta_min_exits_2(capsys, args):
     with pytest.raises(SystemExit) as err:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdemon import qmatrix as qm
+from qdemon.channel import mutual_information
 from conftest import random_density, random_pure, random_unitary
 
 I2 = np.eye(2, dtype=complex)
@@ -318,6 +319,17 @@ def test_hermiticity_check_matches_numpy_defect(rng):
 def test_hermiticity_check_reads_the_diagonal():
     with pytest.raises(qm.InvalidStateError, match="not Hermitian"):
         qm.check_density_matrix(np.diag([0.5 + 1e-9j, 0.5 - 1e-9j]))
+
+
+def test_hermiticity_defect_past_the_largest_float_is_not_hermitian():
+    # finite entries whose |ρ01 - ρ10*| overflows: an infinite defect, not an OverflowError
+    rho = np.array([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]])
+    joint = np.diag([0.25] * 4).astype(complex)
+    joint[0, 3] = 1.5e308 + 1.5e308j
+    for call in (lambda: qm.check_density_matrix(rho), lambda: qm.von_neumann_entropy(rho),
+                 lambda: mutual_information(joint)):
+        with pytest.raises(qm.InvalidStateError, match="^density matrix is not Hermitian$"):
+            call()
 
 
 NON_FINITE = (np.nan, np.inf, -np.inf, complex(0.0, np.nan))
