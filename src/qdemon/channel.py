@@ -55,15 +55,15 @@ class ChannelConfig:
     def __post_init__(self):
         mats = (self.scattering, *self.lead_unitaries)
         if len(mats) != 5:
-            raise ValueError("expected exactly four lead unitaries")
+            raise InvalidStateError("expected exactly four lead unitaries")
         for name, m in zip(("scattering", *"1234"), mats):   # arrays skip np.shape's dispatch
             if getattr(m, "shape", None) != (2, 2) and np.shape(m) != (2, 2):
                 check_unitary(m)    # its own fault first: non-square, non-finite, non-unitary
-                raise ValueError(f"lead/demon matrix {name} must be 2x2")
+                raise InvalidStateError(f"lead/demon matrix {name} must be 2x2")
         us = check_unitary(np.array(mats, dtype=complex))
         r = check_density_matrix(self.demon_state)
         if r.shape != (2, 2):
-            raise ValueError("lead/demon matrix demon_state must be 2x2")
+            raise InvalidStateError("lead/demon matrix demon_state must be 2x2")
         r = r.copy(); us.setflags(write=False); r.setflags(write=False)
         object.__setattr__(self, "scattering", us[0])
         object.__setattr__(self, "lead_unitaries", (us[1], us[2], us[3], us[4]))
@@ -212,7 +212,7 @@ def mutual_information(joint) -> float:
     """I = S(A) + S(B) - S(AB) of a two-qubit state, in nats (>= -1e-10)."""
     joint, evals, rows = _density_spectrum(joint)
     if joint.shape != (4, 4):
-        raise ValueError("mutual_information expects a 4x4 state")
+        raise InvalidStateError("mutual_information expects a 4x4 state")
     rho_a, rho_b = _marginals(rows)
     # S(AB) from the validation's eigenvalues, the marginals from its rows
     return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - _spectrum_entropy(evals)

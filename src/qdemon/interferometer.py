@@ -6,35 +6,34 @@ input splitter) and restores purity from the demon; loop 2 converts the
 recovered coherence into flux-dependent oscillations of the output
 probabilities.
 
-Both loops are evaluated in closed form. Tracing the loop-1 ancilla out
-again only scales the off-diagonals by cos χ, and the flux enters as a pure
-relative phase on one arm, so loop 2's output probabilities are
-1/2 ± Re(e^{iΦ} ρ01) of the state leaving the channel.
+Both loops are evaluated in closed form. Loop 1 (splitter s(0, π), arm phase
+a, dephasing χ) leaves ρ = [[1/2, z], [z*, 1/2]], z = -(1/2) cos χ e^{ia}. The
+bypass's bare splitter s(θ, η) makes ρ01 = (e^{2iθ} z - e^{-2iη} z*)/2; the
+demon path depends on neither χ nor a. The flux is a relative phase on one
+arm, so loop 2 outputs 1/2 ± Re(e^{iΦ} ρ01) of the scattered state.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmatrix import ParameterError, _require_finite, check_density_matrix, dag
-from .spin_demon import SpinDemonParams, beam_splitter, scatter
-
-I2 = np.eye(2, dtype=complex)
-
-#: outer splitters of both loops (Hadamard-type)
-_OUTER_SPLITTER = beam_splitter(0.0, np.pi)
+from .qmatrix import InvalidStateError, ParameterError, _require_finite, check_density_matrix
+from .spin_demon import SpinDemonParams, scatter
 
 
 @dataclass(frozen=True)
 class MziConfig:
     """Dephasing angle χ (π/2 = full), demon impurity ε in [0, 1/2], the flux
-    grid size, and the channel phases.
+    grid size (an integer >= 8), and the channel phases.
 
-    ``arm_phase`` (default π/2) balances loop 1's output so that the
-    coherent, demon-bypassed case interferes fully; the demon path does not
-    depend on it. ``bypass_demon`` replaces the channel by its bare splitter.
+    ``arm_phase`` a (default π/2) balances loop 1's ρ01 = z = -(1/2) cos χ e^{ia}
+    so that the coherent bypass, ρ01 = (e^{2iθ} z - e^{-2iη} z*)/2 from the bare
+    splitter s(θ, η), interferes fully; the demon path depends on neither χ nor a.
     """
 
     chi: float = np.pi / 2
@@ -47,8 +46,11 @@ class MziConfig:
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 0.5:
             raise ParameterError(f"epsilon must lie in [0, 1/2], got {self.epsilon}")
-        if self.flux_samples < 8:
-            raise ParameterError("flux_samples must be at least 8")
+        try:
+            if operator.index(self.flux_samples) < 8:    # numpy integers pass, floats do not
+                raise ParameterError("flux_samples must be at least 8")
+        except TypeError:
+            raise ParameterError(f"flux_samples must be an integer, got {self.flux_samples!r}")
         _require_finite(chi=self.chi, arm_phase=self.arm_phase)
 
 
@@ -70,43 +72,33 @@ def dephase(rho, chi: float) -> np.ndarray:
     the second arm, then trace the ancilla out.
 
     The dilation's closed form: off-diagonals shrink by cos χ, populations
-    are untouched; χ = π/2 is full decoherence.
+    are untouched; χ = π/2 is full decoherence. ``rho`` must be a 2x2 state.
     """
     _require_finite(chi=chi)
+    rho = check_density_matrix(rho)
+    if rho.shape != (2, 2):
+        raise InvalidStateError(f"rho must be a 2x2 state, got shape {rho.shape}")
     c = np.cos(chi)
-    return check_density_matrix(rho) * np.array([[1.0, c], [c, 1.0]])
-
-
-def _arm_phase(rho: np.ndarray, angle: float) -> np.ndarray:
-    p = np.diag([np.exp(1j * angle), 1.0])
-    return p @ rho @ dag(p)
+    return rho * np.array([[1.0, c], [c, 1.0]])
 
 
 def run_double_mzi(config: MziConfig) -> VisibilityReport:
     """Propagate one flying qubit through both loops for every flux sample.
 
-    Pipeline: input splitter, loop-1 arm phase, dephasing, channel at the
-    intermediate scatterer (demon state ε·1 + (1-2ε)|up><up|), flux phase on
-    one arm of loop 2, output splitter, then read the two output
-    probabilities. The flux only enters after the channel, so the channel
-    runs once and every sample comes from the same closed form
-    1/2 ± Re(e^{iΦ} ρ01).
+    Loop 1 leaves ρ01 = z = -(1/2) cos χ e^{ia}; the bypass makes it
+    (e^{2iθ} z - e^{-2iη} z*)/2, one channel call with the demon diag(1-ε, ε)
+    whatever χ and a are. Every flux sample is 1/2 ± Re(e^{iΦ} ρ01).
     """
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    rho = _OUTER_SPLITTER @ rho @ dag(_OUTER_SPLITTER)
-    rho = _arm_phase(rho, config.arm_phase)
-    rho = dephase(rho, config.chi)
-
+    z = -0.5 * math.cos(config.chi) * cmath.exp(1j * config.arm_phase)
     if config.bypass_demon:
-        s_mid = beam_splitter(config.params.theta, config.params.eta)
-        rho = s_mid @ rho @ dag(s_mid)
+        theta, eta = config.params.theta, config.params.eta
+        coherence = 0.5 * (cmath.exp(2j * theta) * z - cmath.exp(-2j * eta) * z.conjugate())
     else:
-        demon = (config.epsilon * I2
-                 + (1.0 - 2.0 * config.epsilon) * np.diag([1.0, 0.0]))
-        rho = scatter(rho, demon, config.params).rho_out
-
+        rho = np.array([[0.5, z], [z.conjugate(), 0.5]])
+        demon = np.diag([1.0 - config.epsilon, config.epsilon])
+        coherence = scatter(rho, demon, config.params).rho_out[0, 1]
     flux = np.linspace(0.0, 2.0 * np.pi, config.flux_samples, endpoint=False)
-    fringe = (np.exp(1j * flux) * rho[0, 1]).real
+    fringe = (np.exp(1j * flux) * coherence).real
     p3 = 0.5 + fringe
     p4 = 0.5 - fringe
     hi, lo = p3.max(), p3.min()

@@ -316,6 +316,11 @@ def test_mutual_information_bell():
     assert math.isclose(ch.mutual_information(joint), 2 * math.log(2), abs_tol=1e-10)
 
 
+def test_mutual_information_refuses_a_valid_one_qubit_state(rng):
+    with pytest.raises(qm.InvalidStateError, match="^mutual_information expects a 4x4 state$"):
+        ch.mutual_information(random_density(rng))
+
+
 def test_mutual_information_after_maximal_swap():
     params = SpinDemonParams(theta=0.1, eta=0.9, phi=0.3)
     report = ch.apply_channel(I2 / 2, spin_config(params, UP))
@@ -458,11 +463,11 @@ def test_config_validation_names_the_faulty_member(rng):
     assert message(np.ones((2, 3)), (I2, I2, I2, I2), UP) == (
         qm.InvalidStateError, "expected a square matrix, got shape (2, 3)")
     assert message(I2, (I2, I2, np.eye(4), I2), UP) == (
-        ValueError, "lead/demon matrix 3 must be 2x2")
+        qm.InvalidStateError, "lead/demon matrix 3 must be 2x2")
     assert message(I2, (I2, I2, I2), UP) == (
-        ValueError, "expected exactly four lead unitaries")
+        qm.InvalidStateError, "expected exactly four lead unitaries")
     assert message(I2, (I2, I2, I2, I2), np.eye(4) / 4) == (
-        ValueError, "lead/demon matrix demon_state must be 2x2")
+        qm.InvalidStateError, "lead/demon matrix demon_state must be 2x2")
 
 
 def test_config_members_are_read_only_copies(rng):

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qdemon import interferometer
 from qdemon import qmatrix as qm
 from qdemon.interferometer import MziConfig, dephase, run_double_mzi
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
@@ -91,10 +92,24 @@ def test_dephase_rejects_invalid_state():
         dephase(np.diag([0.7, 0.7]), 0.3)
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_dephase_rejects_valid_states_of_other_sizes(n):
+    # a 1x1 state used to broadcast to a trace-2 matrix, a 4x4 one to numpy's own error
+    with pytest.raises(qm.InvalidStateError,
+                       match=re.escape(f"rho must be a 2x2 state, got shape ({n}, {n})")):
+        dephase(np.eye(n) / n, 0.3)
+
+
 def test_fringes_match_looped_oracle(rng):
     configs = [MziConfig(chi=chi, epsilon=eps, bypass_demon=bypass)
                for chi in (0.0, 1.0, np.pi / 2) for eps in (0.0, 0.2, 0.5)
                for bypass in (False, True)]
+    # angles far beyond one turn: the closed forms must reduce them as the gates do
+    for big, turn in ((1e6, 1e6), (-1e6, -1e6), (1e15, 1e6), (-1e15, -1e6)):
+        params = SpinDemonParams(theta=turn, eta=-turn, phi=0.3)
+        configs += [MziConfig(chi=chi, epsilon=0.2, params=params, arm_phase=a,
+                              bypass_demon=bypass)
+                    for chi, a in ((big, -big), (0.7, big)) for bypass in (False, True)]
     for _ in range(20):
         params = SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5))
         configs.append(MziConfig(chi=rng.uniform(0, np.pi), epsilon=rng.uniform(0, 0.5),
@@ -105,6 +120,34 @@ def test_fringes_match_looped_oracle(rng):
         p3, p4 = looped_mzi(config)
         assert np.abs(report.p3 - p3).max() <= 1e-14
         assert np.abs(report.p4 - p4).max() <= 1e-14
+
+
+def test_demon_path_forgets_dephasing_and_arm_phase(rng):
+    # the purity swap's output does not depend on its input state, so neither
+    # loop 1's dephasing nor its arm phase reaches the fringes
+    for _ in range(5):
+        params = SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5))
+        eps = rng.uniform(0.0, 0.5)
+        runs = [run_double_mzi(MziConfig(chi=chi, epsilon=eps, params=params, arm_phase=a))
+                for chi in (0.0, 0.4, np.pi / 2, 2.0, -1e6)
+                for a in (np.pi / 2, 0.0, -1.3, 1e6)]
+        for run in runs[1:]:
+            assert np.abs(run.p3 - runs[0].p3).max() <= 1e-15
+
+
+def test_scatter_runs_once_with_the_demon_and_never_without(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return scatter(*args)
+
+    monkeypatch.setattr(interferometer, "scatter", counted)
+    monkeypatch.setattr(interferometer, "dephase", lambda *args: pytest.fail("dephase called"))
+    for bypass, expected in ((False, 1), (True, 0)):
+        calls.clear()
+        run_double_mzi(MziConfig(chi=0.8, epsilon=0.1, bypass_demon=bypass))
+        assert len(calls) == expected
 
 
 def test_full_dephasing_pure_demon_restores_visibility():
@@ -173,6 +216,15 @@ def test_config_validation():
         MziConfig(epsilon=-0.1)
     with pytest.raises(qm.ParameterError):
         MziConfig(flux_samples=4)
+
+
+def test_flux_samples_must_be_an_integer():
+    for bad in (96.5, 96.0, math.nan, "96"):
+        with pytest.raises(qm.ParameterError, match="flux_samples must be an integer"):
+            MziConfig(flux_samples=bad)
+    with pytest.raises(qm.ParameterError, match="flux_samples must be at least 8"):
+        MziConfig(flux_samples=True)
+    assert run_double_mzi(MziConfig(flux_samples=np.int64(16))).p3.shape == (16,)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
