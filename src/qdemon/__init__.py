@@ -13,7 +13,6 @@ from .channel import (
     ChannelConfig,
     ChannelReport,
     apply_channel,
-    channel_on_identity,
     entropy_gain,
     gamma,
     joint_unitary,
@@ -32,7 +31,6 @@ from .circuits import (
     half_rabi,
     pswap_counterexample,
     pswap_gate,
-    pswap_route,
     u14,
 )
 from .engine import (
@@ -50,7 +48,7 @@ from .engine import (
     sweep_beta,
     thermal_wit,
 )
-from .interferometer import MziConfig, VisibilityReport, dephase, run_double_mzi
+from .interferometer import MziConfig, VisibilityReport, run_double_mzi
 from .qmatrix import (
     ATOL,
     ConvergenceError,

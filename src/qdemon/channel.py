@@ -11,8 +11,8 @@ The channel is the partial trace of the joint unitary
     U = Σ_{out,in} s[out, in] |out><in| ⊗ (u_out · u_in)
 
 over the demon. Applied to the maximally mixed input it always yields
-(1/2)[[1, γ], [γ*, 1]]; γ = 0 makes the channel unital, |γ| = 1 marks
-maximal purification.
+(1/2)[[1, γ], [γ*, 1]] (derived in ``tests/test_symbolic.py``); γ = 0 makes
+the channel unital, |γ| = 1 marks maximal purification.
 """
 
 from __future__ import annotations
@@ -130,17 +130,6 @@ def _mul(a, b) -> tuple:
     (b00, b01), (b10, b11) = b
     return ((a00 * b00 + a01 * b10, a00 * b01 + a01 * b11),
             (a10 * b00 + a11 * b10, a10 * b01 + a11 * b11))
-
-
-def channel_on_identity(config: ChannelConfig) -> tuple[np.ndarray, bool]:
-    """Image of the maximally mixed state, (1/2)[[1, γ], [γ*, 1]], and unitality.
-
-    Exact by construction: unitarity of the scattering matrix pins the
-    diagonal to 1/2 and reduces the off-diagonal to γ/2.
-    """
-    g = gamma(config)
-    out = 0.5 * np.array([[1.0, g], [np.conj(g), 1.0]], dtype=complex)
-    return out, bool(abs(g) <= UNITAL_TOL)
 
 
 def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:

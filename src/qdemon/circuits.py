@@ -16,9 +16,10 @@ The double-dot protocol is the four-lead channel of ``channel`` with lead
 unitaries (q·d·q, q·q, d, 1), q = u14(ϕ), d = e^{iφ}σ_z; its ``dot_basis``
 changes only a flag, since both conventions prepare the same physical dot.
 
-The engine's partial SWAP is written once, as four stages: ``pswap_gate``
-multiplies them out, and ``pswap_route`` pushes the engine's states through
-them, the gate route the tests compare with ``engine.run_cycle``.
+The engine's partial SWAP is written once, as four stages that ``pswap_gate``
+multiplies out. ``tests/test_symbolic.py`` pushes the engine's states through
+the stages and derives ``engine.run_cycle``'s ledger, and derives the
+double-dot protocol's equivalence to the spin channel.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
-from .engine import EngineParams, thermal_wit
-from .qmatrix import (ParameterError, _require_finite, check_pure_state, dag, tensor,
-                      von_neumann_entropy)
-from .spin_demon import SpinDemonParams, beam_splitter
+from .qmatrix import ParameterError, _require_finite, check_pure_state, dag, tensor
+from .spin_demon import beam_splitter
 
 I2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -110,50 +109,6 @@ def pswap_gate(phase: float = -np.pi / 2) -> np.ndarray:
     return s4 @ s3 @ s2 @ s1
 
 
-def pswap_route(params: EngineParams, phase: float = -np.pi / 2) -> dict:
-    """Density-matrix route through one engine cycle: states, marginals, and
-    the per-stage field energies, all derived from the gate sequence alone.
-
-    Returns a dict with the final wit/dit marginals of both pairs, the
-    stage-resolved field ledger, and the energy figures (w_minus, w_plus,
-    heat) in the units of delta_w. It is what the tests compare
-    ``engine.run_cycle``'s closed forms with.
-    """
-    delta, eps = params.delta_w, params.epsilon
-    _, p_e, rho_w = thermal_wit(params.beta, delta)
-    # both demon branches (dit up, dit down) as one (2, 4, 4) stack, kept per stage
-    stacks = [np.stack([tensor(rho_w, np.diag(pops).astype(complex))
-                        for pops in ((1.0 - eps, eps), (eps, 1.0 - eps))])]
-    for g in _pswap_stages(phase):
-        stacks.append(g @ stacks[-1] @ dag(g))
-    split = np.reshape(stacks, (len(stacks), 2, 2, 2, 2, 2))
-    wits = np.einsum("snikjk->snij", split)
-    steps = np.diff(delta * wits[:, :, 0, 0].real, axis=0)
-    stage_energy = 0.0 + steps[:, 0] + steps[:, 1]  # summed from +0.0, branch by branch
-    wit_up, wit_dn = wits[-1]
-    dit_up, dit_dn = np.einsum("nkikj->nij", split[-1])
-
-    # extraction: half-Rabi NOT on the deterministically excited wit
-    pulse = half_rabi(phase)
-    wit_dn_after = pulse @ wit_dn @ dag(pulse)
-    w_plus = delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real)
-
-    w_minus = delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta
-    leftover = delta * float((wit_up[0, 0] + wit_dn_after[0, 0]).real)
-    heat = 2.0 * p_e * delta - leftover
-
-    return {
-        "wit_marginals": (wit_up, wit_dn),
-        "dit_marginals": (dit_up, dit_dn),
-        "dit_marginals_unrotated": (dag(HBAR) @ dit_up @ HBAR,
-                                    dag(HBAR) @ dit_dn @ HBAR),
-        "joints": tuple(stacks[-1]),
-        "stage_field_energy": tuple(float(e) for e in stage_energy),
-        "w_minus": w_minus, "w_plus": w_plus, "heat": heat,
-        "dit_entropies": (von_neumann_entropy(dit_up), von_neumann_entropy(dit_dn)),
-    }
-
-
 def pswap_counterexample(demon) -> bool:
     """True when the partial SWAP fails to swap against this demon state.
 
@@ -190,20 +145,6 @@ class DoubleDotConfig:
         _require_finite(**vars(self))
 
 
-def equivalent_spin_params(config: DoubleDotConfig) -> SpinDemonParams:
-    """Spin-channel phases realised by the double-dot protocol:
-    α = φ - ϕ - π/2, β = φ + ϕ + π/2."""
-    phi = config.interaction_phase
-    tp = config.tunneling_phase
-    return SpinDemonParams(
-        theta=config.theta,
-        eta=config.eta,
-        phi=phi,
-        alpha=phi - tp - np.pi / 2,
-        beta_phase=phi + tp + np.pi / 2,
-    )
-
-
 def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
                         dot_basis: str = "physical",
                         complete_rotation: bool = False) -> ChannelReport:
@@ -216,9 +157,10 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
 
     ``complete_rotation=True`` applies the dropped rotation h = half_rabi(ϕ)†,
     so the outgoing pair is (h·d, h) and the joint and demon outputs equal the
-    spin channel's with ``equivalent_spin_params``; the system output equals
-    it either way. Both ``dot_basis`` conventions ("physical", "operational")
-    prepare the same physical dot, so it changes only the ``dot-basis-*`` flag.
+    spin channel's at α = φ - ϕ - π/2, β = φ + ϕ + π/2 (derived in
+    ``tests/test_symbolic.py``); the system output equals it either way. Both
+    ``dot_basis`` conventions ("physical", "operational") prepare the same
+    physical dot, so it changes only the ``dot-basis-*`` flag.
     """
     if dot_basis not in ("physical", "operational"):
         raise ParameterError(f"unknown dot basis {dot_basis!r}")

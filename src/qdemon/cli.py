@@ -178,7 +178,7 @@ def cmd_engine(parser, args, argv) -> int:
     if args.steps < 1 and (args.mode == "sweep" or args.mode == "frontier" and args.pe is None):
         raise ParameterError(f"steps must be at least 1, got {args.steps}")
     if args.mode == "report":
-        _, p_e, _ = eng.thermal_wit(args.beta_delta, 1.0)
+        _, p_e = eng.thermal_wit(args.beta_delta, 1.0)
         eps = eng.resolve_epsilon(args.policy, p_e, bd_delta)
         report = eng.run_cycle(eng.EngineParams(
             beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
@@ -213,7 +213,7 @@ def cmd_engine(parser, args, argv) -> int:
         return 0
 
     # optimize
-    _, p_e, _ = eng.thermal_wit(args.beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(args.beta_delta, 1.0)
     pe = args.pe if args.pe is not None else p_e
     if args.target == "power":
         result = eng.optimize_epsilon_power(pe, bd_delta)

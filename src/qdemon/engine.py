@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .qmatrix import ConvergenceError, ParameterError, _require_finite
 
 #: both ends of every epsilon search bracket stay this far inside (0, p_e).
@@ -60,7 +58,7 @@ class EngineParams:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        _populations(self.beta, self.delta_w)
+        thermal_wit(self.beta, self.delta_w)
         _require_finite(beta_d=self.beta_d)
         if self.beta_d <= 0.0:
             raise ParameterError(f"beta_d must be positive, got {self.beta_d}")
@@ -113,9 +111,9 @@ class OptimizationResult:
     roots: tuple[float, ...] = field(default=())
 
 
-def _populations(beta: float, delta_w: float) -> tuple[float, float]:
-    """Gibbs populations (p_g, p_e): Z = 1 + exp(-beta*delta_w), p_g = 1/Z,
-    p_e = exp(-beta*delta_w)/Z."""
+def thermal_wit(beta: float, delta_w: float) -> tuple[float, float]:
+    """Gibbs populations (p_g, p_e) of a working qubit: Z = 1 + exp(-beta*delta_w),
+    p_g = 1/Z, p_e = exp(-beta*delta_w)/Z."""
     _require_finite(beta=beta, delta_w=delta_w)
     if delta_w <= 0.0:
         raise ParameterError(f"delta_w must be positive, got {delta_w}")
@@ -124,12 +122,6 @@ def _populations(beta: float, delta_w: float) -> tuple[float, float]:
     boltz = math.exp(-min(beta * delta_w, BETA_DELTA_CAP))
     z = 1.0 + boltz
     return 1.0 / z, boltz / z
-
-
-def thermal_wit(beta: float, delta_w: float) -> tuple[float, float, np.ndarray]:
-    """Gibbs populations (p_g, p_e) and the diagonal state in the (e, g) basis."""
-    p_g, p_e = _populations(beta, delta_w)
-    return p_g, p_e, np.diag([p_e, p_g]).astype(complex)
 
 
 def _entropy_rise(p_e: float, eps: float) -> float:
@@ -154,11 +146,11 @@ def run_cycle(params: EngineParams) -> CycleReport:
     the drive must supply during the mid-circuit rotations, w_plus =
     (1 - 2 eps) delta_w is extracted by the half-Rabi pulse, heat = w_out =
     2 delta_w (p_e - eps), and w_in = (2/beta_d)(H[p_e + eps(1-2p_e)] -
-    H[eps]) restores the demon pair. ``circuits.pswap_route`` derives the
-    same figures from the gate sequence; the tests compare the two.
+    H[eps]) restores the demon pair. ``tests/test_symbolic.py`` derives these
+    figures from the gates of ``circuits.pswap_gate``.
     """
     delta, eps = params.delta_w, params.epsilon
-    p_g, p_e = _populations(params.beta, delta)
+    p_g, p_e = thermal_wit(params.beta, delta)
 
     x = p_e + eps * (1.0 - 2.0 * p_e)
     heat = 2.0 * delta * (p_e - eps)
@@ -375,7 +367,7 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     name, fixed = parse_policy(policy)
 
     def excess(beta: float) -> float:
-        _, p_e = _populations(beta, delta_w)
+        _, p_e = thermal_wit(beta, delta_w)
         if not name.startswith("opt-"):
             eps = fixed or 0.0
             return (_entropy_cost_ratio(p_e, eps) if p_e > eps else math.inf) - beta_d_delta
@@ -402,12 +394,12 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     parallel); ordering follows the input grid.
     """
     rows = []
-    for bd in np.asarray(beta_deltas, dtype=float):
-        _, p_e = _populations(float(bd), 1.0)
+    for bd in map(float, beta_deltas):
+        _, p_e = thermal_wit(bd, 1.0)
         eps = resolve_epsilon(policy, p_e, beta_d_delta)
         report = run_cycle(EngineParams(beta=bd, beta_d=beta_d_delta,
                                         delta_w=1.0, epsilon=eps))
-        rows.append({"beta_delta": float(bd), "p_e": report.p_e, "epsilon": eps,
+        rows.append({"beta_delta": bd, "p_e": report.p_e, "epsilon": eps,
                      "heat": report.heat, "net_work": report.net_work,
                      "eta_2cy": report.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
     return rows
@@ -421,9 +413,9 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
     """
     bds = [float(b) for b in beta_d_deltas]
     rows = []
-    for pe in np.asarray(pe_values, dtype=float):
-        row = {"p_e": float(pe), "eps_eta": optimize_epsilon_eta(float(pe)).epsilon_star}
+    for pe in map(float, pe_values):
+        row = {"p_e": pe, "eps_eta": optimize_epsilon_eta(pe).epsilon_star}
         for bd in bds:
-            row[f"eps_w_bd{bd:g}"] = optimize_epsilon_power(float(pe), bd).epsilon_star
+            row[f"eps_w_bd{bd:g}"] = optimize_epsilon_power(pe, bd).epsilon_star
         rows.append(row)
     return rows

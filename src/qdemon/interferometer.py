@@ -6,11 +6,12 @@ input splitter) and restores purity from the demon; loop 2 converts the
 recovered coherence into flux-dependent oscillations of the output
 probabilities.
 
-Both loops are evaluated in closed form. Loop 1 (splitter s(0, π), arm phase
-a, dephasing χ) leaves ρ = [[1/2, z], [z*, 1/2]], z = -(1/2) cos χ e^{ia}. The
-bypass's bare splitter s(θ, η) makes ρ01 = (e^{2iθ} z - e^{-2iη} z*)/2; the
-demon path depends on neither χ nor a. The flux is a relative phase on one
-arm, so loop 2 outputs 1/2 ± Re(e^{iΦ} ρ01) of the scattered state.
+Both loops are evaluated in closed form, derived in ``tests/test_symbolic.py``.
+Loop 1 (splitter s(0, π), arm phase a, dephasing χ) leaves ρ = [[1/2, z],
+[z*, 1/2]], z = -(1/2) cos χ e^{ia}. The bypass's bare splitter s(θ, η) makes
+ρ01 = (e^{2iθ} z - e^{-2iη} z*)/2; the demon path depends on neither χ nor a.
+The flux is a relative phase on one arm, so loop 2 outputs 1/2 ± Re(e^{iΦ} ρ01)
+of the scattered state.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qmatrix import InvalidStateError, ParameterError, _require_finite, check_density_matrix
+from .qmatrix import ParameterError, _require_finite
 from .spin_demon import SpinDemonParams, scatter
 
 
@@ -65,21 +66,6 @@ class VisibilityReport:
     p3: np.ndarray
     p4: np.ndarray
     visibility: float
-
-
-def dephase(rho, chi: float) -> np.ndarray:
-    """Entangle with a fresh ancilla via a rotation of angle χ controlled on
-    the second arm, then trace the ancilla out.
-
-    The dilation's closed form: off-diagonals shrink by cos χ, populations
-    are untouched; χ = π/2 is full decoherence. ``rho`` must be a 2x2 state.
-    """
-    _require_finite(chi=chi)
-    rho = check_density_matrix(rho)
-    if rho.shape != (2, 2):
-        raise InvalidStateError(f"rho must be a 2x2 state, got shape {rho.shape}")
-    c = np.cos(chi)
-    return rho * np.array([[1.0, c], [c, 1.0]])
 
 
 def run_double_mzi(config: MziConfig) -> VisibilityReport:

@@ -140,17 +140,20 @@ def test_apply_channel_preserves_trace_hermiticity_positivity(rng):
 
 def test_channel_on_identity_commuting_rotations():
     config = ch.ChannelConfig(beam_splitter(0.7, 0.1), (SZ, I2, SZ, I2), UP)
-    out, unital = ch.channel_on_identity(config)
-    assert unital
-    assert np.allclose(out, I2 / 2, atol=1e-12)
+    report = ch.apply_channel(I2 / 2, config)
+    assert report.unital
+    assert np.allclose(report.rho_out, I2 / 2, atol=1e-12)
 
 
 def test_channel_on_identity_matches_apply(rng):
+    # Φ(1/2) = (1/2)[[1, γ], [γ*, 1]], derived symbolically in test_symbolic.py
     for _ in range(50):
         config = random_config(rng)
-        formula, _ = ch.channel_on_identity(config)
-        applied = ch.apply_channel(I2 / 2, config).rho_out
-        assert np.allclose(formula, applied, atol=1e-12)
+        g = ch.gamma(config)
+        report = ch.apply_channel(I2 / 2, config)
+        assert np.allclose(report.rho_out, 0.5 * np.array([[1.0, g], [np.conj(g), 1.0]]),
+                           atol=1e-12)
+        assert report.unital == (abs(g) <= ch.UNITAL_TOL)
 
 
 def test_gamma_maximal_value_and_sign():

@@ -10,7 +10,7 @@ from qdemon import circuits as qc
 from qdemon import qmatrix as qm
 from qdemon.channel import ChannelConfig, apply_channel, gamma
 from qdemon.spin_demon import beam_splitter, spin_config
-from conftest import random_density, random_pure
+from conftest import equivalent_spin_params, random_density, random_pure
 
 I2 = np.eye(2, dtype=complex)
 
@@ -196,7 +196,7 @@ def test_quarter_rotation_conjugation_identity(rng):
 
 def reference_channel_report(rho_in, dot_state, config):
     """The spin-channel run the double-dot protocol is equivalent to (matched phases)."""
-    return apply_channel(rho_in, spin_config(qc.equivalent_spin_params(config), dot_state))
+    return apply_channel(rho_in, spin_config(equivalent_spin_params(config), dot_state))
 
 
 def test_protocol_equals_channel_on_system(rng):
@@ -244,7 +244,7 @@ def reference_double_dot(rho_in, dot, config, complete_rotation):
     if complete_rotation:
         undo = qm.tensor(I2, qc.half_rabi(config.tunneling_phase).conj().T)
         joint = undo @ joint @ undo.conj().T
-    return joint, gamma(spin_config(qc.equivalent_spin_params(config), dot))
+    return joint, gamma(spin_config(equivalent_spin_params(config), dot))
 
 
 @pytest.mark.parametrize("complete", [False, True])
@@ -267,7 +267,7 @@ def test_protocol_matches_its_joint_evolution(rng, complete):
 
 def test_protocol_equivalent_phases():
     config = qc.DoubleDotConfig(tunneling_phase=0.4, interaction_phase=1.1)
-    params = qc.equivalent_spin_params(config)
+    params = equivalent_spin_params(config)
     assert math.isclose(params.alpha, 1.1 - 0.4 - np.pi / 2, abs_tol=1e-12)
     assert math.isclose(params.beta_phase, 1.1 + 0.4 + np.pi / 2, abs_tol=1e-12)
 
@@ -304,7 +304,7 @@ def test_protocol_validates_once_and_builds_one_config(monkeypatch, rng):
 def test_canonical_phases_give_real_circuits():
     # interaction phase 0 and tunneling phase -pi/2 wipe all imaginary parts
     config = qc.DoubleDotConfig(tunneling_phase=-np.pi / 2, interaction_phase=0.0)
-    params = qc.equivalent_spin_params(config)
+    params = equivalent_spin_params(config)
     assert abs(params.alpha) < 1e-12
     assert abs(params.beta_phase) < 1e-12
     for matrix in (qc.build_UD(), qc.build_VD(), qc.build_SWAP(),

@@ -265,7 +265,7 @@ def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_de
     code, text = run_text(capsys, ["engine", "report", "--beta-delta", str(beta_delta),
                                    "--beta-d-delta", str(bd_delta), "--policy", policy])
     assert code == 0
-    _, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta, 1.0)
     eps = eng.resolve_epsilon(policy, p_e, bd_delta)
     report = eng.run_cycle(eng.EngineParams(beta=beta_delta, beta_d=bd_delta,
                                             delta_w=1.0, epsilon=eps))
@@ -378,6 +378,19 @@ def test_engine_grid_steps_below_one_exit_2(capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"steps must be at least 1, got {args[-1]}" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_engine_sweep_overflowing_carnot_term_prints_without_warning(capsys):
+    # 1e300 / 1e-10 overflows: a Python float quietly gives -inf, a numpy scalar warned
+    args = ["engine", "sweep", "--beta-min", "1e300", "--beta-d-delta", "1e-10", "--steps", "3"]
+    assert main(args) == 0
+    assert capsys.readouterr() == (
+        "beta_delta,p_e,epsilon,heat,net_work,eta_2cy,eta_carnot\n"
+        "1e+300,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf\n"
+        "5e+299,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf\n"
+        "1e-10,0.499999999975,0,0.99999999995,-13862943610.2,-13862943610.9,0\n"
+        "# flags: engine sweep --beta-min 1e300 --beta-d-delta 1e-10 --steps 3\n", "")
 
 
 def test_engine_frontier_at_one_pe_ignores_steps(capsys):

@@ -8,8 +8,8 @@ import pytest
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
-from qdemon.circuits import CNOT_UP, HBAR, half_rabi, pswap_route, u14
-from conftest import power_stationarity, ratio_round_off
+from qdemon.circuits import CNOT_UP, HBAR, half_rabi, u14
+from conftest import power_stationarity, pswap_route, ratio_round_off
 
 LN2 = math.log(2)
 
@@ -34,14 +34,13 @@ def test_bit_entropy_values():
 
 
 def test_thermal_wit_limits():
-    _, p_e_cold, _ = eng.thermal_wit(1e9, 1.0)
+    _, p_e_cold = eng.thermal_wit(1e9, 1.0)
     assert p_e_cold < 1e-300  # capped exponent, no overflow
-    _, p_e_hot, _ = eng.thermal_wit(0.0, 1.0)
+    _, p_e_hot = eng.thermal_wit(0.0, 1.0)
     assert p_e_hot == 0.5
-    p_g, p_e, rho = eng.thermal_wit(1.0, 1.0)
+    p_g, p_e = eng.thermal_wit(1.0, 1.0)
     assert math.isclose(p_e, 1.0 / (1.0 + math.e), abs_tol=1e-15)
     assert math.isclose(p_g + p_e, 1.0, abs_tol=1e-15)
-    assert np.allclose(rho, np.diag([p_e, p_g]), atol=1e-15)
     with pytest.raises(qm.ParameterError):
         eng.thermal_wit(1.0, 0.0)
     with pytest.raises(qm.ParameterError):
@@ -51,7 +50,7 @@ def test_thermal_wit_limits():
 def test_thermal_wit_cap_keeps_smallest_subnormal():
     # exp(-BETA_DELTA_CAP) is the smallest subnormal: p_e never reaches 0.0
     for beta_delta in (eng.BETA_DELTA_CAP, 800.0, 1e9):
-        p_g, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+        p_g, p_e = eng.thermal_wit(beta_delta, 1.0)
         assert p_e == 5e-324 == math.ulp(0.0)
         assert p_g == 1.0
 
@@ -105,7 +104,7 @@ def test_ideal_cycle_unit_local_efficiency():
 
 
 def test_cycle_impurity_equal_to_occupation_yields_nothing():
-    _, p_e, _ = eng.thermal_wit(1.0, 1.0)
+    _, p_e = eng.thermal_wit(1.0, 1.0)
     report = eng.run_cycle(eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=1.0,
                                             epsilon=p_e))
     assert abs(report.w_out) < 1e-15
@@ -179,7 +178,8 @@ def branch_by_branch_route(params, phase=-np.pi / 2):
     """pswap_route as it once ran, one dit branch after the other with the
     stage gates rebuilt per call: the oracle for the stacked route."""
     delta, eps = params.delta_w, params.epsilon
-    _, p_e, rho_w = eng.thermal_wit(params.beta, delta)
+    p_g, p_e = eng.thermal_wit(params.beta, delta)
+    rho_w = np.diag([p_e, p_g]).astype(complex)
     dits = (np.diag([1.0 - eps, eps]).astype(complex), np.diag([eps, 1.0 - eps]).astype(complex))
     stages = (CNOT_UP, qm.tensor(u14(phase), HBAR), CNOT_UP,
               qm.tensor(u14(phase), np.eye(2, dtype=complex)))
@@ -251,7 +251,7 @@ def test_optimize_power_closed_form_at_half():
 
 
 def test_optimize_power_hot_regime_approximation():
-    _, p_e, _ = eng.thermal_wit(0.05, 1.0)
+    _, p_e = eng.thermal_wit(0.05, 1.0)
     xi = 1 - 2 * p_e
     for bd in (1.0, 2.0):
         approx = 1.0 / (1.0 + math.exp(bd + eng.bit_entropy_prime(p_e) * xi))
@@ -260,14 +260,14 @@ def test_optimize_power_hot_regime_approximation():
 
 
 def test_optimize_power_monotone_in_demon_temperature():
-    _, p_e, _ = eng.thermal_wit(0.4, 1.0)
+    _, p_e = eng.thermal_wit(0.4, 1.0)
     values = [eng.optimize_epsilon_power(p_e, bd).epsilon_star
               for bd in (1.0, 2.0, 4.0, 8.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_optimize_power_true_maximum_on_grid():
-    _, p_e, _ = eng.thermal_wit(0.2, 1.0)
+    _, p_e = eng.thermal_wit(0.2, 1.0)
     result = eng.optimize_epsilon_power(p_e, 2.0)
     best = net_per_delta(p_e, result.epsilon_star, 2.0)
     for eps in np.arange(1e-3, min(p_e, 0.5), 1e-3):
@@ -392,7 +392,7 @@ def test_optimize_eta_raises_where_scalar_scan_raises(p_e):
 def test_optimize_eta_demon_temperature_invariant():
     # the policy resolution must return bit-identical impurities whatever the
     # demon temperature of the surrounding sweep
-    _, p_e, _ = eng.thermal_wit(0.4, 1.0)
+    _, p_e = eng.thermal_wit(0.4, 1.0)
     values = {eng.resolve_epsilon("opt-eta", p_e, bd) for bd in (1.0, 2.0, 4.0)}
     assert len(values) == 1
     reference = eng.optimize_epsilon_eta(p_e).epsilon_star
@@ -400,7 +400,7 @@ def test_optimize_eta_demon_temperature_invariant():
 
 
 def test_optimize_eta_true_maximum_on_grid():
-    _, p_e, _ = eng.thermal_wit(0.5, 1.0)
+    _, p_e = eng.thermal_wit(0.5, 1.0)
     star = eng.optimize_epsilon_eta(p_e).epsilon_star
     best = eta_2cy(p_e, star, 2.0)
     for eps in np.arange(1e-3, p_e - 1e-3, 1e-3):
@@ -462,7 +462,7 @@ def test_minimal_beta_hot_regime_optimized():
 def policy_net_work(delta_w, policy, bd_delta):
     """Net work per delta_w at a working beta under the policy's own eps."""
     def net(beta):
-        p_e = eng._populations(beta, delta_w)[1]
+        p_e = eng.thermal_wit(beta, delta_w)[1]
         return eng._net_work_per_delta(p_e, eng.resolve_epsilon(policy, p_e, bd_delta),
                                        bd_delta)
     return net
@@ -587,12 +587,12 @@ def no_sign_change_cases():
     rng = np.random.default_rng(7557)
     # root below the floor: s > 0 on the whole bracket, the objective falls
     for _ in range(40):
-        _, p_e, _ = eng.thermal_wit(rng.uniform(0.0, 5.0), 1.0)
+        _, p_e = eng.thermal_wit(rng.uniform(0.0, 5.0), 1.0)
         yield p_e, float(np.exp(rng.uniform(math.log(36.0), math.log(300.0)))), "lo"
     # s(hi) < 0 once beta_d*delta_w falls below -s(hi) at beta_d*delta_w = 0
     # (about ln 2 cold, beta_delta hot): the objective rises to hi
     for _ in range(40):
-        _, p_e, _ = eng.thermal_wit(rng.uniform(0.5, 20.0), 1.0)
+        _, p_e = eng.thermal_wit(rng.uniform(0.5, 20.0), 1.0)
         threshold = -power_stationarity(p_e, 0.0, power_bracket(p_e)[1])
         yield p_e, threshold * rng.uniform(0.05, 0.95), "hi"
 
@@ -623,7 +623,7 @@ def test_optimize_power_root_at_upper_end_converges():
     # beta = beta_d: s(hi) ~ 2 xi^3 ~ 1e-19, so the upper end solves the
     # stationarity equation, though round-off in the objective (~1e-10 here)
     # hides the maximum from a search on the objective within ~1e-9 of it
-    _, p_e, _ = eng.thermal_wit(1e-6, 1.0)
+    _, p_e = eng.thermal_wit(1e-6, 1.0)
     result = eng.optimize_epsilon_power(p_e, 1e-6)
     assert result.epsilon_star == power_bracket(p_e)[1]
     assert result.converged and result.residual <= 1e-12
@@ -648,7 +648,7 @@ def width_only_bisect(f, lo, hi, max_iter=200):
 
 @pytest.mark.parametrize("max_iter", [200, 100])
 def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
-    _, p_e, _ = eng.thermal_wit(1e-6, 1.0)  # the `engine optimize` defaults
+    _, p_e = eng.thermal_wit(1e-6, 1.0)  # the `engine optimize` defaults
     cases = [
         (lambda eps: power_stationarity(p_e, 2.0, eps), *power_bracket(p_e)),
         (lambda x: x * x - 2.0, 1.0, 2.0),

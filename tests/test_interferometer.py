@@ -8,43 +8,15 @@ import pytest
 
 from qdemon import interferometer
 from qdemon import qmatrix as qm
-from qdemon.interferometer import MziConfig, dephase, run_double_mzi
+from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
-from conftest import random_density
 
 I2 = np.eye(2, dtype=complex)
 
 
-def balanced_pure():
-    v = np.array([1.0, 1.0]) / np.sqrt(2)
-    return np.outer(v, v.conj())
-
-
-def test_dephase_identity_at_zero_angle(rng):
-    rho = random_density(rng)
-    assert np.allclose(dephase(rho, 0.0), rho, atol=1e-12)
-
-
-def test_dephase_full_decoherence():
-    out = dephase(balanced_pure(), np.pi / 2)
-    assert np.allclose(out, I2 / 2, atol=1e-12)
-
-
-def test_dephase_partial_factor(rng):
-    rho = random_density(rng)
-    out = dephase(rho, np.pi / 3)
-    assert np.allclose(np.diag(out), np.diag(rho), atol=1e-12)
-    assert np.allclose(out[0, 1], 0.5 * rho[0, 1], atol=1e-12)
-
-
-def test_dephase_preserves_state_validity(rng):
-    for chi in rng.uniform(0, np.pi, size=10):
-        out = dephase(random_density(rng), chi)
-        qm.check_density_matrix(out)
-
-
 def dilated_dephase(rho, chi):
-    """Oracle: the ancilla dilation dephase() is the closed form of."""
+    """Oracle: loop 1's dephasing as an ancilla dilation, a rotation by χ controlled
+    on the second arm; its closed form shrinks the off-diagonals by cos χ."""
     rot = np.array([[np.cos(chi), -np.sin(chi)],
                     [np.sin(chi), np.cos(chi)]], dtype=complex)
     controlled = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
@@ -78,26 +50,6 @@ def looped_mzi(config):
         p3[i] = out[0, 0].real
         p4[i] = out[1, 1].real
     return p3, p4
-
-
-def test_dephase_matches_dilation_oracle(rng):
-    for chi in np.concatenate([[0.0, np.pi / 2, np.pi, -np.pi / 3],
-                               rng.uniform(-2 * np.pi, 2 * np.pi, size=50)]):
-        rho = random_density(rng)
-        assert np.abs(dephase(rho, chi) - dilated_dephase(rho, chi)).max() <= 1e-14
-
-
-def test_dephase_rejects_invalid_state():
-    with pytest.raises(qm.InvalidStateError):
-        dephase(np.diag([0.7, 0.7]), 0.3)
-
-
-@pytest.mark.parametrize("n", [1, 3, 4])
-def test_dephase_rejects_valid_states_of_other_sizes(n):
-    # a 1x1 state used to broadcast to a trace-2 matrix, a 4x4 one to numpy's own error
-    with pytest.raises(qm.InvalidStateError,
-                       match=re.escape(f"rho must be a 2x2 state, got shape ({n}, {n})")):
-        dephase(np.eye(n) / n, 0.3)
 
 
 def test_fringes_match_looped_oracle(rng):
@@ -143,7 +95,6 @@ def test_scatter_runs_once_with_the_demon_and_never_without(monkeypatch):
         return scatter(*args)
 
     monkeypatch.setattr(interferometer, "scatter", counted)
-    monkeypatch.setattr(interferometer, "dephase", lambda *args: pytest.fail("dephase called"))
     for bypass, expected in ((False, 1), (True, 0)):
         calls.clear()
         run_double_mzi(MziConfig(chi=0.8, epsilon=0.1, bypass_demon=bypass))
@@ -230,7 +181,6 @@ def test_flux_samples_must_be_an_integer():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_rejected(bad):
     calls = {
-        "dephase": ("chi", lambda: dephase(balanced_pure(), bad)),
         "MziConfig(chi)": ("chi", lambda: MziConfig(chi=bad)),
         "MziConfig(arm_phase)": ("arm_phase", lambda: MziConfig(arm_phase=bad)),
     }

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from qdemon import channel as ch
 from qdemon import engine as eng
-from qdemon.circuits import DoubleDotConfig, double_dot_protocol, pswap_route
+from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.qmatrix import ConvergenceError
 from qdemon.spin_demon import SpinDemonParams, spin_config
-from conftest import power_stationarity, random_density, random_unitary, ratio_round_off
+from conftest import (power_stationarity, pswap_route, random_density, random_unitary,
+                      ratio_round_off)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -94,7 +95,7 @@ beta_d_deltas = st.floats(1e-2, 1e3)
 @PROPERTY
 @given(beta_delta=beta_deltas, bd_delta=beta_d_deltas)
 def test_power_stationarity_increases_on_bracket(beta_delta, bd_delta):
-    _, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta, 1.0)
     grid = np.linspace(eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR, 65)
     s = [power_stationarity(p_e, bd_delta, float(eps)) for eps in grid]
     assert all(a < b for a, b in zip(s, s[1:]))
@@ -108,7 +109,7 @@ def test_power_stationarity_increases_on_bracket(beta_delta, bd_delta):
 @example(beta_delta=1e-6, bd_delta=2.0)
 @example(beta_delta=0.0, bd_delta=1e-2)
 def test_power_optimum_is_a_local_maximum(beta_delta, bd_delta):
-    _, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta, 1.0)
     result = eng.optimize_epsilon_power(p_e, bd_delta)
     lo, hi = eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR
     assert lo <= result.epsilon_star <= hi
@@ -125,7 +126,7 @@ def test_power_optimum_is_a_local_maximum(beta_delta, bd_delta):
 @example(beta_delta=0.0, bd_delta=2.0, delta_w=1.0)
 @example(beta_delta=32.0, bd_delta=40.0, delta_w=1.0)
 def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_delta, delta_w):
-    _, p_e, _ = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta, 1.0)
     eps = eng.optimize_epsilon_power(p_e, bd_delta).epsilon_star
     beta, beta_d = beta_delta / delta_w, bd_delta / delta_w
     r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
