@@ -31,9 +31,8 @@ import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
 from .qmatrix import ParameterError, _require_finite, check_pure_state, dag, tensor
-from .spin_demon import beam_splitter
+from .spin_demon import I2, beam_splitter
 
-I2 = np.eye(2, dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 

@@ -157,14 +157,11 @@ def cmd_gates(parser, args, argv) -> int:
 
 
 def cmd_mzi(parser, args, argv) -> int:
-    try:
-        config = MziConfig(chi=args.chi, epsilon=args.epsilon,
-                           flux_samples=args.flux_steps,
-                           params=_spin_params(args),
-                           arm_phase=args.arm_phase,
-                           bypass_demon=args.bypass_demon)
-    except ParameterError as exc:
-        parser.error(str(exc))
+    config = MziConfig(chi=args.chi, epsilon=args.epsilon,
+                       flux_samples=args.flux_steps,
+                       params=_spin_params(args),
+                       arm_phase=args.arm_phase,
+                       bypass_demon=args.bypass_demon)
     report = run_double_mzi(config)
     rows = [{"flux_rad": f, "p3": p3, "p4": p4}
             for f, p3, p4 in zip(report.flux, report.p3, report.p4)]
@@ -175,6 +172,8 @@ def cmd_mzi(parser, args, argv) -> int:
 
 def cmd_engine(parser, args, argv) -> int:
     bd_delta = args.beta_d_delta[0]
+    if len(args.beta_d_delta) > 1 and args.mode != "frontier":
+        raise ParameterError(f"{args.mode} takes one beta_d_delta, got {len(args.beta_d_delta)}")
     if args.steps < 1 and (args.mode == "sweep" or args.mode == "frontier" and args.pe is None):
         raise ParameterError(f"steps must be at least 1, got {args.steps}")
     if args.mode == "report":
@@ -184,6 +183,7 @@ def cmd_engine(parser, args, argv) -> int:
             beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
         doc = dict(vars(report), field_ledger=dict(report.field_ledger),
                    epsilon=eps, policy=args.policy)
+        doc = {k: None if v != v else v for k, v in doc.items()}  # JSON has no NaN
         _write(args.output, json.dumps(doc, indent=2) + "\n")
         return 0
 
@@ -193,6 +193,9 @@ def cmd_engine(parser, args, argv) -> int:
         for beta in (args.beta_min, end):  # refused before linspace, which can overflow
             if beta < 0.0:
                 raise ParameterError(f"beta must be non-negative, got {beta}")
+        if args.beta_min > end:
+            raise ParameterError(f"beta_min must not exceed the sweep end {end}, "
+                                 f"got {args.beta_min}")
         grid = np.linspace(args.beta_min, end, args.steps)
         rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))

@@ -158,7 +158,7 @@ def run_cycle(params: EngineParams) -> CycleReport:
     w_plus = (1.0 - 2.0 * eps) * delta
     w_out = heat  # identical by construction: w_plus - w_minus up to round-off
     dit_entropy = bit_entropy(x)
-    w_in = 2.0 * _entropy_rise(p_e, eps) / params.beta_d
+    w_in = 2.0 * (dit_entropy - bit_entropy(eps)) / params.beta_d
     net = w_out - w_in
     eta_local = w_out / heat if heat > 0.0 else math.nan
     eta_2cy = net / heat if heat > 0.0 else math.nan

@@ -226,6 +226,10 @@ def _engine_cases(rng: random.Random) -> list[list[str]]:
         ["engine", "report", "--policy", "ideal", "--output", OUT],
         ["engine", "sweep", "--steps", "4", f"--output={OUT}"],
         ["engine", "frontier", "--steps", "3", "--o", OUT],
+        # several βdΔ are a frontier's columns; every other mode takes one
+        ["engine", "report", "--beta-delta", "1", "--beta-d-delta", "3", "7", "nan"],
+        ["engine", "sweep", "--beta-d-delta", "2", "4", "--steps", "3"],
+        ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "2", "2"],
     ]
     return cases
 
@@ -244,6 +248,7 @@ SHOWN = {
     ("engine", "sweep", "--beta-min", "1e300", "--beta-d-delta", "1e-10", "--steps", "3"),
     ("engine", "report", "--beta-delta", "1", "--policy", "opt-power", "--beta-d-delta", "40"),
     ("engine",),
+    ("engine", "report", "--beta-delta", "1", "--beta-d-delta", "3", "7", "nan"),
 }
 
 

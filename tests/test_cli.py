@@ -259,7 +259,7 @@ def cycle_json(report):
 
 @pytest.mark.parametrize("beta_delta,bd_delta,policy", [
     (1e-6, 2.0, "ideal"), (0.5, 3.0, "opt-power"), (0.7, 2.0, "opt-eta"),
-    (0.5, 2.0, "fixed:0.4"),  # no heat absorbed: NaN efficiencies
+    (0.5, 2.0, "fixed:0.4"),  # no heat absorbed: NaN efficiencies, written as null
 ])
 def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_delta, policy):
     code, text = run_text(capsys, ["engine", "report", "--beta-delta", str(beta_delta),
@@ -272,6 +272,7 @@ def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_de
     doc = cycle_json(report)
     doc["epsilon"] = eps
     doc["policy"] = policy
+    doc = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in doc.items()}
     assert text == json.dumps(doc, indent=2) + "\n"
 
 
@@ -383,14 +384,35 @@ def test_engine_grid_steps_below_one_exit_2(capsys, args):
 @pytest.mark.filterwarnings("error")
 def test_engine_sweep_overflowing_carnot_term_prints_without_warning(capsys):
     # 1e300 / 1e-10 overflows: a Python float quietly gives -inf, a numpy scalar warned
+    rows = eng.sweep_beta(1e-10, "ideal", [1e300, 5e299])
+    assert cli._csv(rows, []).splitlines()[:3] == [
+        "beta_delta,p_e,epsilon,heat,net_work,eta_2cy,eta_carnot",
+        "1e+300,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf",
+        "5e+299,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf"]
+    # the CLI sweeps upward only, to beta_d_delta * beta_max_frac, and refuses this grid
     args = ["engine", "sweep", "--beta-min", "1e300", "--beta-d-delta", "1e-10", "--steps", "3"]
-    assert main(args) == 0
-    assert capsys.readouterr() == (
-        "beta_delta,p_e,epsilon,heat,net_work,eta_2cy,eta_carnot\n"
-        "1e+300,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf\n"
-        "5e+299,4.94065645841e-324,0,9.88131291682e-324,-7.36157812303e-311,-7.45e+12,-inf\n"
-        "1e-10,0.499999999975,0,0.99999999995,-13862943610.2,-13862943610.9,0\n"
-        "# flags: engine sweep --beta-min 1e300 --beta-d-delta 1e-10 --steps 3\n", "")
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "beta_min must not exceed the sweep end 1e-10, got 1e+300" in captured.err
+
+
+@pytest.mark.parametrize("args, values", [
+    (["engine", "report", "--beta-delta", "1"], ["3", "7", "nan"]),
+    (["engine", "sweep", "--steps", "3"], ["2", "4"]),
+    (["engine", "optimize"], ["2", "2"]),
+    (["engine", "optimize", "--target", "eta", "--pe", "0.3"], ["2", "inf"]),
+])
+def test_engine_extra_beta_d_delta_outside_frontier_exits_2(capsys, args, values):
+    # only frontier has a column per value
+    with pytest.raises(SystemExit) as err:
+        main([*args, "--beta-d-delta", *values])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{args[1]} takes one beta_d_delta, got {len(values)}" in captured.err
 
 
 def test_engine_frontier_at_one_pe_ignores_steps(capsys):

@@ -1,7 +1,9 @@
-"""Source hygiene: no module in the package imports a name it never uses, and
-the layers import downwards only."""
+"""Source hygiene: no module in the package imports a name it never uses, the
+layers import downwards only, each public name has one defining module, and
+importing the engine loads no other layer."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -70,3 +72,38 @@ def test_engine_imports_only_the_standard_library_and_qmatrix():
 def test_circuits_does_not_import_the_engine():
     modules = imported_modules((PACKAGE / "circuits.py").read_text(encoding="utf-8"))
     assert ".engine" not in modules and "qdemon" not in modules
+
+
+def public_definitions(source: str) -> set[str]:
+    """Public names a module binds at its top level by ``def``, ``class`` or
+    assignment; imported names are not definitions."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return {name for name in found if not name.startswith("_")}
+
+
+def test_definition_reader_skips_imports_and_private_names():
+    source = ("from .spin_demon import I2\nX = Y = 1\nW: int = 0\n_Z = 2\na, (b, c) = 1, (2, 3)\n"
+              "def f(): pass\nclass K: pass\nif True:\n    nested = 1\n")
+    assert public_definitions(source) == {"X", "Y", "W", "a", "b", "c", "f", "K"}
+
+
+def test_no_public_name_is_defined_in_two_modules():
+    owners = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name in public_definitions(path.read_text(encoding="utf-8")):
+            owners.setdefault(name, []).append(path.name)
+    assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_importing_the_engine_loads_no_other_package_module():
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qdemon.engine; "
+            "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'qdemon'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["qdemon", "qdemon.engine", "qdemon.qmatrix"]
