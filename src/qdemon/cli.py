@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import shlex
 import sys
 
@@ -74,11 +75,19 @@ def _recorded_flags(argv: list[str]) -> str:
 def _csv(rows: list[dict], argv: list[str], footer: list[str] = ()) -> str:
     header = list(rows[0].keys()) if rows else []
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in header))
+    lines += [",".join([format(row[k], ".12g") for k in header]) for row in rows]
     lines.extend(footer)
     lines.append("# flags: " + _recorded_flags(argv))
     return "\n".join(lines) + "\n"
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` as Python floats, bit for bit: numpy steps
+    by (stop - start)/(num - 1) unless that underflows to 0, and ends on stop."""
+    div, delta = max(num - 1, 1), stop - start
+    step = delta / div
+    points = [(i * step if step else i / div * delta) + start for i in range(num)]
+    return points[:-1] + [stop] if num > 1 else points
 
 
 def _spin_params(args) -> SpinDemonParams:
@@ -196,7 +205,7 @@ def cmd_engine(parser, args, argv) -> int:
         if args.beta_min > end:
             raise ParameterError(f"beta_min must not exceed the sweep end {end}, "
                                  f"got {args.beta_min}")
-        grid = np.linspace(args.beta_min, end, args.steps)
+        grid = _linspace(args.beta_min, end, args.steps)
         rows = eng.sweep_beta(bd_delta, args.policy, grid)
         _write(args.output, _csv(rows, argv))
         return 0
@@ -206,7 +215,7 @@ def cmd_engine(parser, args, argv) -> int:
             pes = [args.pe]
         else:
             _require_finite(pe_min=args.pe_min)
-            pes = np.linspace(args.pe_min, 0.5, args.steps)
+            pes = _linspace(args.pe_min, 0.5, args.steps)
         rows = eng.frontier_epsilons(pes, args.beta_d_delta)
         bad = [r for r in rows if any(v != v for v in r.values())]
         if bad:
@@ -222,7 +231,7 @@ def cmd_engine(parser, args, argv) -> int:
         result = eng.optimize_epsilon_power(pe, bd_delta)
     else:
         # βdΔ is only echoed into the report here; check it as the power target does
-        if not 0.0 < bd_delta < np.inf:
+        if not 0.0 < bd_delta < math.inf:
             raise ParameterError(f"beta_d_delta must be finite and positive, got {bd_delta}")
         result = eng.optimize_epsilon_eta(pe)
     doc = dict(vars(result), target=args.target, p_e=pe, beta_d_delta=bd_delta)

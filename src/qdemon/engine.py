@@ -59,9 +59,7 @@ class EngineParams:
 
     def __post_init__(self):
         thermal_wit(self.beta, self.delta_w)
-        _require_finite(beta_d=self.beta_d)
-        if self.beta_d <= 0.0:
-            raise ParameterError(f"beta_d must be positive, got {self.beta_d}")
+        _check_beta_d(self.beta_d)
         if not 0.0 <= self.epsilon <= 0.5:
             raise ParameterError(f"epsilon must lie in [0, 1/2], got {self.epsilon}")
 
@@ -111,6 +109,12 @@ class OptimizationResult:
     roots: tuple[float, ...] = field(default=())
 
 
+def _check_beta_d(beta_d: float) -> None:
+    _require_finite(beta_d=beta_d)
+    if beta_d <= 0.0:
+        raise ParameterError(f"beta_d must be positive, got {beta_d}")
+
+
 def thermal_wit(beta: float, delta_w: float) -> tuple[float, float]:
     """Gibbs populations (p_g, p_e) of a working qubit: Z = 1 + exp(-beta*delta_w),
     p_g = 1/Z, p_e = exp(-beta*delta_w)/Z."""
@@ -139,6 +143,15 @@ def _entropy_cost_ratio(p_e: float, eps: float) -> float:
     return _entropy_rise(p_e, eps) / (p_e - eps)
 
 
+def _cycle(p_e: float, eps: float, delta: float, beta_d: float):
+    """(heat, H[x], w_in, net work, eta_2cy) of one cycle, x = p_e + eps(1-2p_e)."""
+    heat = 2.0 * delta * (p_e - eps)
+    dit_entropy = bit_entropy(p_e + eps * (1.0 - 2.0 * p_e))
+    w_in = 2.0 * (dit_entropy - bit_entropy(eps)) / beta_d
+    net = heat - w_in
+    return heat, dit_entropy, w_in, net, net / heat if heat > 0.0 else math.nan
+
+
 def run_cycle(params: EngineParams) -> CycleReport:
     """Closed-form bookkeeping of one cycle.
 
@@ -151,17 +164,11 @@ def run_cycle(params: EngineParams) -> CycleReport:
     """
     delta, eps = params.delta_w, params.epsilon
     p_g, p_e = thermal_wit(params.beta, delta)
-
-    x = p_e + eps * (1.0 - 2.0 * p_e)
-    heat = 2.0 * delta * (p_e - eps)
+    heat, dit_entropy, w_in, net, eta_2cy = _cycle(p_e, eps, delta, params.beta_d)
     w_minus = delta * (1.0 - 2.0 * p_e)
     w_plus = (1.0 - 2.0 * eps) * delta
     w_out = heat  # identical by construction: w_plus - w_minus up to round-off
-    dit_entropy = bit_entropy(x)
-    w_in = 2.0 * (dit_entropy - bit_entropy(eps)) / params.beta_d
-    net = w_out - w_in
     eta_local = w_out / heat if heat > 0.0 else math.nan
-    eta_2cy = net / heat if heat > 0.0 else math.nan
 
     ledger = (("pswap_mid_rotations", w_minus), ("pswap_final_rotations", 0.0),
               ("extraction_pulse", -w_plus))
@@ -369,8 +376,12 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
     def excess(beta: float) -> float:
         _, p_e = thermal_wit(beta, delta_w)
         if not name.startswith("opt-"):
-            eps = fixed or 0.0
-            return (_entropy_cost_ratio(p_e, eps) if p_e > eps else math.inf) - beta_d_delta
+            if fixed:
+                return (_entropy_cost_ratio(p_e, fixed) if p_e > fixed else math.inf) - beta_d_delta
+            # R(p_e, 0) with ln p_e = -x - ln(1 + e^-x), exact where p_e is subnormal
+            x = min(beta * delta_w, BETA_DELTA_CAP)
+            ratio = x + math.log1p(math.exp(-x)) - (1.0 - p_e) * math.log1p(-p_e) / p_e
+            return ratio - beta_d_delta
         # eps* lies below the floor wherever p_e <= 2 EPS_FLOOR; opt-eta reports
         # that as non-convergence at 2 EPS_FLOOR, where its bracket is one point
         result = optimize_epsilon_eta(max(p_e, 2.0 * EPS_FLOOR))
@@ -391,17 +402,17 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     heat and net work in units of delta_w, and both efficiencies.
 
     Rows are pure functions of their grid point (safe to compute in
-    parallel); ordering follows the input grid.
+    parallel); ordering follows the input grid. Each row holds the fields of
+    ``run_cycle`` at its point, computed without building its dataclasses.
     """
     rows = []
     for bd in map(float, beta_deltas):
         _, p_e = thermal_wit(bd, 1.0)
         eps = resolve_epsilon(policy, p_e, beta_d_delta)
-        report = run_cycle(EngineParams(beta=bd, beta_d=beta_d_delta,
-                                        delta_w=1.0, epsilon=eps))
-        rows.append({"beta_delta": bd, "p_e": report.p_e, "epsilon": eps,
-                     "heat": report.heat, "net_work": report.net_work,
-                     "eta_2cy": report.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
+        _check_beta_d(beta_d_delta)
+        heat, _, _, net, eta_2cy = _cycle(p_e, eps, 1.0, beta_d_delta)
+        rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
+                     "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
     return rows
 
 

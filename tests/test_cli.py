@@ -305,7 +305,7 @@ def test_engine_policy_nonconvergence_exits_3(capsys, args):
     ["engine", "optimize", "--beta-d-delta", "nan"],
     ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "nan"],
     ["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta=-inf"],
-    # grid ends, checked before numpy builds a grid of NaNs from them
+    # grid ends, checked before a grid of NaNs is built from them
     ["engine", "sweep", "--beta-max-frac", "inf"],
     ["engine", "sweep", "--beta-d-delta", "1e308", "--beta-max-frac", "10"],
     ["engine", "sweep", "--beta-min=-inf"],
@@ -323,10 +323,10 @@ def test_engine_non_finite_input_exits_2(capsys, args):
 
 
 @pytest.mark.parametrize("args", [
-    # finite ends whose difference overflows inside np.linspace
+    # finite ends whose difference overflows inside the grid builder
     ["engine", "sweep", "--beta-min=-1e308", "--beta-d-delta", "1e308"],
     ["engine", "sweep", "--beta-min=-0.5", "--steps", "3"],
-    # a negative sweep end, whose span from 1e308 overflows inside np.linspace
+    # a negative sweep end, whose span from 1e308 overflows inside the grid builder
     ["engine", "sweep", "--beta-min", "1e308", "--beta-d-delta", "1e308",
      "--beta-max-frac", "-1"],
 ])
@@ -343,6 +343,24 @@ def test_engine_negative_beta_min_exits_2(capsys, args):
 def test_csv_writes_nan_cells_as_nan():
     rows = [{"a": float("nan"), "b": np.float64("nan"), "c": -np.float64("nan"), "d": 0.5}]
     assert cli._csv(rows, []).splitlines()[:2] == ["a,b,c,d", "nan,nan,nan,0.5"]
+
+
+def test_linspace_is_numpy_linspace_bit_for_bit():
+    def bits(points):
+        return [float(x).hex() for x in points]
+
+    rng = np.random.default_rng(18)
+    # one point, a descending grid, signed zeros, and a step that underflows to 0
+    grids = [(0.3, 0.7, 1), (-0.0, 0.0, 1), (-0.0, 0.0, 3), (0.7, 0.5, 11), (0.0, 5e-324, 3),
+             (0.0, 1.5e-323, 10)]
+    for _ in range(1000):
+        # the benchmark's grids: 21-point sweeps from 0, 11-point frontiers up to 1/2
+        bdd = math.exp(rng.uniform(math.log(0.5), math.log(40.0)))
+        bd = float(rng.uniform(0.0, bdd))
+        grids += [(0.0, bdd * (bd / bdd), 21), (eng.thermal_wit(bd, 1.0)[1], 0.5, 11)]
+    for start, stop, num in grids:
+        assert bits(cli._linspace(start, stop, num)) == bits(np.linspace(start, stop, num)), (
+            start, stop, num)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -2,9 +2,12 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
@@ -446,7 +449,17 @@ def test_minimal_beta_raises_past_the_population_cap(beta_d, delta_w, policy):
 
 
 def test_minimal_beta_below_the_population_cap_unchanged():
-    assert eng.minimal_beta(700.0, 1.0, "ideal") == 698.9999999999999
+    assert eng.minimal_beta(700.0, 1.0, "ideal") == 699.0
+
+
+@pytest.mark.parametrize("delta_w", [1.0, 2.0])
+@pytest.mark.parametrize("policy", ["ideal", "fixed:0"])
+def test_minimal_beta_exact_where_p_e_is_subnormal(delta_w, policy):
+    # R = beta*delta_w + 1 up to e^-beta*delta_w, so the root is beta_d - 1/delta_w;
+    # ln p_e taken from a subnormal p_e once put it 0.092 off at beta_d*delta_w = 744
+    for beta_d_delta in np.linspace(700.0, 744.0, 45):
+        beta_d = float(beta_d_delta) / delta_w
+        assert abs(eng.minimal_beta(beta_d, delta_w, policy) - (beta_d - 1.0 / delta_w)) <= 1e-12
 
 
 def test_minimal_beta_hot_regime_optimized():
@@ -537,6 +550,62 @@ def test_sweep_rows_and_determinism():
                             "net_work", "eta_2cy", "eta_carnot"}
         assert math.isclose(row["eta_carnot"], 1 - row["beta_delta"] / 2.0,
                             abs_tol=1e-12)
+
+
+def cycle_row(beta_d_delta, policy, bd):
+    """A sweep row as ``run_cycle`` gives it: the oracle for sweep_beta's arithmetic."""
+    _, p_e = eng.thermal_wit(bd, 1.0)
+    eps = eng.resolve_epsilon(policy, p_e, beta_d_delta)
+    r = eng.run_cycle(eng.EngineParams(beta=bd, beta_d=beta_d_delta, delta_w=1.0, epsilon=eps))
+    return {"beta_delta": bd, "p_e": r.p_e, "epsilon": eps, "heat": r.heat,
+            "net_work": r.net_work, "eta_2cy": r.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta}
+
+
+def outcome(fn, *args):
+    """The bits of fn's rows, or the type and message of what it raised."""
+    try:
+        rows = fn(*args)
+    except (qm.ParameterError, qm.ConvergenceError) as exc:
+        return type(exc), str(exc)
+    return [{k: float(v).hex() for k, v in row.items()} for row in rows]
+
+
+policies = st.one_of(st.sampled_from(["ideal", "opt-power", "opt-eta"]),
+                     st.floats(0.0, 0.5).map(lambda eps: f"fixed:{eps!r}"))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(policy=policies, beta_d_delta=st.floats(1e-3, 60.0),
+       beta_deltas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 60.0),
+                                      st.floats(eng.BETA_DELTA_CAP, 1e300)), max_size=4))
+@example(policy="ideal", beta_d_delta=2.0, beta_deltas=[0.0, 1.0, 800.0])
+@example(policy="fixed:0.5", beta_d_delta=2.0, beta_deltas=[0.0, 2.0])
+@example(policy="opt-eta", beta_d_delta=40.0, beta_deltas=[0.0, 20.0, 40.0])
+def test_sweep_rows_are_the_cycle(policy, beta_d_delta, beta_deltas):
+    got = outcome(eng.sweep_beta, beta_d_delta, policy, beta_deltas)
+    rows = [outcome(lambda: [cycle_row(beta_d_delta, policy, bd)]) for bd in beta_deltas]
+    failed = [r for r in rows if not isinstance(r, list)]
+    assert got == (failed[0] if failed else [row for r in rows for row in r])
+
+
+@pytest.mark.parametrize("policy", ["ideal", "fixed:0.1", "opt-power", "opt-eta"])
+@pytest.mark.parametrize("beta_d_delta", [0.0, -1.0, math.nan, math.inf])
+def test_sweep_refuses_beta_d_delta_as_the_cycle_does(policy, beta_d_delta):
+    want = outcome(lambda: [cycle_row(beta_d_delta, policy, 1.0)])
+    assert outcome(eng.sweep_beta, beta_d_delta, policy, [1.0]) == want
+    assert not isinstance(want, list)
+    assert eng.sweep_beta(beta_d_delta, policy, []) == []
+
+
+@pytest.mark.parametrize("policy", ["ideal", "fixed:0.1", "opt-power", "opt-eta"])
+def test_sweep_row_builds_no_dataclass(policy):
+    # a row is arithmetic: one population, no EngineParams or CycleReport to validate
+    with mock.patch.object(eng, "thermal_wit", wraps=eng.thermal_wit) as wit, \
+         mock.patch.object(eng, "EngineParams", wraps=eng.EngineParams) as params, \
+         mock.patch.object(eng, "CycleReport", wraps=eng.CycleReport) as report:
+        rows = eng.sweep_beta(2.0, policy, np.linspace(0.0, 2.0, 21))
+    assert len(rows) == wit.call_count == 21
+    assert params.call_count == report.call_count == 0
 
 
 def test_frontier_epsilon_orderings():
