@@ -199,9 +199,10 @@ def _bisect(f, lo: float, hi: float, max_iter: int = 200):
 
 
 #: Newton in t = ln(eps/(1-eps)) (ds/dt in [1/2, 1] on the bracket) ends one
-#: evaluation after a step this short, whose error is about its square ...
+#: evaluation after a step this short, whose error is about its square, or after
+#: bisecting a sign bracket this narrow, where the level's round-off swamps s ...
 _T_SETTLED = 1e-8
-#: ... or at a step below this many ulps of 1 + |t| + beta_d*delta_w: s's round-off
+#: ... or at a step below this many ulps of 1 + |t| + |level|: s's round-off
 _S_NOISE = 8.0 * 2.0**-52
 
 
@@ -220,34 +221,37 @@ def _bracket(p_e: float, xi: float) -> tuple[float, float, float, float]:
     return lo, hi, *ends
 
 
-def _max_net_work(p_e, xi, beta_d_delta, bracket, t):
-    """(eps, s(eps), Newton steps, t, root found) maximising the net work on
-    the bracket: without a sign change of s, the end where it is larger (lo if
-    s >= 0 there); else Newton on s(t) from t, bisecting when a step leaves the
-    sign bracket."""
+def _max_net_work(p_e, xi, level, bracket, t):
+    """(eps, s(eps), Newton steps, root found) for s(eps) = xi H'[x] - H'[eps] +
+    level(eps) on the bracket: without a sign change of s, the end where it is
+    larger (lo if s >= 0 there); else Newton on s(t) from t, bisecting when a
+    step leaves the sign bracket. The step leaves level's slope out: exact for
+    a constant level, and for level = R it is Newton's step on R's stationarity
+    function (p_e - eps) s, whose t-slope is (p_e - eps) ds/dt."""
     lo, hi, g_lo, g_hi = bracket
-    s_lo, s_hi = g_lo + beta_d_delta, g_hi + beta_d_delta
+    s_lo, s_hi = g_lo + level(lo), g_hi + level(hi)
     if not s_lo * s_hi < 0.0:
-        return (lo, s_lo, 0, t, False) if s_lo >= 0.0 else (hi, s_hi, 0, t, False)
+        return (lo, s_lo, 0, False) if s_lo >= 0.0 else (hi, s_hi, 0, False)
     a, b = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
     t, settled = min(max(t, a), b), False
     for it in range(1, 101):
         eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
         x = p_e + eps * xi
+        lev = level(eps)
         # s(eps) with H' written as bit_entropy_prime writes it
-        s = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps) + beta_d_delta
+        s = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps) + lev
         if s < 0.0:
             a = t
         else:
             b = t
         step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
-        if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(beta_d_delta)):
+        if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(lev)):
             break
         if a < t - step < b:
             t, settled = t - step, abs(step) <= _T_SETTLED
         else:
-            t = 0.5 * (a + b)
-    return eps, s, it, t, True
+            t, settled = 0.5 * (a + b), b - a <= _T_SETTLED
+    return eps, s, it, True
 
 
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
@@ -271,7 +275,8 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
         raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
     xi = 1.0 - 2.0 * p_e
     t0 = -xi * bit_entropy_prime(p_e) - beta_d_delta
-    eps, s, iters, _, inside = _max_net_work(p_e, xi, beta_d_delta, _bracket(p_e, xi), t0)
+    eps, s, iters, inside = _max_net_work(p_e, xi, lambda _: beta_d_delta,
+                                          _bracket(p_e, xi), t0)
     return OptimizationResult(
         epsilon_star=eps, objective_value=_net_work_per_delta(p_e, eps, beta_d_delta),
         converged=abs(s) <= 1e-12, iterations=iters, residual=abs(s),
@@ -282,14 +287,12 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     """Demon impurity maximising the two-cycle efficiency.
 
     It minimises R(eps) = (H[x] - H[eps])/(p_e - eps), free of the demon
-    temperature. R's stationarity equation [xi H'[x] - H'[eps]](p_e - eps) +
-    H[x] - H[eps] = 0 is the opt-power condition at beta_d*delta_w = R(eps),
-    so Dinkelbach's iteration lambda <- R(eps_power(lambda)) solves it (W.
-    Dinkelbach, "On nonlinear fractional programming", Management Science
-    13(7), 1967), stopping once lambda fails to fall by more than a few ulps.
-    Each opt-power solve starts from the last t; iterations sums their Newton
-    steps. converged needs a root inside opt-power's bracket (roots = (eps*,))
-    and a residual <= 1e-12. At p_e = 1/2 the root is the boundary eps = 1/2.
+    temperature. R's stationarity function F(eps) = [xi H'[x] - H'[eps]](p_e -
+    eps) + H[x] - H[eps] is (p_e - eps) times opt-power's s with R(eps) in place
+    of beta_d*delta_w, and shares its sign, so opt-power's one Newton search with
+    level R solves F = 0; iterations counts its steps. converged needs a root
+    inside the bracket (roots = (eps*,)) and |F| <= 1e-12 (residual). At
+    p_e = 1/2 the root is the boundary eps = 1/2.
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
@@ -298,24 +301,18 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
                                   iterations=0, residual=0.0, roots=(0.5,))
     xi = 1.0 - 2.0 * p_e
     bracket = _bracket(p_e, xi)
-    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start
-    # near both (from p_e^2/2 lambda only halves per step near 1/2)
+    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near both
     eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
     eps = min(max(eps, bracket[0]), bracket[1])
-    lam, t, iters = _entropy_cost_ratio(p_e, eps), math.log(eps / (1.0 - eps)), 0
-    for _ in range(60):
-        eps, _, steps, t, inside = _max_net_work(p_e, xi, lam, bracket, t)
-        iters += steps
-        ratio = _entropy_cost_ratio(p_e, eps)
-        if not ratio < lam - 4.0 * math.ulp(lam):
-            break
-        lam = ratio
+    eps, _, iters, inside = _max_net_work(p_e, xi, lambda e: _entropy_cost_ratio(p_e, e),
+                                          bracket, math.log(eps / (1.0 - eps)))
     x = p_e + eps * xi
     residual = abs(_stationarity_base(p_e, xi, eps) * (p_e - eps)
                    + bit_entropy(x) - bit_entropy(eps))
     return OptimizationResult(
-        epsilon_star=eps, objective_value=ratio, converged=inside and residual <= 1e-12,
-        iterations=iters, residual=residual, roots=(eps,) if inside else ())
+        epsilon_star=eps, objective_value=_entropy_cost_ratio(p_e, eps),
+        converged=inside and residual <= 1e-12, iterations=iters, residual=residual,
+        roots=(eps,) if inside else ())
 
 
 def parse_policy(policy: str) -> tuple[str, float | None]:
@@ -359,13 +356,13 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
 
     Net work is 2 (p_e - eps)(1 - R/(beta_d delta_w)), R the entropy cost ratio
     at the policy's eps (+inf once p_e <= eps); the optimal policies share R's
-    minimum over eps, opt-eta's objective (Dinkelbach's fixed point). R rises
-    with beta, so the answer is the one root of R = beta_d delta_w on [0, beta_d],
-    bisected; NaN when R at beta = 0 is not below beta_d delta_w (e.g. the
-    ideal policy at beta_d*delta_w <= 2 ln 2). ParameterError when R at
-    beta_d is not above it either: p_e stops falling at BETA_DELTA_CAP, so
-    for the ideal and fixed policies beyond about beta_d*delta_w = 745 no
-    root is left to bracket (the optimal ones stop converging long before).
+    minimum over eps, opt-eta's objective. R rises with beta, so the answer is
+    the one root of R = beta_d delta_w on [0, beta_d], bisected; NaN when R at
+    beta = 0 is not below beta_d delta_w (e.g. the ideal policy at
+    beta_d*delta_w <= 2 ln 2). ParameterError when R at beta_d is not above it
+    either: p_e stops falling at BETA_DELTA_CAP, so for the ideal and fixed
+    policies beyond about beta_d*delta_w = 745 no root is left to bracket (the
+    optimal ones stop converging long before).
     """
     _require_finite(beta_d=beta_d, delta_w=delta_w)
     if beta_d <= 0.0 or delta_w <= 0.0:

@@ -158,6 +158,12 @@ def test_pswap_counterexample_basis_demons():
     assert qc.pswap_counterexample(np.array([0.0, 1.0])) is False
 
 
+def test_pswap_counterexample_rejects_a_non_qubit_demon():
+    # a unit vector, so only the size check refuses it
+    with pytest.raises(qm.ParameterError, match="single-qubit amplitude pair"):
+        qc.pswap_counterexample(np.array([0.5, 0.5, 0.5, 0.5]))
+
+
 def test_pswap_counterexample_superposition():
     demon = np.array([1.0, 1.0]) / np.sqrt(2)
     assert qc.pswap_counterexample(demon) is True

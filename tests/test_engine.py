@@ -6,8 +6,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
@@ -308,7 +309,7 @@ def test_optimize_eta_single_root_reported():
 
 def scalar_eta_scan(p_e):
     """optimize_epsilon_eta as it once was, a 1,001-point scan with every
-    sign change bisected: the oracle the Dinkelbach search must not fall
+    sign change bisected: the oracle the single Newton search must not fall
     behind, and whose H' domain errors it keeps."""
     if not 0.0 < p_e <= 0.5:
         raise qm.ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
@@ -349,6 +350,89 @@ def scalar_eta_scan(p_e):
         converged=residual <= 1e-12, iterations=total_iters,
         residual=residual, roots=tuple(roots),
     )
+
+
+def dinkelbach_eta(p_e):
+    """optimize_epsilon_eta as it was before the single search: Dinkelbach's
+    iteration lambda <- R(eps_power(lambda)) (W. Dinkelbach, "On nonlinear
+    fractional programming", Management Science 13(7), 1967), each pass an
+    opt-power search at beta_d*delta_w = lambda, stopping once lambda fails to
+    fall by more than 4 ulps. The search no longer hands back its last t, so
+    each pass starts from ln(eps/(1-eps)) of the last eps."""
+    if p_e == 0.5:
+        return eng.OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
+                                      iterations=0, residual=0.0, roots=(0.5,))
+    xi = 1.0 - 2.0 * p_e
+    bracket = eng._bracket(p_e, xi)
+    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
+    eps = min(max(eps, bracket[0]), bracket[1])
+    lam, iters = eng._entropy_cost_ratio(p_e, eps), 0
+    for _ in range(60):
+        eps, _, steps, inside = eng._max_net_work(p_e, xi, lambda _, lam=lam: lam, bracket,
+                                                  math.log(eps / (1.0 - eps)))
+        iters += steps
+        ratio = eng._entropy_cost_ratio(p_e, eps)
+        if not ratio < lam - 4.0 * math.ulp(lam):
+            break
+        lam = ratio
+    x = p_e + eps * xi
+    residual = abs(eng._stationarity_base(p_e, xi, eps) * (p_e - eps)
+                   + eng.bit_entropy(x) - eng.bit_entropy(eps))
+    return eng.OptimizationResult(
+        epsilon_star=eps, objective_value=ratio, converged=inside and residual <= 1e-12,
+        iterations=iters, residual=residual, roots=(eps,) if inside else ())
+
+
+def mp_eta_root(p_e):
+    """eps* at 50 digits: R's stationarity function F(eps) = [xi H'[x] -
+    H'[eps]](p_e - eps) + H[x] - H[eps] solved with mpmath's Illinois method
+    in t = ln(eps/(1-eps)) over opt-eta's bracket (p_e taken exactly)."""
+    with mp.workdps(50):
+        p = mp.mpf(p_e)
+        xi = 1 - 2 * p
+
+        def entropy(y):
+            return -y * mp.log(y) - (1 - y) * mp.log1p(-y)
+
+        def stationarity(t):
+            eps = 1 / (1 + mp.exp(-t))
+            x = p + eps * xi
+            return ((xi * mp.log((1 - x) / x) - mp.log((1 - eps) / eps)) * (p - eps)
+                    + entropy(x) - entropy(eps))
+
+        lo, hi = mp.mpf(eng.EPS_FLOOR), p - mp.mpf(eng.EPS_FLOOR)
+        t = mp.findroot(stationarity, (mp.log(lo / (1 - lo)), mp.log(hi / (1 - hi))),
+                        solver="illinois")
+        return 1 / (1 + mp.exp(-t))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p_e=st.floats(math.log(2 * eng.EPS_FLOOR), math.log(0.5), exclude_max=True).map(math.exp))
+@example(p_e=2 * eng.EPS_FLOOR)
+@example(p_e=0.5 - 1e-4)
+@example(p_e=0.5 - 1e-7)
+def test_optimize_eta_matches_dinkelbach(p_e):
+    assume(p_e < 0.5)
+    want, got = dinkelbach_eta(p_e), eng.optimize_epsilon_eta(p_e)
+    # closer to 1/2 both answers are set by round-off (ROADMAP item 7)
+    if 0.5 - p_e >= 1e-7:
+        assert got.converged == want.converged
+        assert (abs(got.objective_value - want.objective_value)
+                <= ratio_round_off(p_e, want.epsilon_star))
+    if 0.5 - p_e >= 1e-4:
+        assert abs(got.epsilon_star - want.epsilon_star) <= 1e-11 * want.epsilon_star
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(beta_delta=st.floats(math.log(1e-4), math.log(16.0)).map(math.exp))
+@example(beta_delta=1e-4)
+@example(beta_delta=16.0)
+def test_optimize_eta_matches_mpmath_root(beta_delta):
+    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+    result = eng.optimize_epsilon_eta(p_e)
+    want = mp_eta_root(p_e)
+    assert result.converged
+    assert float(abs(result.epsilon_star - want)) <= 1e-11 * float(want)
 
 
 def test_optimize_eta_no_worse_than_scalar_scan():
@@ -425,6 +509,12 @@ def test_point_of_zero_ideal_work_at_threshold():
     assert abs(net_per_delta(0.5, 0.0, 2 * LN2)) < 1e-9
     assert net_per_delta(0.5, 0.0, 2 * LN2 + 0.01) > 0
     assert net_per_delta(0.5, 0.0, 2 * LN2 - 0.01) < 0
+
+
+@pytest.mark.parametrize("beta_d, delta_w", [(0.0, 1.0), (-2.0, 1.0), (2.0, 0.0), (2.0, -1.0)])
+def test_minimal_beta_rejects_non_positive_scales(beta_d, delta_w):
+    with pytest.raises(qm.ParameterError, match="beta_d and delta_w must be positive"):
+        eng.minimal_beta(beta_d, delta_w)
 
 
 def test_minimal_beta_ideal_never_positive_below_threshold():
@@ -688,6 +778,28 @@ def test_optimize_power_without_sign_change_returns_bracket_end(p_e, bd_delta, e
     assert result.objective_value == eng._net_work_per_delta(p_e, result.epsilon_star, bd_delta)
 
 
+@pytest.mark.parametrize("target", ["power", "eta"])
+def test_newton_safeguard_bisects_a_step_that_leaves_the_bracket(target):
+    # from the bracket's upper end, right of the root, the first Newton step
+    # overshoots the sign bracket's lower end, so the search must bisect
+    p_e, xi = 0.3, 0.4
+    if target == "power":
+        level, public = (lambda _: 30.0), eng.optimize_epsilon_power(p_e, 30.0)
+    else:
+        level, public = ((lambda eps: eng._entropy_cost_ratio(p_e, eps)),
+                         eng.optimize_epsilon_eta(p_e))
+    bracket = eng._bracket(p_e, xi)
+    lo, hi = bracket[:2]
+    start = math.log(hi / (1.0 - hi))
+    x = p_e + hi * xi
+    s = eng._stationarity_base(p_e, xi, hi) + level(hi)
+    step = s / (1.0 - xi * xi * hi * (1.0 - hi) / (x * (1.0 - x)))
+    assert s > 0.0 and start - step < math.log(lo / (1.0 - lo))
+    eps, s, _, inside = eng._max_net_work(p_e, xi, level, bracket, start)
+    assert inside and abs(s) <= 1e-12
+    assert abs(eps - public.epsilon_star) <= 1e-12 * public.epsilon_star
+
+
 def test_optimize_power_root_at_upper_end_converges():
     # beta = beta_d: s(hi) ~ 2 xi^3 ~ 1e-19, so the upper end solves the
     # stationarity equation, though round-off in the objective (~1e-10 here)
@@ -713,6 +825,11 @@ def width_only_bisect(f, lo, hi, max_iter=200):
         else:
             hi = root
     return root, f(root), max_iter
+
+
+def test_bisect_returns_its_last_midpoint_when_max_iter_runs_out():
+    # midpoints 1.5, 1.25, 1.375 of x^2 - 2 on [1, 2]: none stops the loop
+    assert eng._bisect(lambda x: x * x - 2.0, 1.0, 2.0, max_iter=3) == (1.375, 1.375**2 - 2.0, 3)
 
 
 @pytest.mark.parametrize("max_iter", [200, 100])

@@ -217,6 +217,12 @@ def test_partial_trace_invalid_subsystem(rng):
         qm.partial_trace(random_density(rng, 4), "third")
 
 
+@pytest.mark.parametrize("n", [2, 8])
+def test_partial_trace_rejects_a_non_two_qubit_state(rng, n):
+    with pytest.raises(qm.InvalidStateError, match="expects a 4x4 matrix"):
+        qm.partial_trace(random_density(rng, n), "first")
+
+
 def test_entropy_pure_states(rng):
     for _ in range(10):
         rho = qm.pure_density(random_pure(rng))

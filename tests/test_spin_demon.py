@@ -186,6 +186,12 @@ def test_demon_state_from_spec_rejects_nan_mixture():
         sd.demon_state_from_spec("mixture", float("nan"))
 
 
+@pytest.mark.parametrize("kind", ["sideways", "Up", ""])
+def test_demon_state_from_spec_rejects_an_unknown_kind(kind):
+    with pytest.raises(qm.ParameterError, match=f"unknown demon kind {kind!r}"):
+        sd.demon_state_from_spec(kind, 0.5)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_angles_rejected(bad):
     calls = {
