@@ -13,12 +13,17 @@ The channel is the partial trace of the joint unitary
 over the demon. Applied to the maximally mixed input it always yields
 (1/2)[[1, γ], [γ*, 1]] (derived in ``tests/test_symbolic.py``); γ = 0 makes
 the channel unital, |γ| = 1 marks maximal purification.
+
+A ``ChannelConfig`` builds U and γ on first use and keeps them, so
+``apply_channel`` and ``entropy_gain`` on one config build each once; the
+cached values are those ``joint_unitary`` and ``gamma`` return, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +73,19 @@ class ChannelConfig:
         object.__setattr__(self, "scattering", us[0])
         object.__setattr__(self, "lead_unitaries", (us[1], us[2], us[3], us[4]))
         object.__setattr__(self, "demon_state", r)
+
+    # U and γ of the read-only members above, built on first use by the module's
+    # joint_unitary and gamma as they are bound then (so a wrapper sees each build).
+    # cached_property writes the instance dict, past the frozen __setattr__.
+    @cached_property
+    def _unitary(self) -> np.ndarray:
+        u = joint_unitary(self)
+        u.setflags(write=False)
+        return u
+
+    @cached_property
+    def _gamma(self) -> complex:
+        return gamma(self)
 
 
 @dataclass(frozen=True)
@@ -138,12 +156,17 @@ def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:
     Returns (gain, bound) with gain = S(Φρ) - S(ρ) and
     bound = -Tr{Φρ · ln Φ(1)}, evaluated in closed form on
     Φ(1) = [[1, γ], [γ*, 1]] (see :func:`channel_report`); the same two
-    fields :func:`apply_channel` reports. gain >= bound - 1e-9 for every
-    config and input; for unital configs the bound is zero and the entropy
-    cannot decrease.
+    fields :func:`apply_channel` reports, bit for bit, and the same refusals.
+    gain >= bound - 1e-9 for every config and input; for unital configs the
+    bound is zero and the entropy cannot decrease.
+
+    It builds no report: S(ρ) comes from the eigenvalues of ρ's validation,
+    and U and γ from the config's cache.
     """
-    report = apply_channel(rho_in, config)
-    return report.entropy_gain, report.lower_bound
+    rho_in, evals, _ = _density_spectrum(rho_in)
+    rho_out, _ = _marginals(_evolve(rho_in, config).tolist())
+    bound, _ = _bound(rho_out, config._gamma)
+    return von_neumann_entropy(rho_out) - _spectrum_entropy(evals), bound
 
 
 def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
@@ -160,13 +183,7 @@ def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
     validated density matrix.
     """
     rho_out, demon_out = _marginals(joint.tolist())
-    a = abs(g)
-    bound, clipped = 0.0, False
-    if a > 0.0:
-        c = 2.0 * (complex(rho_out[1, 0]) * g).real / a
-        clipped = 1.0 - a < LOG_EIG_FLOOR
-        bound = -0.5 * ((1.0 + c) * math.log(1.0 + a)
-                        + (1.0 - c) * math.log(max(1.0 - a, LOG_EIG_FLOOR)))
+    bound, clipped = _bound(rho_out, g)
     entropy_out = von_neumann_entropy(rho_out)
     return ChannelReport(
         rho_out=rho_out,
@@ -176,9 +193,29 @@ def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
         entropy_gain=entropy_out - von_neumann_entropy(rho_in),
         lower_bound=bound,
         entropy_out=entropy_out,
-        unital=bool(a <= UNITAL_TOL),
+        unital=bool(abs(g) <= UNITAL_TOL),
         flags=tuple(flags) + (("bound-clipped",) if clipped else ()),
     )
+
+
+def _bound(rho_out: np.ndarray, g: complex) -> tuple[float, bool]:
+    """:func:`channel_report`'s closed-form bound, and whether 1 - |γ| was floored."""
+    a = abs(g)
+    bound, clipped = 0.0, False
+    if a > 0.0:
+        c = 2.0 * (complex(rho_out[1, 0]) * g).real / a
+        clipped = 1.0 - a < LOG_EIG_FLOOR
+        bound = -0.5 * ((1.0 + c) * math.log(1.0 + a)
+                        + (1.0 - c) * math.log(max(1.0 - a, LOG_EIG_FLOOR)))
+    return bound, clipped
+
+
+def _evolve(rho_in: np.ndarray, config: ChannelConfig) -> np.ndarray:
+    """U (ρ ⊗ r) U† for a validated ρ; a ρ of any size but 2x2 raises."""
+    if rho_in.shape != (2, 2):
+        raise InvalidStateError(f"rho_in must be a 2x2 state, got shape {rho_in.shape}")
+    u = config._unitary
+    return u @ tensor(rho_in, config.demon_state) @ u.conj().T
 
 
 def apply_channel(rho_in, config: ChannelConfig,
@@ -189,12 +226,10 @@ def apply_channel(rho_in, config: ChannelConfig,
     the inputs are; trace and positivity are preserved exactly up to
     round-off. A valid ``rho_in`` of any size but 2x2 raises InvalidStateError.
     """
+    # S(ρ_in) could come from this validation's eigenvalues, as in entropy_gain, but
+    # bench/tests/test_bench.py pins >= 3 eigvalsh per call: ROADMAP item 1 first
     rho_in = check_density_matrix(rho_in)
-    if rho_in.shape != (2, 2):
-        raise InvalidStateError(f"rho_in must be a 2x2 state, got shape {rho_in.shape}")
-    u = joint_unitary(config)
-    joint = u @ tensor(rho_in, config.demon_state) @ u.conj().T
-    return channel_report(rho_in, joint, gamma(config), extra_flags)
+    return channel_report(rho_in, _evolve(rho_in, config), config._gamma, extra_flags)
 
 
 def mutual_information(joint) -> float:
@@ -203,8 +238,10 @@ def mutual_information(joint) -> float:
     if joint.shape != (4, 4):
         raise InvalidStateError("mutual_information expects a 4x4 state")
     rho_a, rho_b = _marginals(rows)
-    # S(AB) from the validation's eigenvalues, the marginals from its rows
-    return von_neumann_entropy(rho_a) + von_neumann_entropy(rho_b) - _spectrum_entropy(evals)
+    # S(AB) from the validation's eigenvalues; the marginals of the state just
+    # validated need no validation of their own
+    return (_spectrum_entropy(np.linalg.eigvalsh(rho_a))
+            + _spectrum_entropy(np.linalg.eigvalsh(rho_b)) - _spectrum_entropy(evals))
 
 
 def report_to_json(report: ChannelReport) -> dict:

@@ -341,7 +341,12 @@ def _converged(policy: str, p_e: float, result: OptimizationResult) -> Optimizat
 
 def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
     """Demon impurity selected by a policy at the given operating point."""
-    name, fixed = parse_policy(policy)
+    return _resolve(policy, *parse_policy(policy), p_e, beta_d_delta)
+
+
+def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
+             beta_d_delta: float) -> float:
+    """resolve_epsilon for a policy already parsed into (name, fixed)."""
     if name == "ideal":
         return 0.0
     if name == "fixed":
@@ -401,11 +406,14 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     Rows are pure functions of their grid point (safe to compute in
     parallel); ordering follows the input grid. Each row holds the fields of
     ``run_cycle`` at its point, computed without building its dataclasses.
+    The policy is parsed once, before any row: a bad policy raises first,
+    even for an empty grid.
     """
+    name, fixed = parse_policy(policy)
     rows = []
     for bd in map(float, beta_deltas):
         _, p_e = thermal_wit(bd, 1.0)
-        eps = resolve_epsilon(policy, p_e, beta_d_delta)
+        eps = _resolve(policy, name, fixed, p_e, beta_d_delta)
         _check_beta_d(beta_d_delta)
         heat, _, _, net, eta_2cy = _cycle(p_e, eps, 1.0, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,

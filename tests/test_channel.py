@@ -2,6 +2,7 @@
 
 import math
 import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -419,11 +420,54 @@ def test_double_dot_bound_matches_spectral_oracle(rng):
         assert abs(report.lower_bound - bound) <= 1e-12
 
 
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
 def test_entropy_gain_is_apply_channel_fields(rng):
-    for _ in range(50):
-        rho_in, config = random_density(rng), random_config(rng)
+    # generic and spin channels; mixed, pure and maximally mixed demons and inputs
+    for i in range(200):
+        demon = (random_density(rng), UP, qm.pure_density(random_pure(rng)), I2 / 2)[i % 4]
+        rho_in = (random_density(rng), qm.pure_density(random_pure(rng)), I2 / 2)[i % 3]
+        if i % 8 < 4:
+            fresh = partial(ch.ChannelConfig, random_unitary(rng),
+                            tuple(random_unitary(rng) for _ in range(4)), demon)
+        else:
+            fresh = partial(spin_config, SpinDemonParams(*rng.uniform(0.0, 2 * np.pi, size=5)),
+                            demon)
+        gain_first = ch.entropy_gain(rho_in, fresh())   # builds U and γ itself
+        config = fresh()
         report = ch.apply_channel(rho_in, config)
-        assert ch.entropy_gain(rho_in, config) == (report.entropy_gain, report.lower_bound)
+        want = bits(report.entropy_gain, report.lower_bound)
+        assert bits(*gain_first) == bits(*ch.entropy_gain(rho_in, config)) == want
+
+
+def test_config_builds_u_and_gamma_once(rng, monkeypatch):
+    builds = count_calls(monkeypatch, ch, "joint_unitary")
+    gammas = count_calls(monkeypatch, ch, "gamma")
+    for config in (random_config(rng),
+                   spin_config(SpinDemonParams(*rng.uniform(0.0, 2 * np.pi, size=5)), UP)):
+        builds.clear()
+        gammas.clear()
+        for _ in range(2):
+            ch.apply_channel(random_density(rng), config)
+            ch.entropy_gain(random_density(rng), config)
+        assert (len(builds), len(gammas)) == (1, 1)
+        assert config._unitary.tobytes() == ch.joint_unitary(config).tobytes()
+        assert not config._unitary.flags.writeable
+        g, fresh = config._gamma, ch.gamma(config)
+        assert type(g) is type(fresh) and bits(g.real, g.imag) == bits(fresh.real, fresh.imag)
+
+
+def test_entropy_gain_makes_two_decompositions(rng, monkeypatch):
+    config = random_config(rng)
+    ch.apply_channel(random_density(rng), config)
+    kron = count_calls(monkeypatch, np, "kron")
+    eigvalsh = count_calls(monkeypatch, np.linalg, "eigvalsh")
+    eigh = count_calls(monkeypatch, np.linalg, "eigh")
+    ch.entropy_gain(random_density(rng), config)
+    # the input's validation, which gives S(ρ_in), then S(ρ_out)
+    assert (len(kron), len(eigvalsh), len(eigh)) == (0, 2, 0)
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])

@@ -687,6 +687,23 @@ def test_sweep_refuses_beta_d_delta_as_the_cycle_does(policy, beta_d_delta):
     assert eng.sweep_beta(beta_d_delta, policy, []) == []
 
 
+@pytest.mark.parametrize("policy", ["bogus", "fixed:0.9", "fixed:x"])
+@pytest.mark.parametrize("grid", [[], [-1.0], [math.nan, 1.0], [1.0, 2.0]])
+def test_sweep_refuses_a_bad_policy_before_any_row(policy, grid):
+    # the policy is parsed once, ahead of the grid and beta_d_delta checks
+    with pytest.raises(qm.ParameterError) as want:
+        eng.parse_policy(policy)
+    with pytest.raises(qm.ParameterError) as got:
+        eng.sweep_beta(-1.0, policy, grid)
+    assert str(got.value) == str(want.value)
+
+
+def test_sweep_parses_its_policy_once():
+    with mock.patch.object(eng, "parse_policy", wraps=eng.parse_policy) as parse:
+        rows = eng.sweep_beta(2.0, "fixed:0.1", np.linspace(0.0, 2.0, 21))
+    assert len(rows) == 21 and parse.call_count == 1
+
+
 @pytest.mark.parametrize("policy", ["ideal", "fixed:0.1", "opt-power", "opt-eta"])
 def test_sweep_row_builds_no_dataclass(policy):
     # a row is arithmetic: one population, no EngineParams or CycleReport to validate
