@@ -14,12 +14,16 @@ it to the textbook SWAP.
 
 The double-dot protocol is the four-lead channel of ``channel`` with lead
 unitaries (q·d·q, q·q, d, 1), q = u14(ϕ), d = e^{iφ}σ_z; its ``dot_basis``
-changes only a flag, since both conventions prepare the same physical dot.
+changes only a flag, since both conventions prepare the same physical dot. It
+drops the trailing rotation that would make its joint output the spin
+channel's; ``completed_double_dot`` in ``tests/conftest.py`` applies it, as the
+oracle for that equivalence.
 
 The engine's partial SWAP is written once, as four stages that ``pswap_gate``
-multiplies out. ``tests/test_symbolic.py`` pushes the engine's states through
-the stages and derives ``engine.run_cycle``'s ledger, and derives the
-double-dot protocol's equivalence to the spin channel.
+multiplies out (``qdemon gates --which PSWAP`` dumps it).
+``tests/test_symbolic.py`` pushes the engine's states through the stages and
+derives ``engine.run_cycle``'s ledger, and derives the double-dot protocol's
+equivalence to the spin channel.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
-from .qmatrix import ParameterError, _require_finite, check_pure_state, dag, tensor
+from .qmatrix import ParameterError, _require_finite, tensor
 from .spin_demon import I2, beam_splitter
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -61,11 +65,6 @@ def u14(phase: float) -> np.ndarray:
     _require_finite(phase=phase)
     return np.array([[1.0, 1j * cmath.exp(1j * phase)],
                      [1j * cmath.exp(-1j * phase), 1.0]]) / np.sqrt(2)
-
-
-def half_rabi(phase: float) -> np.ndarray:
-    """NOT-up-to-phases pulse u14(ϕ)²; used for work extraction."""
-    return u14(phase) @ u14(phase)
 
 
 def conditional_pi_phase(phi: float) -> np.ndarray:
@@ -108,28 +107,6 @@ def pswap_gate(phase: float = -np.pi / 2) -> np.ndarray:
     return s4 @ s3 @ s2 @ s1
 
 
-def pswap_counterexample(demon) -> bool:
-    """True when the partial SWAP fails to swap against this demon state.
-
-    The circuit swaps (up to a fixed local rotation) exactly when the map
-    x ↦ VD(x ⊗ demon) factorises as (fixed system state) ⊗ (unitary · x);
-    that holds for the operational basis states and fails for genuine
-    superpositions. Checked as a rank condition on the reshaped map.
-    """
-    v = check_pure_state(demon)
-    if v.size != 2:
-        raise ParameterError("demon must be a single-qubit amplitude pair")
-    vd = build_VD()
-    images = []
-    for j in range(2):
-        basis = np.zeros(2, dtype=complex)
-        basis[j] = 1.0
-        images.append((vd @ tensor(basis, v)).reshape(2, 2))
-    stacked = np.stack(images, axis=2).reshape(2, 4)  # rows: system-out
-    singular = np.linalg.svd(stacked, compute_uv=False)
-    return bool(singular[1] > 1e-9)
-
-
 @dataclass(frozen=True)
 class DoubleDotConfig:
     """Angles of the double-dot protocol: tunneling phase ϕ (argument of the
@@ -145,8 +122,7 @@ class DoubleDotConfig:
 
 
 def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
-                        dot_basis: str = "physical",
-                        complete_rotation: bool = False) -> ChannelReport:
+                        dot_basis: str = "physical") -> ChannelReport:
     """Four-step protocol: prepare the dot with a quarter rotation q = u14(ϕ),
     interact, scatter the system by s = beam_splitter(θ, η) while rotating the
     dot by another quarter, interact again; the trailing inverse quarter
@@ -154,10 +130,10 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
     (q·d·q, q·q, d, 1), d = e^{iφ}σ_z being the upper block of
     ``conditional_pi_phase``, and ``dot_state`` as its demon state.
 
-    ``complete_rotation=True`` applies the dropped rotation h = half_rabi(ϕ)†,
-    so the outgoing pair is (h·d, h) and the joint and demon outputs equal the
-    spin channel's at α = φ - ϕ - π/2, β = φ + ϕ + π/2 (derived in
-    ``tests/test_symbolic.py``); the system output equals it either way. Both
+    Dropping the rotation leaves the system output as it is: with it the
+    joint and demon outputs would equal the spin channel's at α = φ - ϕ - π/2,
+    β = φ + ϕ + π/2 (``completed_double_dot`` in ``tests/conftest.py`` is that
+    channel, and ``tests/test_symbolic.py`` derives the equivalence). Both
     ``dot_basis`` conventions ("physical", "operational") prepare the same
     physical dot, so it changes only the ``dot-basis-*`` flag.
     """
@@ -165,10 +141,6 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
         raise ParameterError(f"unknown dot basis {dot_basis!r}")
     q = u14(config.tunneling_phase)
     d = conditional_pi_phase(config.interaction_phase)[:2, :2]
-    outgoing, flags = (d, I2), (f"dot-basis-{dot_basis}",)
-    if complete_rotation:
-        h = dag(half_rabi(config.tunneling_phase))
-        outgoing, flags = (h @ d, h), flags + ("rotation-completed",)
-    leads = (q @ d @ q, q @ q, *outgoing)
+    leads = (q @ d @ q, q @ q, d, I2)
     return apply_channel(rho_in, ChannelConfig(beam_splitter(config.theta, config.eta),
-                                               leads, dot_state), flags)
+                                               leads, dot_state), (f"dot-basis-{dot_basis}",))

@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Subcommands: channel (run the spin channel once, JSON report), gates (dump a
-gate matrix), mzi (double Mach-Zehnder CSV), engine (report / sweep /
-frontier / optimize). All angles are radians. CSV output uses 12 significant
-digits, a header row, and a trailing comment line recording the flags; the
-channel JSON records them as ``flags_cli``. Both record every flag except the
-output destination (``--output`` in any spelling argparse accepts), which says
-where the bytes go, not what they are. Given identical flags, whatever the
-destination, the output is byte-identical across runs.
+gate matrix, the engine's partial SWAP ``PSWAP`` among them), mzi (double
+Mach-Zehnder CSV), engine (report / sweep / frontier / optimize / threshold).
+``engine threshold`` writes {"beta_d_delta", "policy", "max_beta_delta"}: the
+largest beta*delta_w with positive net work, ``engine.minimal_beta`` at
+delta_w = 1, or null where the policy yields no work at any beta. All angles
+are radians. CSV output uses 12 significant digits, a header row, and a
+trailing comment line recording the flags; the channel JSON records them as
+``flags_cli``. Both record every flag except the output destination
+(``--output`` in any spelling argparse accepts), which says where the bytes
+go, not what they are. Given identical flags, whatever the destination, the
+output is byte-identical across runs.
 
 Exit codes: 0 success, 2 usage error (a rejected parameter or state
 included), 3 numerical non-convergence.
@@ -26,7 +30,7 @@ import numpy as np
 
 from . import engine as eng
 from .channel import report_to_json
-from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, u14
+from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, pswap_gate, u14
 from .interferometer import MziConfig, run_double_mzi
 from .qmatrix import (InvalidStateError, ParameterError, _require_finite, matrix_to_json,
                       von_neumann_entropy)
@@ -110,9 +114,9 @@ def _demon_from_args(parser, spec: list[str]) -> np.ndarray:
             if len(spec) != 3:
                 parser.error("--demon superposition needs two amplitudes")
             return demon_state_from_spec("superposition", (float(spec[1]), float(spec[2])))
+        return demon_state_from_spec(kind)  # refuses the unknown kinds
     except (ParameterError, ValueError) as exc:
         parser.error(str(exc))
-    parser.error(f"unknown demon kind {kind!r}")
 
 
 def _input_state(parser, args) -> np.ndarray:
@@ -144,6 +148,7 @@ _GATES = {
     "CNOT": lambda phase: CNOT_UP,
     "HBAR": lambda phase: HBAR,
     "U14": u14,
+    "PSWAP": pswap_gate,
 }
 
 
@@ -193,6 +198,13 @@ def cmd_engine(parser, args, argv) -> int:
         doc = dict(vars(report), field_ledger=dict(report.field_ledger),
                    epsilon=eps, policy=args.policy)
         doc = {k: None if v != v else v for k, v in doc.items()}  # JSON has no NaN
+        _write(args.output, json.dumps(doc, indent=2) + "\n")
+        return 0
+
+    if args.mode == "threshold":
+        beta = eng.minimal_beta(bd_delta, 1.0, args.policy)
+        doc = {"beta_d_delta": bd_delta, "policy": args.policy,
+               "max_beta_delta": None if beta != beta else beta}
         _write(args.output, json.dumps(doc, indent=2) + "\n")
         return 0
 
@@ -284,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mzi.add_argument("--output", default=None)
 
     p_eng = sub.add_parser("engine", help="two-cycle engine reports and sweeps")
-    p_eng.add_argument("mode", choices=["report", "sweep", "frontier", "optimize"])
+    p_eng.add_argument("mode", choices=["report", "sweep", "frontier", "optimize", "threshold"])
     p_eng.add_argument("--beta-delta", type=float, default=1e-6,
                        help="beta * delta_w of the working reservoir")
     p_eng.add_argument("--beta-d-delta", type=float, nargs="+", default=[2.0],

@@ -16,6 +16,7 @@ Every function here is pure; grid sweeps may be evaluated in any order.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .qmatrix import ConvergenceError, ParameterError, _require_finite
@@ -28,6 +29,10 @@ EPS_FLOOR = 1e-15
 #: cap on beta*delta_w: exp(-745) is the smallest subnormal, so beyond the cap
 #: p_e stays 5e-324 (and the heat positive) instead of underflowing to 0.0
 BETA_DELTA_CAP = 745.0
+
+#: smallest beta_d (about 7.7e-309): one float above 2 ln 2 / float max, below which
+#: the restoration cost 2 dH/beta_d overflows (bit_entropy may exceed ln 2 by an ulp)
+BETA_D_MIN = math.nextafter(2.0 * math.log(2.0) / sys.float_info.max, 1.0)
 
 _POLICIES = ("ideal", "opt-power", "opt-eta")
 
@@ -109,10 +114,13 @@ class OptimizationResult:
     roots: tuple[float, ...] = field(default=())
 
 
-def _check_beta_d(beta_d: float) -> None:
-    _require_finite(beta_d=beta_d)
+def _check_beta_d(beta_d: float, name: str = "beta_d") -> None:
+    _require_finite(**{name: beta_d})
     if beta_d <= 0.0:
-        raise ParameterError(f"beta_d must be positive, got {beta_d}")
+        raise ParameterError(f"{name} must be positive, got {beta_d}")
+    if beta_d < BETA_D_MIN:
+        raise ParameterError(f"{name} must be at least {BETA_D_MIN!r}, below which "
+                             f"the restoration cost overflows, got {beta_d}")
 
 
 def thermal_wit(beta: float, delta_w: float) -> tuple[float, float]:
@@ -270,9 +278,7 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     """
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    _require_finite(beta_d_delta=beta_d_delta)
-    if beta_d_delta <= 0.0:
-        raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
+    _check_beta_d(beta_d_delta, "beta_d_delta")
     xi = 1.0 - 2.0 * p_e
     t0 = -xi * bit_entropy_prime(p_e) - beta_d_delta
     eps, s, iters, inside = _max_net_work(p_e, xi, lambda _: beta_d_delta,

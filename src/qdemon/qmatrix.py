@@ -68,11 +68,6 @@ def _finite_squares(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
 def check_unitary(u) -> np.ndarray:
     """Validate U†U = 1 for a matrix, or each of a stack (..., n, n), and
     return the coerced array. Raises InvalidStateError for NaN or infinite
@@ -153,37 +148,17 @@ def pure_density(vec) -> np.ndarray:
 
 
 def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two square matrices (or two vectors).
+    """Kronecker product of two square matrices.
 
-    A broadcast outer product, a[:, None, :, None] * b[None, :, None, :] (vectors:
-    a[:, None] * b[None, :]), reshaped: np.kron's products, bit for bit. Satisfies
-    (A⊗B)(C⊗D) = AC ⊗ BD and realises the module docstring's joint basis order.
+    A broadcast outer product, a[:, None, :, None] * b[None, :, None, :], reshaped:
+    np.kron's products, bit for bit. Satisfies (A⊗B)(C⊗D) = AC ⊗ BD and realises
+    the module docstring's joint basis order.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim or a.ndim not in (1, 2):
-        raise InvalidStateError("tensor expects two matrices or two vectors")
-    if a.ndim == 2 and (a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
         raise InvalidStateError("tensor expects square matrices")
-    if a.ndim == 1:
-        return (a[:, None] * b[None, :]).reshape(-1)
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
-
-
-def partial_trace(rho, keep) -> np.ndarray:
-    """Reduced 2x2 state of one qubit of a 4x4 two-qubit density matrix.
-
-    Parameters
-    ----------
-    rho : 4x4 density matrix in the product basis (system ⊗ demon).
-    keep : "first"/0 keeps the system qubit, "second"/1 keeps the demon.
-    """
-    rho = as_matrix(rho)
-    if rho.shape != (4, 4):
-        raise InvalidStateError("partial_trace expects a 4x4 matrix")
-    if keep not in ("first", 0, "second", 1):
-        raise ParameterError(f"invalid subsystem id {keep!r}")
-    return _marginals(rho.tolist())[keep not in ("first", 0)]
 
 
 def _marginals(r: list) -> tuple[np.ndarray, np.ndarray]:

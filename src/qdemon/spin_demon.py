@@ -75,18 +75,6 @@ def spin_config(params: SpinDemonParams, demon_state) -> ChannelConfig:
     )
 
 
-def xy_states(theta: float, eta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal equatorial output pair of the maximally purifying channel.
-
-    (e^{i(φ+θ)}|0> ± e^{iη}|1>)/√2; the channel sends every input onto the
-    first (demon up) or second (demon down) of these.
-    """
-    _require_finite(theta=theta, eta=eta, phi=phi)
-    up = np.array([np.exp(1j * (phi + theta)), np.exp(1j * eta)], dtype=complex)
-    dn = np.array([np.exp(1j * (phi + theta)), -np.exp(1j * eta)], dtype=complex)
-    return up / np.sqrt(2), dn / np.sqrt(2)
-
-
 def scatter(rho_in, demon, params: SpinDemonParams) -> ChannelReport:
     """Run the spin channel on ``rho_in`` with demon state ``demon``.
 

@@ -112,9 +112,12 @@ def _channel_cases(rng: random.Random) -> list[list[str]]:
     return cases
 
 
+#: the gates the seeded cases cover; a later gate's cases go at the end (``_later_cases``)
+SEEDED_GATES = ["CNOT", "HBAR", "SWAP", "U14", "UD", "VD"]
+
+
 def _gates_cases(rng: random.Random) -> list[list[str]]:
-    gates = sorted(cli._GATES)
-    cases = [["gates", "--which", g, "--format", f] for g in gates for f in ("json", "csv")]
+    cases = [["gates", "--which", g, "--format", f] for g in SEEDED_GATES for f in ("json", "csv")]
     for _ in range(6):
         cases.append(["gates", "--which", "U14", "--format", rng.choice(["json", "csv"]),
                       "--phase", _num(rng, -7.0, 7.0)])
@@ -234,6 +237,25 @@ def _engine_cases(rng: random.Random) -> list[list[str]]:
     return cases
 
 
+def _later_cases() -> list[list[str]]:
+    """Fixed cases added after the seeded ones, appended so no seeded id moves."""
+    cases = [["gates", "--which", "PSWAP", "--format", f, *phase]
+             for phase in ([], ["--phase", "0.3"]) for f in ("json", "csv")]
+    cases.append(["gates", "--which", "PSWAP", "--phase=nan"])
+    cases += [["engine", "threshold", "--policy", policy, "--beta-d-delta", bd]
+              for policy in POLICIES[:4] for bd in ("1", "2", "17", "40")]
+    cases += [
+        ["engine", "threshold", "--beta-d-delta", "nan"],
+        ["engine", "threshold", "--beta-d-delta", "0"],
+        ["engine", "threshold", "--beta-d-delta", "2", "4"],
+        # below about 7.7e-309 the restoration cost 2 ln 2/beta_d overflows
+        ["engine", "report", "--beta-d-delta", "5e-309"],
+        ["engine", "sweep", "--beta-d-delta", "5e-309", "--steps", "2"],
+        ["engine", "optimize", "--target", "power", "--beta-d-delta", "1e-310", "--pe", "0.3"],
+    ]
+    return cases
+
+
 #: cases that keep their full stdout and stderr next to the hashes
 SHOWN = {
     ("channel",),
@@ -249,6 +271,9 @@ SHOWN = {
     ("engine", "report", "--beta-delta", "1", "--policy", "opt-power", "--beta-d-delta", "40"),
     ("engine",),
     ("engine", "report", "--beta-delta", "1", "--beta-d-delta", "3", "7", "nan"),
+    ("gates", "--which", "PSWAP", "--format", "csv", "--phase", "0.3"),
+    ("engine", "threshold", "--policy", "opt-power", "--beta-d-delta", "2"),
+    ("engine", "report", "--beta-d-delta", "5e-309"),
 }
 
 
@@ -257,6 +282,7 @@ def corpus_argvs() -> list[tuple[str, list[str]]]:
     rng = random.Random(SEED)
     cases = [["--version"], [], ["lift"]]
     cases += _channel_cases(rng) + _gates_cases(rng) + _mzi_cases(rng) + _engine_cases(rng)
+    cases += _later_cases()
     return [(f"{(argv or ['none'])[0].lstrip('-')}-{i:03d}", argv)
             for i, argv in enumerate(cases)]
 

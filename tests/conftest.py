@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qdemon import engine as eng
-from qdemon.circuits import HBAR, DoubleDotConfig, _pswap_stages, half_rabi
-from qdemon.qmatrix import dag, tensor, von_neumann_entropy
-from qdemon.spin_demon import SpinDemonParams
+from qdemon.channel import ChannelConfig, ChannelReport, apply_channel
+from qdemon.circuits import HBAR, DoubleDotConfig, _pswap_stages, conditional_pi_phase, u14
+from qdemon.qmatrix import tensor, von_neumann_entropy
+from qdemon.spin_demon import SpinDemonParams, beam_splitter
 
 
 @pytest.fixture
@@ -29,6 +30,37 @@ def random_density(rng, n=2):
 def random_pure(rng, n=2):
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)
+
+
+def dag(m) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(m).conj().T
+
+
+def half_rabi(phase: float) -> np.ndarray:
+    """NOT-up-to-phases pulse u14(ϕ)², the engine's work-extraction pulse."""
+    return u14(phase) @ u14(phase)
+
+
+def partial_trace(rho, keep: str) -> np.ndarray:
+    """Reduced 2x2 state of the system ("first") or the demon ("second") qubit
+    of a 4x4 two-qubit matrix, by einsum: independent of ``qmatrix._marginals``
+    and equal to it bit for bit (``test_partial_trace_matches_einsum_bits``)."""
+    spec = "ikjk->ij" if keep == "first" else "kikj->ij"
+    return np.einsum(spec, np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2))
+
+
+def completed_double_dot(rho_in, dot_state, config: DoubleDotConfig) -> ChannelReport:
+    """``circuits.double_dot_protocol`` with its dropped rotation h = half_rabi(ϕ)†
+    applied, so the outgoing lead pair is (h·d, h): its joint and demon outputs
+    equal the spin channel's at ``equivalent_spin_params(config)`` (derived in
+    ``test_symbolic.py``)."""
+    q = u14(config.tunneling_phase)
+    d = conditional_pi_phase(config.interaction_phase)[:2, :2]
+    h = dag(half_rabi(config.tunneling_phase))
+    leads = (q @ d @ q, q @ q, h @ d, h)
+    return apply_channel(rho_in, ChannelConfig(beam_splitter(config.theta, config.eta),
+                                               leads, dot_state))
 
 
 def power_stationarity(p_e, bd_delta, eps):

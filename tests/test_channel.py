@@ -11,7 +11,8 @@ from qdemon import channel as ch
 from qdemon import qmatrix as qm
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter, spin_config
-from conftest import random_density, random_pure, random_unitary
+from conftest import (completed_double_dot, dag, partial_trace, random_density, random_pure,
+                      random_unitary)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -89,9 +90,9 @@ def test_joint_unitary_action_on_up_up():
     theta, eta, phi = 0.4, 1.3, 0.0
     params = SpinDemonParams(theta=theta, eta=eta, phi=phi)
     u = ch.joint_unitary(spin_config(params, UP))
-    vec_in = qm.tensor(np.array([1.0, 0.0]), np.array([1.0, 0.0]))
+    vec_in = np.kron([1.0, 0.0], [1.0, 0.0])
     up_xy = np.array([np.exp(1j * (phi + theta)), np.exp(1j * eta)]) / np.sqrt(2)
-    expected = qm.tensor(up_xy, np.array([0.0, 1.0]))
+    expected = np.kron(up_xy, [0.0, 1.0])
     assert np.allclose(u @ vec_in, expected, atol=1e-12)
 
 
@@ -174,8 +175,8 @@ def matrix_product_gamma(config):
     the evaluation the scalar contraction replaced."""
     s = config.scattering
     u1, u2, u3, u4 = config.lead_unitaries
-    u4_dag = qm.dag(u4)
-    bracket = qm.dag(u1) @ u4_dag @ u3 @ u1 - qm.dag(u2) @ u4_dag @ u3 @ u2
+    u4_dag = dag(u4)
+    bracket = dag(u1) @ u4_dag @ u3 @ u1 - dag(u2) @ u4_dag @ u3 @ u2
     m = (config.demon_state @ bracket).tolist()
     return complex(s[0, 0] * np.conj(s[1, 0]) * (0j + m[0][0] + m[1][1]))
 
@@ -303,8 +304,8 @@ def test_mutual_information_makes_three_decompositions(rng, monkeypatch):
 def test_mutual_information_takes_s_ab_from_the_validation(rng):
     for _ in range(50):
         joint = ch.apply_channel(random_density(rng), random_config(rng)).joint_out
-        s_a = qm.von_neumann_entropy(qm.partial_trace(joint, "first"))
-        s_b = qm.von_neumann_entropy(qm.partial_trace(joint, "second"))
+        s_a = qm.von_neumann_entropy(partial_trace(joint, "first"))
+        s_b = qm.von_neumann_entropy(partial_trace(joint, "second"))
         assert ch.mutual_information(joint) == s_a + s_b - qm.von_neumann_entropy(joint)
 
 
@@ -414,8 +415,8 @@ def test_double_dot_bound_matches_spectral_oracle(rng):
     for _ in range(100):
         config = DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
         dot = UP if rng.uniform() < 0.5 else random_density(rng)
-        report = double_dot_protocol(random_density(rng), dot, config,
-                                     complete_rotation=bool(rng.uniform() < 0.5))
+        protocol = completed_double_dot if rng.uniform() < 0.5 else double_dot_protocol
+        report = protocol(random_density(rng), dot, config)
         bound, _ = spectral_bound(report.rho_out, report.gamma)
         assert abs(report.lower_bound - bound) <= 1e-12
 

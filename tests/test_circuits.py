@@ -10,7 +10,8 @@ from qdemon import circuits as qc
 from qdemon import qmatrix as qm
 from qdemon.channel import ChannelConfig, apply_channel, gamma
 from qdemon.spin_demon import beam_splitter, spin_config
-from conftest import equivalent_spin_params, random_density, random_pure
+from conftest import (completed_double_dot, equivalent_spin_params, half_rabi, partial_trace,
+                      random_density, random_pure)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -36,8 +37,7 @@ def test_u14_reduces_to_hbar():
 
 def test_u14_square_is_half_rabi(rng):
     for phase in rng.uniform(-np.pi, np.pi, size=10):
-        pulse = qc.half_rabi(phase)
-        assert np.allclose(pulse, qc.u14(phase) @ qc.u14(phase), atol=1e-12)
+        pulse = qc.u14(phase) @ qc.u14(phase)
         up = np.array([1.0, 0.0])
         down = np.array([0.0, 1.0])
         assert np.allclose(pulse @ up, 1j * np.exp(-1j * phase) * down, atol=1e-12)
@@ -82,7 +82,7 @@ def test_ud_matches_printed_matrix():
 def test_ud_purifies_chaotic_system():
     ud = qc.build_UD()
     joint = ud @ qm.tensor(I2 / 2, np.diag([1.0, 0.0])) @ ud.conj().T
-    system = qm.partial_trace(joint, "first")
+    system = partial_trace(joint, "first")
     assert qm.von_neumann_entropy(system) < 1e-10
 
 
@@ -104,11 +104,11 @@ def test_vd_swaps_against_basis_demons(rng):
     for _ in range(20):
         a, b = random_pure(rng)
         system = np.array([a, b])
-        out_up = vd @ qm.tensor(system, np.array([1.0, 0.0]))
-        assert np.allclose(out_up, qm.tensor(np.array([1.0, 0.0]), system), atol=1e-12)
-        out_dn = vd @ qm.tensor(system, np.array([0.0, 1.0]))
+        out_up = vd @ np.kron(system, [1.0, 0.0])
+        assert np.allclose(out_up, np.kron([1.0, 0.0], system), atol=1e-12)
+        out_dn = vd @ np.kron(system, [0.0, 1.0])
         swapped = np.array([b, a])
-        assert np.allclose(out_dn, qm.tensor(np.array([0.0, 1.0]), swapped), atol=1e-12)
+        assert np.allclose(out_dn, np.kron([0.0, 1.0], swapped), atol=1e-12)
 
 
 def test_swap_matches_printed_matrix():
@@ -121,7 +121,7 @@ def test_swap_exchanges_product_states(rng):
     for _ in range(10):
         psi = random_pure(rng)
         chi = random_pure(rng)
-        assert np.allclose(swap @ qm.tensor(psi, chi), qm.tensor(chi, psi), atol=1e-12)
+        assert np.allclose(swap @ np.kron(psi, chi), np.kron(chi, psi), atol=1e-12)
 
 
 def build_minimal_pswap() -> np.ndarray:
@@ -153,23 +153,41 @@ def test_minimal_pswap_equals_vd():
                        qc.build_VD(), atol=1e-12)
 
 
+def pswap_counterexample(demon) -> bool:
+    """True when the partial SWAP fails to swap against this demon state.
+
+    The circuit swaps (up to a fixed local rotation) exactly when the map
+    x ↦ VD(x ⊗ demon) factorises as (fixed system state) ⊗ (unitary · x);
+    that holds for the operational basis states and fails for genuine
+    superpositions. Checked as a rank condition on the reshaped map.
+    """
+    v = qm.check_pure_state(demon)
+    if v.size != 2:
+        raise qm.ParameterError("demon must be a single-qubit amplitude pair")
+    vd = qc.build_VD()
+    images = [(vd @ np.kron(basis, v)).reshape(2, 2) for basis in np.eye(2)]
+    stacked = np.stack(images, axis=2).reshape(2, 4)  # rows: system-out
+    singular = np.linalg.svd(stacked, compute_uv=False)
+    return bool(singular[1] > 1e-9)
+
+
 def test_pswap_counterexample_basis_demons():
-    assert qc.pswap_counterexample(np.array([1.0, 0.0])) is False
-    assert qc.pswap_counterexample(np.array([0.0, 1.0])) is False
+    assert pswap_counterexample(np.array([1.0, 0.0])) is False
+    assert pswap_counterexample(np.array([0.0, 1.0])) is False
 
 
 def test_pswap_counterexample_rejects_a_non_qubit_demon():
     # a unit vector, so only the size check refuses it
     with pytest.raises(qm.ParameterError, match="single-qubit amplitude pair"):
-        qc.pswap_counterexample(np.array([0.5, 0.5, 0.5, 0.5]))
+        pswap_counterexample(np.array([0.5, 0.5, 0.5, 0.5]))
 
 
 def test_pswap_counterexample_superposition():
     demon = np.array([1.0, 1.0]) / np.sqrt(2)
-    assert qc.pswap_counterexample(demon) is True
+    assert pswap_counterexample(demon) is True
     # explicit witness: system |up> against the balanced demon entangles
-    out = qc.build_VD() @ qm.tensor(np.array([1.0, 0.0]), demon)
-    expected_if_swapped = qm.tensor(demon, np.array([1.0, 0.0]))
+    out = qc.build_VD() @ np.kron([1.0, 0.0], demon)
+    expected_if_swapped = np.kron(demon, [1.0, 0.0])
     assert not np.allclose(out, expected_if_swapped, atol=1e-6)
 
 
@@ -231,9 +249,7 @@ def test_protocol_completion_matches_channel_joint(rng):
         )
         rho_in = random_density(rng)
         dot = random_density(rng)
-        completed = qc.double_dot_protocol(rho_in, dot, config,
-                                           dot_basis="operational",
-                                           complete_rotation=True)
+        completed = completed_double_dot(rho_in, dot, config)
         reference = reference_channel_report(rho_in, dot, config)
         assert np.allclose(completed.joint_out, reference.joint_out, atol=1e-12)
         assert np.allclose(completed.demon_out, reference.demon_out, atol=1e-12)
@@ -248,7 +264,7 @@ def reference_double_dot(rho_in, dot, config, complete_rotation):
     sequence = d @ qm.tensor(beam_splitter(config.theta, config.eta), quarter) @ d
     joint = sequence @ qm.tensor(rho_in, quarter @ dot @ quarter.conj().T) @ sequence.conj().T
     if complete_rotation:
-        undo = qm.tensor(I2, qc.half_rabi(config.tunneling_phase).conj().T)
+        undo = qm.tensor(I2, half_rabi(config.tunneling_phase).conj().T)
         joint = undo @ joint @ undo.conj().T
     return joint, gamma(spin_config(equivalent_spin_params(config), dot))
 
@@ -262,11 +278,12 @@ def test_protocol_matches_its_joint_evolution(rng, complete):
         for _ in range(100):
             config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
             rho_in, dot = random_density(rng), make_dot()
-            report = qc.double_dot_protocol(rho_in, dot, config, complete_rotation=complete)
+            protocol = completed_double_dot if complete else qc.double_dot_protocol
+            report = protocol(rho_in, dot, config)
             joint, g = reference_double_dot(rho_in, dot, config, complete)
             for got, want in ((report.joint_out, joint),
-                              (report.rho_out, qm.partial_trace(joint, "first")),
-                              (report.demon_out, qm.partial_trace(joint, "second"))):
+                              (report.rho_out, partial_trace(joint, "first")),
+                              (report.demon_out, partial_trace(joint, "second"))):
                 assert np.abs(got - want).max() <= 2e-15, kind
             assert abs(report.gamma - g) <= 4e-15, kind
 
@@ -298,13 +315,12 @@ def test_protocol_validates_once_and_builds_one_config(monkeypatch, rng):
     monkeypatch.setattr(ChannelConfig, "__post_init__",
                         lambda self: configs.append(1) or post_init(self))
     for basis in ("physical", "operational"):
-        for complete in (False, True):
-            eig_calls.clear()
-            configs.clear()
-            config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
-            qc.double_dot_protocol(random_density(rng), random_density(rng), config,
-                                   dot_basis=basis, complete_rotation=complete)
-            assert (len(eig_calls), len(configs)) == (4, 1)
+        eig_calls.clear()
+        configs.clear()
+        config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
+        qc.double_dot_protocol(random_density(rng), random_density(rng), config,
+                               dot_basis=basis)
+        assert (len(eig_calls), len(configs)) == (4, 1)
 
 
 def test_canonical_phases_give_real_circuits():
@@ -323,7 +339,7 @@ def test_pswap_gate_routes_demon_up_inputs_to_ground():
     ground = np.array([0.0, 1.0])
     demon_up = np.array([1.0, 0.0])
     for system in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
-        out = (pswap @ qm.tensor(system, demon_up)).reshape(2, 2)
+        out = (pswap @ np.kron(system, demon_up)).reshape(2, 2)
         _, singular, _ = np.linalg.svd(out)
         assert singular[1] < 1e-12  # output stays a product state
         system_marginal = out @ out.conj().T
@@ -344,7 +360,6 @@ def test_pswap_gate_is_bit_identical_to_the_inline_product():
 def test_non_finite_angles_rejected(bad):
     calls = {
         "u14": ("phase", lambda: qc.u14(bad)),
-        "half_rabi": ("phase", lambda: qc.half_rabi(bad)),
         "pswap_gate": ("phase", lambda: qc.pswap_gate(bad)),
         "conditional_pi_phase": ("phi", lambda: qc.conditional_pi_phase(bad)),
         **{f"DoubleDotConfig({name})": (name, lambda name=name: qc.DoubleDotConfig(**{name: bad}))

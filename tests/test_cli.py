@@ -10,6 +10,7 @@ from qdemon import cli
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
 from qdemon.channel import report_to_json
+from qdemon.circuits import pswap_gate
 from qdemon.cli import _recorded_flags, main
 from qdemon.spin_demon import SpinDemonParams, scatter
 
@@ -158,6 +159,15 @@ def test_gates_csv_has_header_and_flags(capsys):
     assert lines[-1] == "# flags: gates --which SWAP --format csv"
 
 
+@pytest.mark.parametrize("phase", [None, 0.3, -2.5])
+def test_gates_pswap_is_the_engines_partial_swap(capsys, phase):
+    args = ["gates", "--which", "PSWAP"] + ([] if phase is None else ["--phase", repr(phase)])
+    code, doc = run_json(capsys, args)
+    assert code == 0 and doc["gate"] == "PSWAP"
+    gate = pswap_gate() if phase is None else pswap_gate(phase)
+    assert doc["entries"] == [[z.real, z.imag] for z in gate.reshape(-1).tolist()]
+
+
 def test_mzi_restored_visibility(capsys, tmp_path):
     out = tmp_path / "mzi.csv"
     code = main(["mzi", "--chi", "1.5707963267948966", "--epsilon", "0",
@@ -243,6 +253,32 @@ def test_engine_optimize_nonconvergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+@pytest.mark.parametrize("policy", ["ideal", "opt-power", "opt-eta", "fixed:0.01", "fixed:0"])
+@pytest.mark.parametrize("bd_delta", [1.5, 2.0, 6.5, 17.0])
+def test_engine_threshold_is_minimal_beta(capsys, policy, bd_delta):
+    code, text = run_text(capsys, ["engine", "threshold", "--policy", policy,
+                                   "--beta-d-delta", repr(bd_delta)])
+    assert code == 0
+    beta = eng.minimal_beta(bd_delta, 1.0, policy)
+    assert json.loads(text) == {"beta_d_delta": bd_delta, "policy": policy,
+                                "max_beta_delta": None if math.isnan(beta) else beta}
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_engine_threshold_without_a_work_window_writes_null(capsys):
+    # the ideal policy yields net work only for beta_d*delta_w above 2 ln 2
+    code, doc = run_json(capsys, ["engine", "threshold", "--beta-d-delta", "1"])
+    assert code == 0
+    assert doc == {"beta_d_delta": 1.0, "policy": "ideal", "max_beta_delta": None}
+
+
+def test_engine_threshold_nonconvergence_exits_3(capsys):
+    code = main(["engine", "threshold", "--policy", "opt-eta", "--beta-d-delta", "40"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("non-convergence: policy opt-eta failed to converge")
+
+
 def cycle_json(report):
     """The hand-written `engine report` document the CLI once built: the
     oracle for the one built from the dataclass."""
@@ -310,6 +346,7 @@ def test_engine_policy_nonconvergence_exits_3(capsys, args):
     ["engine", "sweep", "--beta-d-delta", "1e308", "--beta-max-frac", "10"],
     ["engine", "sweep", "--beta-min=-inf"],
     ["engine", "frontier", "--pe-min", "inf"],
+    ["engine", "threshold", "--beta-d-delta", "nan"],
 ])
 def test_engine_non_finite_input_exits_2(capsys, args):
     with pytest.raises(SystemExit) as err:

@@ -23,9 +23,9 @@ def test_corpus_covers_every_subcommand_and_kind():
     argvs = [case["argv"] for case in CASES]
     assert {argv[0] for argv in argvs if argv} >= {"channel", "gates", "mzi", "engine"}
     assert {argv[1] for argv in argvs if argv[:1] == ["engine"] and len(argv) > 1} >= {
-        "report", "sweep", "frontier", "optimize"}
+        "report", "sweep", "frontier", "optimize", "threshold"}
     flat = [arg for argv in argvs for arg in argv]
-    for kind in ("chaotic", "up", "down", "pure", "mixture", "superposition",
+    for kind in ("chaotic", "up", "down", "pure", "mixture", "superposition", "PSWAP",
                  "ideal", "opt-power", "opt-eta", "fixed:0.01", "power", "eta"):
         assert kind in flat, kind
     assert {case["exit"] for case in CASES} == {0, 2, 3}

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,9 @@ from mpmath import mp
 
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
-from qdemon.circuits import CNOT_UP, HBAR, half_rabi, u14
-from conftest import power_stationarity, pswap_route, ratio_round_off
+from qdemon.circuits import CNOT_UP, HBAR, u14
+from conftest import (dag, half_rabi, partial_trace, power_stationarity, pswap_route,
+                      ratio_round_off)
 
 LN2 = math.log(2)
 
@@ -79,6 +81,34 @@ def test_params_validation():
         eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=1.0, epsilon=0.7)
     with pytest.raises(qm.ParameterError):
         eng.EngineParams(beta=1.0, beta_d=0.0, delta_w=1.0)
+
+
+def test_beta_d_below_the_overflow_limit_is_refused():
+    below = math.nextafter(eng.BETA_D_MIN, 0.0)
+    calls = {
+        "EngineParams": lambda: eng.EngineParams(beta=1.0, beta_d=below, delta_w=1.0),
+        "sweep_beta": lambda: eng.sweep_beta(below, "ideal", [1.0]),
+        "optimize_epsilon_power": lambda: eng.optimize_epsilon_power(0.3, below),
+    }
+    for name, call in calls.items():
+        with pytest.raises(qm.ParameterError, match=re.escape(
+                f"must be at least {eng.BETA_D_MIN!r}, below which the restoration cost "
+                f"overflows, got {below!r}")):
+            call()
+            pytest.fail(f"{name} accepted {below!r}")
+
+
+def test_restoration_cost_at_the_limit_stays_finite():
+    # bit_entropy exceeds ln 2 by an ulp near x = 1/2, so 2 ln 2 / float max itself overflows
+    xs = [0.5 - k * 2.0**-36 for k in range(1, 4000)]
+    over = [x for x in xs if eng.bit_entropy(x) > LN2]
+    assert over
+    worst = max(over, key=eng.bit_entropy)
+    assert math.isinf(2.0 * eng.bit_entropy(worst) / (2.0 * LN2 / sys.float_info.max))
+    for x in over:
+        _, _, w_in, net, _ = eng._cycle(x, 0.0, 1.0, eng.BETA_D_MIN)
+        assert math.isfinite(w_in) and math.isfinite(net)
+        assert math.isfinite(eng.optimize_epsilon_power(x, eng.BETA_D_MIN).objective_value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -189,7 +219,7 @@ def branch_by_branch_route(params, phase=-np.pi / 2):
               qm.tensor(u14(phase), np.eye(2, dtype=complex)))
 
     def wit_energy(joint):
-        return delta * float(qm.partial_trace(joint, "first")[0, 0].real)
+        return delta * float(partial_trace(joint, "first")[0, 0].real)
 
     stage_energy = np.zeros(len(stages))
     finals = []
@@ -197,19 +227,19 @@ def branch_by_branch_route(params, phase=-np.pi / 2):
         joint = qm.tensor(rho_w, dit)
         prev = wit_energy(joint)
         for k, g in enumerate(stages):
-            joint = g @ joint @ qm.dag(g)
+            joint = g @ joint @ dag(g)
             now = wit_energy(joint)
             stage_energy[k] += now - prev
             prev = now
         finals.append(joint)
-    wit_up, wit_dn = (qm.partial_trace(j, "first") for j in finals)
-    dit_up, dit_dn = (qm.partial_trace(j, "second") for j in finals)
+    wit_up, wit_dn = (partial_trace(j, "first") for j in finals)
+    dit_up, dit_dn = (partial_trace(j, "second") for j in finals)
     pulse = half_rabi(phase)
-    wit_dn_after = pulse @ wit_dn @ qm.dag(pulse)
+    wit_dn_after = pulse @ wit_dn @ dag(pulse)
     return {
         "wit_marginals": (wit_up, wit_dn),
         "dit_marginals": (dit_up, dit_dn),
-        "dit_marginals_unrotated": (qm.dag(HBAR) @ dit_up @ HBAR, qm.dag(HBAR) @ dit_dn @ HBAR),
+        "dit_marginals_unrotated": (dag(HBAR) @ dit_up @ HBAR, dag(HBAR) @ dit_dn @ HBAR),
         "joints": tuple(finals),
         "stage_field_energy": tuple(float(e) for e in stage_energy),
         "w_minus": delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta,

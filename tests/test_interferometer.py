@@ -10,6 +10,7 @@ from qdemon import interferometer
 from qdemon import qmatrix as qm
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
+from conftest import partial_trace
 
 I2 = np.eye(2, dtype=complex)
 
@@ -22,7 +23,7 @@ def dilated_dephase(rho, chi):
     controlled = np.block([[I2, np.zeros((2, 2))], [np.zeros((2, 2)), rot]])
     ancilla = np.diag([1.0, 0.0]).astype(complex)
     joint = controlled @ qm.tensor(rho, ancilla) @ controlled.conj().T
-    return qm.partial_trace(joint, "first")
+    return partial_trace(joint, "first")
 
 
 def arm_phase(rho, angle):

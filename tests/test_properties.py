@@ -14,8 +14,8 @@ from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.qmatrix import ConvergenceError
 from qdemon.spin_demon import SpinDemonParams, spin_config
-from conftest import (power_stationarity, pswap_route, random_density, random_unitary,
-                      ratio_round_off)
+from conftest import (completed_double_dot, power_stationarity, pswap_route, random_density,
+                      random_unitary, ratio_round_off)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -64,8 +64,8 @@ def test_spin_channel_invariants(theta, eta, phi, alpha, beta, p, seed):
        seed=seeds, complete=st.booleans())
 def test_double_dot_invariants(tunneling, interaction, theta, eta, p, seed, complete):
     config = DoubleDotConfig(tunneling, interaction, theta, eta)
-    report = double_dot_protocol(random_density(np.random.default_rng(seed)),
-                                 np.diag([p, 1.0 - p]), config, complete_rotation=complete)
+    protocol = completed_double_dot if complete else double_dot_protocol
+    report = protocol(random_density(np.random.default_rng(seed)), np.diag([p, 1.0 - p]), config)
     assert_report_invariants(report)
 
 

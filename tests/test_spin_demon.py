@@ -18,6 +18,17 @@ DOWN = np.diag([0.0, 1.0]).astype(complex)
 HBAR = np.array([[1, 1], [-1, 1]], dtype=complex) / np.sqrt(2)
 
 
+def xy_states(theta: float, eta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal equatorial output pair of the maximally purifying channel.
+
+    (e^{i(φ+θ)}|0> ± e^{iη}|1>)/√2; the channel sends every input onto the
+    first (demon up) or second (demon down) of these.
+    """
+    up = np.array([np.exp(1j * (phi + theta)), np.exp(1j * eta)], dtype=complex)
+    dn = np.array([np.exp(1j * (phi + theta)), -np.exp(1j * eta)], dtype=complex)
+    return up / np.sqrt(2), dn / np.sqrt(2)
+
+
 def test_beam_splitter_hadamard_type():
     assert np.allclose(sd.beam_splitter(0.0, np.pi), HBAR, atol=1e-12)
 
@@ -48,7 +59,7 @@ def test_demon_unitaries_never_commute(rng):
 def test_scatter_chaotic_with_pure_demon():
     params = sd.SpinDemonParams(theta=0.2, eta=1.4, phi=0.6)
     report = sd.scatter(I2 / 2, UP, params)
-    up_xy, _ = sd.xy_states(params.theta, params.eta, params.phi)
+    up_xy, _ = xy_states(params.theta, params.eta, params.phi)
     expected_joint = qm.tensor(qm.pure_density(up_xy), I2 / 2)
     assert np.allclose(report.joint_out, expected_joint, atol=1e-12)
     assert report.flags == ()
@@ -96,7 +107,7 @@ def test_scatter_mixture_demon_branch_structure(rng):
                      + b * c * np.array([0.0, 1.0]))
             r_plus += weight * np.outer(psi_p, psi_p.conj())
             r_minus += weight * np.outer(psi_m, psi_m.conj())
-        up_xy, dn_xy = sd.xy_states(params.theta, params.eta, params.phi)
+        up_xy, dn_xy = xy_states(params.theta, params.eta, params.phi)
         expected = (p_up * qm.tensor(qm.pure_density(up_xy), r_plus)
                     + (1 - p_up) * qm.tensor(qm.pure_density(dn_xy), r_minus))
         report = sd.scatter(rho_in, np.diag([p_up, 1 - p_up]), params)
@@ -120,14 +131,14 @@ def test_scatter_flags_non_diagonal_demon():
 def test_xy_states_orthonormal(rng):
     for _ in range(20):
         theta, eta, phi = rng.uniform(-np.pi, np.pi, size=3)
-        up, dn = sd.xy_states(theta, eta, phi)
+        up, dn = xy_states(theta, eta, phi)
         assert math.isclose(np.linalg.norm(up), 1.0, abs_tol=1e-12)
         assert math.isclose(np.linalg.norm(dn), 1.0, abs_tol=1e-12)
         assert abs(np.vdot(up, dn)) < 1e-12
 
 
 def test_xy_states_zero_angles():
-    up, dn = sd.xy_states(0.0, 0.0, 0.0)
+    up, dn = xy_states(0.0, 0.0, 0.0)
     assert np.allclose(up, np.array([1.0, 1.0]) / np.sqrt(2), atol=1e-12)
     assert np.allclose(dn, np.array([1.0, -1.0]) / np.sqrt(2), atol=1e-12)
 
@@ -136,7 +147,7 @@ def test_scatter_output_matches_xy_and_ignores_input(rng):
     for _ in range(100):
         theta, eta, phi = rng.uniform(-np.pi, np.pi, size=3)
         params = sd.SpinDemonParams(theta=theta, eta=eta, phi=phi)
-        up_xy, dn_xy = sd.xy_states(theta, eta, phi)
+        up_xy, dn_xy = xy_states(theta, eta, phi)
         rho_in = random_density(rng)
         assert np.allclose(sd.scatter(rho_in, UP, params).rho_out,
                            qm.pure_density(up_xy), atol=1e-10)
@@ -197,9 +208,6 @@ def test_non_finite_angles_rejected(bad):
     calls = {
         "beam_splitter(theta)": ("theta", lambda: sd.beam_splitter(bad, 0.0)),
         "beam_splitter(eta)": ("eta", lambda: sd.beam_splitter(0.0, bad)),
-        "xy_states(theta)": ("theta", lambda: sd.xy_states(bad, 0.0, 0.0)),
-        "xy_states(eta)": ("eta", lambda: sd.xy_states(0.0, bad, 0.0)),
-        "xy_states(phi)": ("phi", lambda: sd.xy_states(0.0, 0.0, bad)),
         **{f"SpinDemonParams({name})": (name, lambda name=name: sd.SpinDemonParams(**{name: bad}))
            for name in ("theta", "eta", "phi", "alpha", "beta_phase")},
     }

@@ -14,10 +14,10 @@ import numpy as np
 import sympy as sp
 
 from qdemon import channel
-from qdemon.circuits import (HBAR, _pswap_stages, conditional_pi_phase, half_rabi, pswap_gate,
-                             u14)
+from qdemon.circuits import HBAR, _pswap_stages, conditional_pi_phase, pswap_gate, u14
 from qdemon.qmatrix import _marginals
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, demon_unitaries
+from conftest import half_rabi
 
 I = sp.I
 theta, eta, phi, alpha, beta, tphase, chi, arm = sp.symbols(
