@@ -11,7 +11,9 @@ trailing comment line recording the flags; the channel JSON records them as
 ``flags_cli``. Both record every flag except the output destination
 (``--output`` in any spelling argparse accepts), which says where the bytes
 go, not what they are. Given identical flags, whatever the destination, the
-output is byte-identical across runs.
+output is byte-identical across runs. The engine's JSON writes null for NaN
+and infinities. An argv that opens with a subcommand goes to that subcommand's
+parser alone: the top-level parser handles only help and a missing or unknown one.
 
 Exit codes: 0 success, 2 usage error (a rejected parameter or state
 included), 3 numerical non-convergence.
@@ -38,10 +40,6 @@ from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
 
 EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
-
-
-def _fmt(x) -> str:
-    return f"{x:.12g}"
 
 
 def _write(path, text: str):
@@ -74,6 +72,12 @@ def _recorded_flags(argv: list[str]) -> str:
             continue
         kept.append(arg)
     return shlex.join(kept)
+
+
+def _json(doc: dict) -> str:
+    """doc as indented JSON, each non-finite float value written as null."""
+    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                       for k, v in doc.items()}, indent=2) + "\n"
 
 
 def _csv(rows: list[dict], argv: list[str], footer: list[str] = ()) -> str:
@@ -179,7 +183,7 @@ def cmd_mzi(parser, args, argv) -> int:
     report = run_double_mzi(config)
     rows = [{"flux_rad": f, "p3": p3, "p4": p4}
             for f, p3, p4 in zip(report.flux, report.p3, report.p4)]
-    footer = [f"# visibility = {_fmt(report.visibility)}"]
+    footer = [f"# visibility = {report.visibility:.12g}"]
     _write(args.output, _csv(rows, argv, footer=footer))
     return 0
 
@@ -197,15 +201,13 @@ def cmd_engine(parser, args, argv) -> int:
             beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
         doc = dict(vars(report), field_ledger=dict(report.field_ledger),
                    epsilon=eps, policy=args.policy)
-        doc = {k: None if v != v else v for k, v in doc.items()}  # JSON has no NaN
-        _write(args.output, json.dumps(doc, indent=2) + "\n")
+        _write(args.output, _json(doc))
         return 0
 
     if args.mode == "threshold":
         beta = eng.minimal_beta(bd_delta, 1.0, args.policy)
-        doc = {"beta_d_delta": bd_delta, "policy": args.policy,
-               "max_beta_delta": None if beta != beta else beta}
-        _write(args.output, json.dumps(doc, indent=2) + "\n")
+        doc = {"beta_d_delta": bd_delta, "policy": args.policy, "max_beta_delta": beta}
+        _write(args.output, _json(doc))
         return 0
 
     if args.mode == "sweep":
@@ -242,12 +244,10 @@ def cmd_engine(parser, args, argv) -> int:
     if args.target == "power":
         result = eng.optimize_epsilon_power(pe, bd_delta)
     else:
-        # βdΔ is only echoed into the report here; check it as the power target does
-        if not 0.0 < bd_delta < math.inf:
-            raise ParameterError(f"beta_d_delta must be finite and positive, got {bd_delta}")
+        eng._check_beta_d(bd_delta, "beta_d_delta")  # only echoed here; checked as for power
         result = eng.optimize_epsilon_eta(pe)
     doc = dict(vars(result), target=args.target, p_e=pe, beta_d_delta=bd_delta)
-    _write(args.output, json.dumps(doc, indent=2) + "\n")
+    _write(args.output, _json(doc))
     if not result.converged:
         sys.stderr.write(
             f"non-convergence: residual {result.residual:.3e}\n")
@@ -263,7 +263,8 @@ def _add_spin_flags(p: argparse.ArgumentParser):
     p.add_argument("--beta-phase", type=float, default=0.0)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``qdemon`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qdemon",
         description="Purity-swapping channel, circuits, interferometer and engine "
@@ -312,28 +313,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_eng.add_argument("--target", default="power", choices=["power", "eta"])
     p_eng.add_argument("--output", default=None)
 
-    return parser
+    return parser, sub.choices
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` uses, built on first use: parsing leaves it
-    unchanged, so one per process serves every call."""
-    return build_parser()
+#: the parsers ``main`` uses, built on first use: parsing leaves them unchanged,
+#: so one set per process serves every call
+_parser = functools.cache(build_parser)
+
+
+def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
+    """(parser, parser.parse_args(argv)) in one pass: an argv that opens with a
+    subcommand goes straight to its parser, to which ``parser`` would hand it whole."""
+    parser, commands = _parser()
+    if not argv or argv[0] not in commands:
+        return parser, parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:],
+                                                     argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return parser, args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _parser()
-    args = parser.parse_args(argv)
+    parser, args = _parse(argv)
     try:
-        if args.command == "channel":
-            return cmd_channel(parser, args, argv)
-        if args.command == "gates":
-            return cmd_gates(parser, args, argv)
-        if args.command == "mzi":
-            return cmd_mzi(parser, args, argv)
-        return cmd_engine(parser, args, argv)
+        return {"channel": cmd_channel, "gates": cmd_gates, "mzi": cmd_mzi,
+                "engine": cmd_engine}[args.command](parser, args, argv)
     except (ParameterError, InvalidStateError) as exc:
         parser.error(str(exc))
     except eng.ConvergenceError as exc:

@@ -212,54 +212,63 @@ def _bisect(f, lo: float, hi: float, max_iter: int = 200):
 _T_SETTLED = 1e-8
 #: ... or at a step below this many ulps of 1 + |t| + |level|: s's round-off
 _S_NOISE = 8.0 * 2.0**-52
+#: t, H' and H at EPS_FLOOR, the lower end of every bracket
+_T_FLOOR = math.log(EPS_FLOOR / (1.0 - EPS_FLOOR))
+_HP_FLOOR = bit_entropy_prime(EPS_FLOOR)
+_H_FLOOR = bit_entropy(EPS_FLOOR)
 
 
-def _stationarity_base(p_e: float, xi: float, eps: float) -> float:
-    """xi H'[x] - H'[eps], x = p_e + eps xi: s(eps) without beta_d*delta_w."""
-    return xi * bit_entropy_prime(p_e + eps * xi) - bit_entropy_prime(eps)
-
-
-def _bracket(p_e: float, xi: float) -> tuple[float, float, float, float]:
-    """(lo, hi) = (EPS_FLOOR, min(p_e, 1/2) - EPS_FLOOR) and the base at both.
-    H' raises at hi for p_e <= EPS_FLOOR; below 2 EPS_FLOOR hi < lo is refused."""
+def _max_net_work(p_e, xi, bd_delta, t):
+    """Root of s(eps) = xi H'[x] - H'[eps] + level, x = p_e + eps xi, on [EPS_FLOOR,
+    min(p_e, 1/2) - EPS_FLOOR]: level is opt-power's bd_delta, or for None opt-eta's
+    R(eps). Without a sign change of s, the end where s is larger (lo if s >= 0
+    there); else Newton on s(t) from t, bisecting steps that leave the sign bracket.
+    The step leaves level's slope out: exact for a constant, and for R Newton's step
+    on F = (p_e - eps) s, whose t-slope is (p_e - eps) ds/dt. Returns (eps, level,
+    residual, Newton steps, root found) of the last evaluation, residual |s| or for
+    R |F|. H' raises at hi for p_e <= EPS_FLOOR; below 2 EPS_FLOOR hi < lo is refused."""
     lo, hi = EPS_FLOOR, min(p_e, 0.5) - EPS_FLOOR
-    ends = (_stationarity_base(p_e, xi, lo), _stationarity_base(p_e, xi, hi))
+    x_lo, x_hi = p_e + lo * xi, p_e + hi * xi
+    base_lo = xi * math.log((1.0 - x_lo) / x_lo) - _HP_FLOOR
+    base_hi = xi * bit_entropy_prime(x_hi) - bit_entropy_prime(hi)
     if hi < lo:
         raise ParameterError(f"p_e={p_e} leaves no epsilon bracket above {EPS_FLOOR}")
-    return lo, hi, *ends
-
-
-def _max_net_work(p_e, xi, level, bracket, t):
-    """(eps, s(eps), Newton steps, root found) for s(eps) = xi H'[x] - H'[eps] +
-    level(eps) on the bracket: without a sign change of s, the end where it is
-    larger (lo if s >= 0 there); else Newton on s(t) from t, bisecting when a
-    step leaves the sign bracket. The step leaves level's slope out: exact for
-    a constant level, and for level = R it is Newton's step on R's stationarity
-    function (p_e - eps) s, whose t-slope is (p_e - eps) ds/dt."""
-    lo, hi, g_lo, g_hi = bracket
-    s_lo, s_hi = g_lo + level(lo), g_hi + level(hi)
-    if not s_lo * s_hi < 0.0:
-        return (lo, s_lo, 0, False) if s_lo >= 0.0 else (hi, s_hi, 0, False)
-    a, b = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
-    t, settled = min(max(t, a), b), False
-    for it in range(1, 101):
-        eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
-        x = p_e + eps * xi
-        lev = level(eps)
-        # s(eps) with H' written as bit_entropy_prime writes it
-        s = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps) + lev
-        if s < 0.0:
-            a = t
-        else:
-            b = t
-        step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
-        if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(lev)):
-            break
-        if a < t - step < b:
-            t, settled = t - step, abs(step) <= _T_SETTLED
-        else:
-            t, settled = 0.5 * (a + b), b - a <= _T_SETTLED
-    return eps, s, it, True
+    r_level, lev_lo, lev_hi = bd_delta is None, bd_delta, bd_delta
+    hx_lo = hx_hi = he_hi = 0.0  # H[x] and H[eps] at the ends, which only R reads
+    if r_level:
+        hx_lo, hx_hi, he_hi = bit_entropy(x_lo), bit_entropy(x_hi), bit_entropy(hi)
+        lev_lo, lev_hi = (hx_lo - _H_FLOOR) / (p_e - lo), (hx_hi - he_hi) / (p_e - hi)
+    s_lo, s_hi = base_lo + lev_lo, base_hi + lev_hi
+    it, inside = 0, s_lo * s_hi < 0.0
+    if not inside:
+        eps, base, lev, hx, he = ((lo, base_lo, lev_lo, hx_lo, _H_FLOOR) if s_lo >= 0.0
+                                  else (hi, base_hi, lev_hi, hx_hi, he_hi))
+    else:
+        a, b = _T_FLOOR, math.log(hi / (1.0 - hi))
+        t, settled, lev = min(max(t, a), b), False, bd_delta
+        for it in range(1, 101):
+            eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
+            x = p_e + eps * xi
+            # H' and H written as bit_entropy_prime and bit_entropy write them
+            base = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps)
+            if r_level:
+                hx = -x * math.log(x) - (1.0 - x) * math.log1p(-x)
+                he = -eps * math.log(eps) - (1.0 - eps) * math.log1p(-eps)
+                lev = (hx - he) / (p_e - eps)
+            s = base + lev
+            if s < 0.0:
+                a = t
+            else:
+                b = t
+            step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
+            if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(lev)):
+                break
+            if a < t - step < b:
+                t, settled = t - step, abs(step) <= _T_SETTLED
+            else:
+                t, settled = 0.5 * (a + b), b - a <= _T_SETTLED
+    residual = abs(base * (p_e - eps) + hx - he) if r_level else abs(base + lev)
+    return eps, lev, residual, it, inside
 
 
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
@@ -281,11 +290,10 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     _check_beta_d(beta_d_delta, "beta_d_delta")
     xi = 1.0 - 2.0 * p_e
     t0 = -xi * bit_entropy_prime(p_e) - beta_d_delta
-    eps, s, iters, inside = _max_net_work(p_e, xi, lambda _: beta_d_delta,
-                                          _bracket(p_e, xi), t0)
+    eps, _, residual, iters, inside = _max_net_work(p_e, xi, beta_d_delta, t0)
     return OptimizationResult(
         epsilon_star=eps, objective_value=_net_work_per_delta(p_e, eps, beta_d_delta),
-        converged=abs(s) <= 1e-12, iterations=iters, residual=abs(s),
+        converged=residual <= 1e-12, iterations=iters, residual=residual,
         roots=(eps,) if inside else ())
 
 
@@ -306,17 +314,13 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
         return OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
                                   iterations=0, residual=0.0, roots=(0.5,))
     xi = 1.0 - 2.0 * p_e
-    bracket = _bracket(p_e, xi)
-    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near both
-    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
-    eps = min(max(eps, bracket[0]), bracket[1])
-    eps, _, iters, inside = _max_net_work(p_e, xi, lambda e: _entropy_cost_ratio(p_e, e),
-                                          bracket, math.log(eps / (1.0 - eps)))
-    x = p_e + eps * xi
-    residual = abs(_stationarity_base(p_e, xi, eps) * (p_e - eps)
-                   + bit_entropy(x) - bit_entropy(eps))
+    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
+    # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
+    eps = max(p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e)), EPS_FLOOR)
+    eps, ratio, residual, iters, inside = _max_net_work(p_e, xi, None,
+                                                        math.log(eps / (1.0 - eps)))
     return OptimizationResult(
-        epsilon_star=eps, objective_value=_entropy_cost_ratio(p_e, eps),
+        epsilon_star=eps, objective_value=ratio,
         converged=inside and residual <= 1e-12, iterations=iters, residual=residual,
         roots=(eps,) if inside else ())
 

@@ -252,6 +252,10 @@ def _later_cases() -> list[list[str]]:
         ["engine", "report", "--beta-d-delta", "5e-309"],
         ["engine", "sweep", "--beta-d-delta", "5e-309", "--steps", "2"],
         ["engine", "optimize", "--target", "power", "--beta-d-delta", "1e-310", "--pe", "0.3"],
+        # eta_2cy = net/heat overflows where heat is tiny and w_in huge: written as null
+        ["engine", "report", "--beta-delta", "0.8472978603872037",
+         "--policy", "fixed:0.2999999999999999", "--beta-d-delta", "1e-300"],
+        ["engine", "optimize", "--target", "eta", "--beta-d-delta", "1e-320", "--pe", "0.3"],
     ]
     return cases
 

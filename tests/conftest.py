@@ -6,7 +6,7 @@ import pytest
 from qdemon import engine as eng
 from qdemon.channel import ChannelConfig, ChannelReport, apply_channel
 from qdemon.circuits import HBAR, DoubleDotConfig, _pswap_stages, conditional_pi_phase, u14
-from qdemon.qmatrix import tensor, von_neumann_entropy
+from qdemon.qmatrix import ParameterError, tensor, von_neumann_entropy
 from qdemon.spin_demon import SpinDemonParams, beam_splitter
 
 
@@ -68,6 +68,90 @@ def power_stationarity(p_e, bd_delta, eps):
     the function optimize_epsilon_power finds the root of."""
     xi = 1.0 - 2.0 * p_e
     return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps) + bd_delta
+
+
+def stationarity_base(p_e, xi, eps):
+    """xi H'[x] - H'[eps], x = p_e + eps xi: s(eps) without beta_d*delta_w."""
+    return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps)
+
+
+def search_bracket(p_e, xi):
+    """(lo, hi) = (EPS_FLOOR, min(p_e, 1/2) - EPS_FLOOR) and the base at both.
+    H' raises at hi for p_e <= EPS_FLOOR; below 2 EPS_FLOOR hi < lo is refused."""
+    lo, hi = eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR
+    ends = (stationarity_base(p_e, xi, lo), stationarity_base(p_e, xi, hi))
+    if hi < lo:
+        raise ParameterError(f"p_e={p_e} leaves no epsilon bracket above {eng.EPS_FLOOR}")
+    return lo, hi, *ends
+
+
+def level_search(p_e, xi, level, bracket, t):
+    """The optimisers' search as it was with a level callable, the oracle of
+    ``engine._max_net_work``: (eps, s(eps), Newton steps, root found) for s(eps) =
+    xi H'[x] - H'[eps] + level(eps) on the bracket. Without a sign change of s, the
+    end where it is larger (lo if s >= 0 there); else Newton on s(t) from t,
+    bisecting when a step leaves the sign bracket."""
+    lo, hi, g_lo, g_hi = bracket
+    s_lo, s_hi = g_lo + level(lo), g_hi + level(hi)
+    if not s_lo * s_hi < 0.0:
+        return (lo, s_lo, 0, False) if s_lo >= 0.0 else (hi, s_hi, 0, False)
+    a, b = math.log(lo / (1.0 - lo)), math.log(hi / (1.0 - hi))
+    t, settled = min(max(t, a), b), False
+    for it in range(1, 101):
+        eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
+        x = p_e + eps * xi
+        lev = level(eps)
+        s = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps) + lev
+        if s < 0.0:
+            a = t
+        else:
+            b = t
+        step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
+        if settled or abs(step) <= eng._S_NOISE * (1.0 + abs(t) + abs(lev)):
+            break
+        if a < t - step < b:
+            t, settled = t - step, abs(step) <= eng._T_SETTLED
+        else:
+            t, settled = 0.5 * (a + b), b - a <= eng._T_SETTLED
+    return eps, s, it, True
+
+
+def oracle_power(p_e, beta_d_delta):
+    """``engine.optimize_epsilon_power`` on ``level_search`` with a constant level."""
+    if not 0.0 < p_e <= 0.5:
+        raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
+    eng._check_beta_d(beta_d_delta, "beta_d_delta")
+    xi = 1.0 - 2.0 * p_e
+    t0 = -xi * eng.bit_entropy_prime(p_e) - beta_d_delta
+    eps, s, iters, inside = level_search(p_e, xi, lambda _: beta_d_delta,
+                                         search_bracket(p_e, xi), t0)
+    return eng.OptimizationResult(
+        epsilon_star=eps, objective_value=eng._net_work_per_delta(p_e, eps, beta_d_delta),
+        converged=abs(s) <= 1e-12, iterations=iters, residual=abs(s),
+        roots=(eps,) if inside else ())
+
+
+def oracle_eta(p_e):
+    """``engine.optimize_epsilon_eta`` on ``level_search`` with R as the level,
+    evaluating R and the residual F at eps* afresh."""
+    if not 0.0 < p_e <= 0.5:
+        raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
+    if p_e == 0.5:
+        return eng.OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
+                                      iterations=0, residual=0.0, roots=(0.5,))
+    xi = 1.0 - 2.0 * p_e
+    bracket = search_bracket(p_e, xi)
+    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
+    eps = min(max(eps, bracket[0]), bracket[1])
+    eps, _, iters, inside = level_search(p_e, xi, lambda e: eng._entropy_cost_ratio(p_e, e),
+                                         bracket, math.log(eps / (1.0 - eps)))
+    x = p_e + eps * xi
+    residual = abs(stationarity_base(p_e, xi, eps) * (p_e - eps)
+                   + eng.bit_entropy(x) - eng.bit_entropy(eps))
+    return eng.OptimizationResult(
+        epsilon_star=eps, objective_value=eng._entropy_cost_ratio(p_e, eps),
+        converged=inside and residual <= 1e-12, iterations=iters, residual=residual,
+        roots=(eps,) if inside else ())
 
 
 def ratio_round_off(p_e, eps):

@@ -1,10 +1,16 @@
 """Command-line interface: output formats, values, exit codes, determinism."""
 
+import io
 import json
 import math
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdemon import cli
 from qdemon import engine as eng
@@ -13,6 +19,7 @@ from qdemon.channel import report_to_json
 from qdemon.circuits import pswap_gate
 from qdemon.cli import _recorded_flags, main
 from qdemon.spin_demon import SpinDemonParams, scatter
+from cli_corpus import EXTREMES, POLICIES
 
 LN2 = math.log(2)
 
@@ -296,6 +303,8 @@ def cycle_json(report):
 @pytest.mark.parametrize("beta_delta,bd_delta,policy", [
     (1e-6, 2.0, "ideal"), (0.5, 3.0, "opt-power"), (0.7, 2.0, "opt-eta"),
     (0.5, 2.0, "fixed:0.4"),  # no heat absorbed: NaN efficiencies, written as null
+    # heat 2.2e-16 and w_in 1.4e299: eta_2cy = net/heat overflows to -inf, written as null
+    (0.8472978603872037, 1e-300, "fixed:0.2999999999999999"),
 ])
 def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_delta, policy):
     code, text = run_text(capsys, ["engine", "report", "--beta-delta", str(beta_delta),
@@ -308,8 +317,10 @@ def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_de
     doc = cycle_json(report)
     doc["epsilon"] = eps
     doc["policy"] = policy
-    doc = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in doc.items()}
+    doc = {k: None if isinstance(v, float) and not math.isfinite(v) else v
+           for k, v in doc.items()}
     assert text == json.dumps(doc, indent=2) + "\n"
+    assert "NaN" not in text and "Infinity" not in text  # RFC 8259 JSON has neither
 
 
 def test_engine_optimize_document_keys(capsys):
@@ -476,13 +487,32 @@ def test_engine_frontier_at_one_pe_ignores_steps(capsys):
     assert len(text.splitlines()) == 3  # header, one row, flags
 
 
+def optimize_refusals(capsys, bd_delta):
+    """stderr of `engine optimize --pe 0.3 --beta-d-delta bd_delta` for the eta
+    and the power target, each of which must exit 2 writing nothing to stdout."""
+    errors = []
+    for target in ("eta", "power"):
+        with pytest.raises(SystemExit) as err:
+            main(["engine", "optimize", "--target", target, "--pe", "0.3",
+                  "--beta-d-delta", bd_delta])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    return errors
+
+
 def test_engine_optimize_eta_rejects_non_positive_beta_d_delta(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["engine", "optimize", "--target", "eta", "--pe", "0.3", "--beta-d-delta", "0"])
-    assert err.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "beta_d_delta must be finite and positive" in captured.err
+    eta, power = optimize_refusals(capsys, "0")
+    assert "beta_d_delta must be positive, got 0.0" in eta
+    assert eta == power
+
+
+def test_engine_optimize_eta_rejects_beta_d_delta_below_its_minimum(capsys):
+    # 2 ln 2 / beta_d overflows below BETA_D_MIN: the power target always refused it
+    eta, power = optimize_refusals(capsys, "1e-320")
+    assert f"beta_d_delta must be at least {eng.BETA_D_MIN!r}" in eta
+    assert eta == power
 
 
 @pytest.mark.parametrize("args", [
@@ -628,3 +658,86 @@ def test_reused_parser_matches_fresh_parser(capsys, sequence, codes):
     reused = [outcome(capsys, args) for args in sequence]
     assert [code for code, _, _ in fresh] == codes
     assert reused == fresh
+
+
+SUBPARSERS = cli.build_parser()[1]
+VALUES = [*EXTREMES, *POLICIES, "0", "0.3", "2", "-1", "1e-320", "8.5", "abc", "extra",
+          "report", "sweep", "frontier", "optimize", "threshold", "power", "eta", "PSWAP",
+          "U14", "json", "csv", "up", "mixture", "superposition", "pure", "chaotic"]
+
+
+def abbreviated(option_strings):
+    """An option string or any abbreviation of it (ambiguous ones too: --beta, --o)."""
+    return st.sampled_from(sorted(option_strings)).flatmap(
+        lambda o: st.integers(min(len(o), 3), len(o)).map(lambda n: o[:n]))
+
+
+options = abbreviated({o for sub in SUBPARSERS.values() for action in sub._actions
+                       for o in action.option_strings})
+tokens = st.one_of(
+    options, st.sampled_from(VALUES),
+    st.tuples(options, st.sampled_from(VALUES)).map("=".join),
+    st.sampled_from(["--", "-h", "--help", "--bogus", "-x", "-hx", "--h", "-"]))
+# a subcommand, its mode or gate or none, its own options with values (as --opt value
+# or --opt=value), then anything; or anything at all
+HEADS = {"engine": [["report"], ["sweep"], ["frontier"], ["optimize"], ["threshold"], []],
+         "gates": [["--which", "UD"], ["--which", "PSWAP"], []]}
+
+
+def command_argvs(name):
+    own = abbreviated({o for action in SUBPARSERS[name]._actions for o in action.option_strings})
+    flag = st.tuples(own, st.sampled_from(VALUES), st.booleans()).map(
+        lambda p: ["=".join(p[:2])] if p[2] else list(p[:2]))
+    head = st.sampled_from(HEADS.get(name, [[]]))
+    return st.tuples(head, st.lists(flag, max_size=4), st.lists(tokens, max_size=3)).map(
+        lambda t: [name, *t[0], *sum(t[1], []), *t[2]])
+
+
+argvs = st.one_of(
+    *(command_argvs(name) for name in sorted(SUBPARSERS)),
+    st.tuples(st.one_of(st.sampled_from(sorted(SUBPARSERS)),
+                        st.sampled_from(["-h", "--", "lift", "-x"]), tokens),
+              st.lists(tokens, max_size=8)).map(lambda t: [t[0], *t[1]]))
+
+
+def parse_outcome(parse, argv):
+    """The namespace one parse gives, or its exit code, with what it wrote to
+    stdout and stderr at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80", "LINES": "24"}):
+        try:
+            got = repr(sorted(vars(parse(argv)).items()))
+        except SystemExit as exc:
+            got = exc.code
+    return got, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(argv=argvs)
+@example(argv=["engine", "report", "--beta-delta", "1", "--policy", "opt-eta"])
+@example(argv=["engine", "frontier", "--beta-d-delta", "2", "4", "--o", "x", "extra"])
+@example(argv=["gates", "--which", "U14", "--phase=-1", "--", "UD"])
+@example(argv=["mzi", "--bypass", "--flux-steps", "8", "-h"])
+@example(argv=["channel", "--demon", "mixture", "0.3", "--input=pure", "--amp", "1", "0", "0", "1"])
+@example(argv=["engine", "--beta", "1", "report"])
+@example(argv=["engine"])
+@example(argv=[])
+def test_one_pass_parse_matches_parse_args(argv):
+    main_step = parse_outcome(lambda a: cli._parse(a)[1], argv)
+    assert main_step == parse_outcome(lambda a: cli.build_parser()[0].parse_args(a), argv)
+
+
+def test_main_skips_the_top_level_parse_of_a_subcommand_argv(capsys, tmp_path):
+    parser = cli._parser()[0]
+    with mock.patch.object(parser, "parse_known_args", wraps=parser.parse_known_args) as top:
+        assert main(["engine", "report", "--output", str(tmp_path / "report.json")]) == 0
+        with pytest.raises(SystemExit):
+            main(["engine", "report", "extra"])
+        assert top.call_count == 0
+        # leftovers still meet the top-level parser's error, as parse_args gives it
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qdemon: error: unrecognized arguments: extra")
+        with pytest.raises(SystemExit):
+            main([])  # no subcommand: the top-level parser parses
+        assert top.call_count == 1

@@ -14,8 +14,9 @@ from mpmath import mp
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
 from qdemon.circuits import CNOT_UP, HBAR, u14
-from conftest import (dag, half_rabi, partial_trace, power_stationarity, pswap_route,
-                      ratio_round_off)
+from conftest import (dag, half_rabi, level_search, oracle_eta, oracle_power, partial_trace,
+                      power_stationarity, pswap_route, ratio_round_off, search_bracket,
+                      stationarity_base)
 
 LN2 = math.log(2)
 
@@ -393,20 +394,20 @@ def dinkelbach_eta(p_e):
         return eng.OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
                                       iterations=0, residual=0.0, roots=(0.5,))
     xi = 1.0 - 2.0 * p_e
-    bracket = eng._bracket(p_e, xi)
+    bracket = search_bracket(p_e, xi)
     eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
     eps = min(max(eps, bracket[0]), bracket[1])
     lam, iters = eng._entropy_cost_ratio(p_e, eps), 0
     for _ in range(60):
-        eps, _, steps, inside = eng._max_net_work(p_e, xi, lambda _, lam=lam: lam, bracket,
-                                                  math.log(eps / (1.0 - eps)))
+        eps, _, steps, inside = level_search(p_e, xi, lambda _, lam=lam: lam, bracket,
+                                             math.log(eps / (1.0 - eps)))
         iters += steps
         ratio = eng._entropy_cost_ratio(p_e, eps)
         if not ratio < lam - 4.0 * math.ulp(lam):
             break
         lam = ratio
     x = p_e + eps * xi
-    residual = abs(eng._stationarity_base(p_e, xi, eps) * (p_e - eps)
+    residual = abs(stationarity_base(p_e, xi, eps) * (p_e - eps)
                    + eng.bit_entropy(x) - eng.bit_entropy(eps))
     return eng.OptimizationResult(
         epsilon_star=eps, objective_value=ratio, converged=inside and residual <= 1e-12,
@@ -451,6 +452,34 @@ def test_optimize_eta_matches_dinkelbach(p_e):
                 <= ratio_round_off(p_e, want.epsilon_star))
     if 0.5 - p_e >= 1e-4:
         assert abs(got.epsilon_star - want.epsilon_star) <= 1e-11 * want.epsilon_star
+
+
+def search_outcome(optimize, *args):
+    """repr of an optimiser's result (its floats to the bit), or the type and
+    message of its refusal."""
+    try:
+        return repr(optimize(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# p_e from beta*delta_w log-uniform in [1e-9, 745] (down to 5e-324, past the H' domain
+# and the empty bracket below 2 EPS_FLOOR), and 1/2 - 10^-k up to 1/2 itself
+search_pes = st.one_of(
+    st.floats(math.log(1e-9), math.log(745.0)).map(lambda b: eng.thermal_wit(math.exp(b), 1.0)[1]),
+    st.integers(1, 17).map(lambda k: 0.5 - 10.0**-k))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(p_e=search_pes,
+       bd_delta=st.floats(math.log(10 * eng.BETA_D_MIN), math.log(1e3)).map(math.exp))
+@example(p_e=2 * eng.EPS_FLOOR, bd_delta=2.0)   # the one-point bracket
+@example(p_e=1.5e-15, bd_delta=2.0)             # hi < lo
+@example(p_e=1e-170, bd_delta=2.0)              # opt-eta's start p_e^2/e underflows to 0
+def test_inlined_search_matches_the_level_search_bit_for_bit(p_e, bd_delta):
+    assert (search_outcome(eng.optimize_epsilon_power, p_e, bd_delta)
+            == search_outcome(oracle_power, p_e, bd_delta))
+    assert search_outcome(eng.optimize_epsilon_eta, p_e) == search_outcome(oracle_eta, p_e)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -831,19 +860,23 @@ def test_newton_safeguard_bisects_a_step_that_leaves_the_bracket(target):
     # overshoots the sign bracket's lower end, so the search must bisect
     p_e, xi = 0.3, 0.4
     if target == "power":
-        level, public = (lambda _: 30.0), eng.optimize_epsilon_power(p_e, 30.0)
+        bd_delta, level, public = 30.0, (lambda _: 30.0), eng.optimize_epsilon_power(p_e, 30.0)
     else:
-        level, public = ((lambda eps: eng._entropy_cost_ratio(p_e, eps)),
-                         eng.optimize_epsilon_eta(p_e))
-    bracket = eng._bracket(p_e, xi)
+        bd_delta, level, public = (None, (lambda eps: eng._entropy_cost_ratio(p_e, eps)),
+                                   eng.optimize_epsilon_eta(p_e))
+    bracket = search_bracket(p_e, xi)
     lo, hi = bracket[:2]
     start = math.log(hi / (1.0 - hi))
     x = p_e + hi * xi
-    s = eng._stationarity_base(p_e, xi, hi) + level(hi)
+    s = stationarity_base(p_e, xi, hi) + level(hi)
     step = s / (1.0 - xi * xi * hi * (1.0 - hi) / (x * (1.0 - x)))
     assert s > 0.0 and start - step < math.log(lo / (1.0 - lo))
-    eps, s, _, inside = eng._max_net_work(p_e, xi, level, bracket, start)
+    eps, s, _, inside = level_search(p_e, xi, level, bracket, start)
     assert inside and abs(s) <= 1e-12
+    assert abs(eps - public.epsilon_star) <= 1e-12 * public.epsilon_star
+    # the package's search, which takes the level as bd_delta or None for R
+    eps, lev, _, _, inside = eng._max_net_work(p_e, xi, bd_delta, start)
+    assert inside and abs(power_stationarity(p_e, lev, eps)) <= 1e-12
     assert abs(eps - public.epsilon_star) <= 1e-12 * public.epsilon_star
 
 
