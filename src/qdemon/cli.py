@@ -12,8 +12,10 @@ trailing comment line recording the flags; the channel JSON records them as
 (``--output`` in any spelling argparse accepts), which says where the bytes
 go, not what they are. Given identical flags, whatever the destination, the
 output is byte-identical across runs. The engine's JSON writes null for NaN
-and infinities. An argv that opens with a subcommand goes to that subcommand's
-parser alone: the top-level parser handles only help and a missing or unknown one.
+and infinities; a CSV cell, which readers parse with float(), writes ``nan``
+where eta_2cy is undefined at zero heat. An argv that opens with a subcommand
+goes to that subcommand's parser alone: the top-level parser handles only help
+and a missing or unknown one.
 
 Exit codes: 0 success, 2 usage error (a rejected parameter or state
 included), 3 numerical non-convergence.
@@ -46,8 +48,8 @@ def _write(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
 
 
 def _recorded_flags(argv: list[str]) -> str:
@@ -82,8 +84,9 @@ def _json(doc: dict) -> str:
 
 def _csv(rows: list[dict], argv: list[str], footer: list[str] = ()) -> str:
     header = list(rows[0].keys()) if rows else []
+    row_format = ",".join(["%.12g"] * len(header))  # format(v, ".12g") for every cell
     lines = [",".join(header)]
-    lines += [",".join([format(row[k], ".12g") for k in header]) for row in rows]
+    lines += [row_format % tuple([row[k] for k in header]) for row in rows]
     lines.extend(footer)
     lines.append("# flags: " + _recorded_flags(argv))
     return "\n".join(lines) + "\n"

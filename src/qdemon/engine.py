@@ -271,6 +271,17 @@ def _max_net_work(p_e, xi, bd_delta, t):
     return eps, lev, residual, it, inside
 
 
+def _power_search(p_e: float, beta_d_delta: float):
+    """opt-power's search: (eps*, level beta_d_delta, residual |s|, Newton steps,
+    root found, converged), the fields ``optimize_epsilon_power`` reports."""
+    if not 0.0 < p_e <= 0.5:
+        raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
+    _check_beta_d(beta_d_delta, "beta_d_delta")
+    xi = 1.0 - 2.0 * p_e
+    found = _max_net_work(p_e, xi, beta_d_delta, -xi * bit_entropy_prime(p_e) - beta_d_delta)
+    return (*found, found[2] <= 1e-12)
+
+
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
     """Demon impurity maximising the net work per cycle.
 
@@ -285,16 +296,24 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     reported with iterations = 0 and roots = (). objective_value is net work
     in units of delta_w.
     """
+    eps, _, residual, iters, inside, converged = _power_search(p_e, beta_d_delta)
+    return OptimizationResult(eps, _net_work_per_delta(p_e, eps, beta_d_delta), converged,
+                              iters, residual, (eps,) if inside else ())
+
+
+def _eta_search(p_e: float):
+    """opt-eta's search: (eps*, R(eps*), residual |F|, Newton steps, root found,
+    converged), the fields ``optimize_epsilon_eta`` reports."""
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    _check_beta_d(beta_d_delta, "beta_d_delta")
+    if p_e == 0.5:
+        return 0.5, 0.0, 0.0, 0, True, True
     xi = 1.0 - 2.0 * p_e
-    t0 = -xi * bit_entropy_prime(p_e) - beta_d_delta
-    eps, _, residual, iters, inside = _max_net_work(p_e, xi, beta_d_delta, t0)
-    return OptimizationResult(
-        epsilon_star=eps, objective_value=_net_work_per_delta(p_e, eps, beta_d_delta),
-        converged=residual <= 1e-12, iterations=iters, residual=residual,
-        roots=(eps,) if inside else ())
+    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
+    # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
+    eps = max(p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e)), EPS_FLOOR)
+    found = _max_net_work(p_e, xi, None, math.log(eps / (1.0 - eps)))
+    return (*found, found[4] and found[2] <= 1e-12)
 
 
 def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
@@ -308,21 +327,8 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     inside the bracket (roots = (eps*,)) and |F| <= 1e-12 (residual). At
     p_e = 1/2 the root is the boundary eps = 1/2.
     """
-    if not 0.0 < p_e <= 0.5:
-        raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    if p_e == 0.5:
-        return OptimizationResult(epsilon_star=0.5, objective_value=0.0, converged=True,
-                                  iterations=0, residual=0.0, roots=(0.5,))
-    xi = 1.0 - 2.0 * p_e
-    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
-    # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
-    eps = max(p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e)), EPS_FLOOR)
-    eps, ratio, residual, iters, inside = _max_net_work(p_e, xi, None,
-                                                        math.log(eps / (1.0 - eps)))
-    return OptimizationResult(
-        epsilon_star=eps, objective_value=ratio,
-        converged=inside and residual <= 1e-12, iterations=iters, residual=residual,
-        roots=(eps,) if inside else ())
+    eps, ratio, residual, iters, inside, converged = _eta_search(p_e)
+    return OptimizationResult(eps, ratio, converged, iters, residual, (eps,) if inside else ())
 
 
 def parse_policy(policy: str) -> tuple[str, float | None]:
@@ -341,12 +347,12 @@ def parse_policy(policy: str) -> tuple[str, float | None]:
         f"unknown policy {policy!r}; expected ideal, opt-power, opt-eta or fixed:<eps>")
 
 
-def _converged(policy: str, p_e: float, result: OptimizationResult) -> OptimizationResult:
-    """``result`` once it has converged; ConvergenceError naming the policy otherwise."""
-    if not result.converged:
+def _converged(policy: str, p_e: float, found: tuple) -> tuple:
+    """A search's values once converged; ConvergenceError naming the policy otherwise."""
+    if not found[5]:
         raise ConvergenceError(f"policy {policy} failed to converge at p_e={p_e} "
-                               f"(residual {result.residual:.3e})")
-    return result
+                               f"(residual {found[2]:.3e})")
+    return found
 
 
 def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
@@ -361,9 +367,8 @@ def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
         return 0.0
     if name == "fixed":
         return float(fixed)
-    result = (optimize_epsilon_power(p_e, beta_d_delta) if name == "opt-power"
-              else optimize_epsilon_eta(p_e))
-    return _converged(policy, p_e, result).epsilon_star
+    found = _power_search(p_e, beta_d_delta) if name == "opt-power" else _eta_search(p_e)
+    return _converged(policy, p_e, found)[0]
 
 
 def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
@@ -396,8 +401,7 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
             return ratio - beta_d_delta
         # eps* lies below the floor wherever p_e <= 2 EPS_FLOOR; opt-eta reports
         # that as non-convergence at 2 EPS_FLOOR, where its bracket is one point
-        result = optimize_epsilon_eta(max(p_e, 2.0 * EPS_FLOOR))
-        return _converged(policy, p_e, result).objective_value - beta_d_delta
+        return _converged(policy, p_e, _eta_search(max(p_e, 2.0 * EPS_FLOOR)))[1] - beta_d_delta
 
     if not excess(0.0) < 0.0:
         return math.nan
@@ -434,14 +438,20 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
 def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
     """Optimal impurities versus excited-state occupation.
 
-    Each row carries eps_eta (demon-temperature independent) and one
-    eps_w column per requested beta_d*delta_w.
+    Each row carries eps_eta (demon-temperature independent) and one eps_w_bd{:g}
+    column per requested beta_d*delta_w, refused if two values name one column;
+    each entry is the optimiser's epsilon_star, converged or not.
     """
-    bds = [float(b) for b in beta_d_deltas]
+    columns = {}
+    for bd in map(float, beta_d_deltas):
+        name = f"eps_w_bd{bd:g}"
+        if name in columns:
+            raise ParameterError(f"beta_d_delta values {columns[name]!r} and {bd!r} "
+                                 f"both name the frontier column {name}")
+        columns[name] = bd
     rows = []
     for pe in map(float, pe_values):
-        row = {"p_e": pe, "eps_eta": optimize_epsilon_eta(pe).epsilon_star}
-        for bd in bds:
-            row[f"eps_w_bd{bd:g}"] = optimize_epsilon_power(pe, bd).epsilon_star
+        row = {"p_e": pe, "eps_eta": _eta_search(pe)[0]}
+        row.update((name, _power_search(pe, bd)[0]) for name, bd in columns.items())
         rows.append(row)
     return rows

@@ -256,6 +256,9 @@ def _later_cases() -> list[list[str]]:
         ["engine", "report", "--beta-delta", "0.8472978603872037",
          "--policy", "fixed:0.2999999999999999", "--beta-d-delta", "1e-300"],
         ["engine", "optimize", "--target", "eta", "--beta-d-delta", "1e-320", "--pe", "0.3"],
+        # two beta_d_delta values that name one frontier column are refused
+        ["engine", "frontier", "--beta-d-delta", "2", "2.0000001", "--steps", "3"],
+        ["engine", "frontier", "--beta-d-delta", "2", "2", "--pe", "0.3"],
     ]
     return cases
 

@@ -393,6 +393,49 @@ def test_csv_writes_nan_cells_as_nan():
     assert cli._csv(rows, []).splitlines()[:2] == ["a,b,c,d", "nan,nan,nan,0.5"]
 
 
+def test_csv_row_format_is_format_per_cell():
+    # one "%.12g" per cell, applied once per row, spells every cell as format(v, ".12g")
+    cells = [0.1, 1 / 3, -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 1e300,
+             -2.5e-7, 123456789012.5, 0, 3, -7, 10**20, 2**70, np.float64(0.1), np.float64(-0.0),
+             np.float64("nan"), np.float64("-inf"), np.float64(1 / 3), np.float64(5e-324)]
+    rows = [dict(zip(map(str, range(len(cells))), order)) for order in (cells, cells[::-1])]
+    assert cli._csv(rows, []).splitlines()[1:3] == [
+        ",".join(format(v, ".12g") for v in order) for order in (cells, cells[::-1])]
+    # cells follow the header, whatever order a later row lists its keys in
+    rows = [{"a": 1.5, "b": -0.0}, {"b": 2.0, "a": math.inf}]
+    assert cli._csv(rows, []).splitlines()[:3] == ["a,b", "1.5,-0", "inf,2"]
+    assert cli._csv([{"a": 0.25}], []).splitlines()[:2] == ["a", "0.25"]
+
+
+def test_write_to_a_file_is_utf8_bytes(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old contents")
+    cli._write(str(path), "# flags: --policy 'fixed:0.1' µ\n")
+    assert path.read_bytes() == "# flags: --policy 'fixed:0.1' µ\n".encode("utf-8")
+    # text that cannot be encoded leaves an empty file, as a failed text-mode write did
+    with pytest.raises(UnicodeEncodeError):
+        cli._write(str(path), "bad \udcff")
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("args, names, column", [
+    (["--beta-d-delta", "2", "2.0000001", "--steps", "3"], "2.0 and 2.0000001", "eps_w_bd2"),
+    (["--beta-d-delta", "2", "2", "--pe", "0.3"], "2.0 and 2.0", "eps_w_bd2"),
+])
+def test_engine_frontier_refuses_two_values_for_one_column(capsys, args, names, column):
+    # a second value once overwrote the first one's column; refused as a parameter,
+    # not worded as one of argparse's own usage errors
+    with pytest.raises(SystemExit) as err:
+        main(["engine", "frontier", *args])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith("usage: ")
+    assert error == (f"qdemon: error: beta_d_delta values {names} both name the "
+                     f"frontier column {column}")
+
+
 def test_linspace_is_numpy_linspace_bit_for_bit():
     def bits(points):
         return [float(x).hex() for x in points]

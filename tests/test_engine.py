@@ -1,5 +1,6 @@
 """Two-cycle engine: bookkeeping, optimisers, positive-work frontier."""
 
+import contextlib
 import math
 import re
 import sys
@@ -701,10 +702,24 @@ def test_sweep_rows_and_determinism():
                             abs_tol=1e-12)
 
 
+def policy_epsilon(policy, p_e, beta_d_delta):
+    """The policy's impurity from the public optimisers' results, refused as the
+    row path refuses it: the oracle for the searches sweep rows run."""
+    name, fixed = eng.parse_policy(policy)
+    if name in ("ideal", "fixed"):
+        return 0.0 if fixed is None else fixed
+    result = (eng.optimize_epsilon_power(p_e, beta_d_delta) if name == "opt-power"
+              else eng.optimize_epsilon_eta(p_e))
+    if not result.converged:
+        raise qm.ConvergenceError(f"policy {policy} failed to converge at p_e={p_e} "
+                                  f"(residual {result.residual:.3e})")
+    return result.epsilon_star
+
+
 def cycle_row(beta_d_delta, policy, bd):
     """A sweep row as ``run_cycle`` gives it: the oracle for sweep_beta's arithmetic."""
     _, p_e = eng.thermal_wit(bd, 1.0)
-    eps = eng.resolve_epsilon(policy, p_e, beta_d_delta)
+    eps = policy_epsilon(policy, p_e, beta_d_delta)
     r = eng.run_cycle(eng.EngineParams(beta=bd, beta_d=beta_d_delta, delta_w=1.0, epsilon=eps))
     return {"beta_delta": bd, "p_e": r.p_e, "epsilon": eps, "heat": r.heat,
             "net_work": r.net_work, "eta_2cy": r.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta}
@@ -763,15 +778,68 @@ def test_sweep_parses_its_policy_once():
     assert len(rows) == 21 and parse.call_count == 1
 
 
+def count_dataclasses():
+    """Mocks wrapping each of engine's dataclasses, to count what a call builds."""
+    return [mock.patch.object(eng, name, wraps=getattr(eng, name))
+            for name in ("EngineParams", "CycleReport", "OptimizationResult")]
+
+
 @pytest.mark.parametrize("policy", ["ideal", "fixed:0.1", "opt-power", "opt-eta"])
 def test_sweep_row_builds_no_dataclass(policy):
-    # a row is arithmetic: one population, no EngineParams or CycleReport to validate
+    # a row is arithmetic: one population, no EngineParams, CycleReport or
+    # OptimizationResult to build; the searches hand back plain values
     with mock.patch.object(eng, "thermal_wit", wraps=eng.thermal_wit) as wit, \
-         mock.patch.object(eng, "EngineParams", wraps=eng.EngineParams) as params, \
-         mock.patch.object(eng, "CycleReport", wraps=eng.CycleReport) as report:
+         contextlib.ExitStack() as stack:
+        built = [stack.enter_context(patch) for patch in count_dataclasses()]
         rows = eng.sweep_beta(2.0, policy, np.linspace(0.0, 2.0, 21))
     assert len(rows) == wit.call_count == 21
-    assert params.call_count == report.call_count == 0
+    assert [cls.call_count for cls in built] == [0, 0, 0]
+
+
+def test_frontier_row_builds_no_dataclass():
+    with contextlib.ExitStack() as stack:
+        built = [stack.enter_context(patch) for patch in count_dataclasses()]
+        rows = eng.frontier_epsilons(np.linspace(0.3, 0.5, 11), [1.0, 2.0])
+    assert len(rows) == 11
+    assert [cls.call_count for cls in built] == [0, 0, 0]
+
+
+def frontier_oracle(pe_values, beta_d_deltas):
+    """frontier_epsilons' rows from the public optimisers' epsilon_star."""
+    return [{"p_e": pe, "eps_eta": eng.optimize_epsilon_eta(pe).epsilon_star,
+             **{f"eps_w_bd{bd:g}": eng.optimize_epsilon_power(pe, bd).epsilon_star
+                for bd in beta_d_deltas}} for pe in pe_values]
+
+
+# p_e from beta*delta_w log-uniform in [1e-9, 60], and within 1e-8 of 1/2
+frontier_pes = st.one_of(
+    st.floats(math.log(1e-9), math.log(60.0)).map(lambda b: eng.thermal_wit(math.exp(b), 1.0)[1]),
+    st.floats(0.5 - 1e-8, 0.5))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pe_values=st.lists(frontier_pes, min_size=1, max_size=3),
+       beta_d_deltas=st.lists(st.one_of(st.just(40.0), st.floats(1e-3, 60.0)), min_size=1,
+                              max_size=3, unique_by=lambda bd: f"{bd:g}"))
+@example(pe_values=[0.5 - 1e-9, 0.5, 0.3], beta_d_deltas=[40.0, 2.0])
+# opt-power's root lies below the floor: the entry is the unconverged bracket end
+@example(pe_values=[eng.thermal_wit(1.0, 1.0)[1]], beta_d_deltas=[40.0])
+@example(pe_values=[eng.thermal_wit(40.0, 1.0)[1]], beta_d_deltas=[40.0])  # empty bracket
+def test_frontier_entries_are_the_public_epsilon_star(pe_values, beta_d_deltas):
+    assert (outcome(eng.frontier_epsilons, pe_values, beta_d_deltas)
+            == outcome(frontier_oracle, pe_values, beta_d_deltas))
+
+
+@pytest.mark.parametrize("bds, names", [
+    ([2.0, 2.0000001], "2.0 and 2.0000001"), ([2.0, 2.0], "2.0 and 2.0"),
+    ([1.0, 3.0, 3.0000004], "3.0 and 3.0000004")])
+def test_frontier_refuses_two_values_for_one_column(bds, names):
+    with pytest.raises(qm.ParameterError) as err:
+        eng.frontier_epsilons([0.3], bds)
+    assert str(err.value) == (f"beta_d_delta values {names} both name the frontier column "
+                              f"eps_w_bd{bds[-1]:g}")
+    with pytest.raises(qm.ParameterError):  # before any row
+        eng.frontier_epsilons([], bds)
 
 
 def test_frontier_epsilon_orderings():
