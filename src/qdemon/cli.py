@@ -4,9 +4,10 @@ Subcommands: channel (run the spin channel once, JSON report), gates (dump a
 gate matrix, the engine's partial SWAP ``PSWAP`` among them), mzi (double
 Mach-Zehnder CSV), engine (report / sweep / frontier / optimize / threshold).
 ``engine threshold`` writes {"beta_d_delta", "policy", "max_beta_delta"}: the
-largest beta*delta_w with positive net work, ``engine.minimal_beta`` at
-delta_w = 1, or null where the policy yields no work at any beta. All angles
-are radians. CSV output uses 12 significant digits, a header row, and a
+largest beta_delta with positive net work, ``engine.minimal_beta``, or null
+where the policy yields no work at any beta. Each ``engine frontier`` entry is
+its search's epsilon, whether the search converged or not. All angles are
+radians. CSV output uses 12 significant digits, a header row, and a
 trailing comment line recording the flags; the channel JSON records them as
 ``flags_cli``. Both record every flag except the output destination
 (``--output`` in any spelling argparse accepts), which says where the bytes
@@ -198,17 +199,16 @@ def cmd_engine(parser, args, argv) -> int:
     if args.steps < 1 and (args.mode == "sweep" or args.mode == "frontier" and args.pe is None):
         raise ParameterError(f"steps must be at least 1, got {args.steps}")
     if args.mode == "report":
-        _, p_e = eng.thermal_wit(args.beta_delta, 1.0)
+        _, p_e = eng.thermal_wit(args.beta_delta)
         eps = eng.resolve_epsilon(args.policy, p_e, bd_delta)
-        report = eng.run_cycle(eng.EngineParams(
-            beta=args.beta_delta, beta_d=bd_delta, delta_w=1.0, epsilon=eps))
+        report = eng.run_cycle(args.beta_delta, bd_delta, eps)
         doc = dict(vars(report), field_ledger=dict(report.field_ledger),
                    epsilon=eps, policy=args.policy)
         _write(args.output, _json(doc))
         return 0
 
     if args.mode == "threshold":
-        beta = eng.minimal_beta(bd_delta, 1.0, args.policy)
+        beta = eng.minimal_beta(bd_delta, args.policy)
         doc = {"beta_d_delta": bd_delta, "policy": args.policy, "max_beta_delta": beta}
         _write(args.output, _json(doc))
         return 0
@@ -234,15 +234,11 @@ def cmd_engine(parser, args, argv) -> int:
             _require_finite(pe_min=args.pe_min)
             pes = _linspace(args.pe_min, 0.5, args.steps)
         rows = eng.frontier_epsilons(pes, args.beta_d_delta)
-        bad = [r for r in rows if any(v != v for v in r.values())]
-        if bad:
-            sys.stderr.write(f"non-convergence on {len(bad)} rows\n")
-            return EXIT_NO_CONVERGENCE
         _write(args.output, _csv(rows, argv))
         return 0
 
     # optimize
-    _, p_e = eng.thermal_wit(args.beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(args.beta_delta)
     pe = args.pe if args.pe is not None else p_e
     if args.target == "power":
         result = eng.optimize_epsilon_power(pe, bd_delta)

@@ -1,6 +1,6 @@
 """Two-cycle heat engine built on the work-extracting partial SWAP.
 
-Two working qubits (level spacing delta_w) thermalise against a single
+Two working qubits (level spacing Delta) thermalise against a single
 reservoir at inverse temperature beta, swap their mixedness against a pair of
 energy-degenerate demon qubits prepared in near-pure opposite operational
 states (impurity epsilon), and the deterministically excited qubit is
@@ -9,8 +9,11 @@ reservoir at beta_d costs T_d * (entropy dumped on the pair); that cost is
 the only work reduction, so the local heat-to-work conversion runs at unit
 efficiency while the overall two-cycle efficiency stays below Carnot.
 
-All energies are reported in the same units as delta_w; entropies in nats.
-Every function here is pure; grid sweeps may be evaluated in any order.
+Every result depends on Delta only through beta*Delta and beta_d*Delta, and
+every energy scales with Delta, so the engine works in units of Delta: it takes
+beta_delta = beta*Delta and beta_d_delta = beta_d*Delta, and reports energies
+per Delta. Entropies are in nats. Every function here is pure; grid sweeps may
+be evaluated in any order.
 """
 
 from __future__ import annotations
@@ -26,12 +29,13 @@ from .qmatrix import ConvergenceError, ParameterError, _require_finite
 #: recorded outputs and declines rely on roots below it being reported as ends
 EPS_FLOOR = 1e-15
 
-#: cap on beta*delta_w: exp(-745) is the smallest subnormal, so beyond the cap
+#: cap on beta_delta: exp(-745) is the smallest subnormal, so beyond the cap
 #: p_e stays 5e-324 (and the heat positive) instead of underflowing to 0.0
 BETA_DELTA_CAP = 745.0
 
-#: smallest beta_d (about 7.7e-309): one float above 2 ln 2 / float max, below which
-#: the restoration cost 2 dH/beta_d overflows (bit_entropy may exceed ln 2 by an ulp)
+#: smallest beta_d_delta (about 7.7e-309): one float above 2 ln 2 / float max, below
+#: which the restoration cost 2 dH/beta_d_delta overflows (bit_entropy may exceed
+#: ln 2 by an ulp)
 BETA_D_MIN = math.nextafter(2.0 * math.log(2.0) / sys.float_info.max, 1.0)
 
 _POLICIES = ("ideal", "opt-power", "opt-eta")
@@ -53,27 +57,10 @@ def bit_entropy_prime(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class EngineParams:
-    """Inverse temperatures (working reservoir beta, demon reservoir beta_d),
-    working-qubit level spacing delta_w > 0, and demon impurity epsilon."""
-
-    beta: float
-    beta_d: float
-    delta_w: float
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        thermal_wit(self.beta, self.delta_w)
-        _check_beta_d(self.beta_d)
-        if not 0.0 <= self.epsilon <= 0.5:
-            raise ParameterError(f"epsilon must lie in [0, 1/2], got {self.epsilon}")
-
-
-@dataclass(frozen=True)
 class CycleReport:
     """Energy/entropy bookkeeping of one engine cycle (a pair of swaps).
 
-    heat = 2 delta_w (p_e - epsilon) is the heat drawn per cycle in steady
+    heat = 2 (p_e - epsilon) is the heat drawn per cycle in steady
     operation; w_out = w_plus - w_minus equals heat, so eta_local = 1
     whenever heat is positive. net_work = w_out - w_in subtracts the demon
     restoration cost; eta_local and eta_2cy are NaN when no heat is absorbed
@@ -123,60 +110,51 @@ def _check_beta_d(beta_d: float, name: str = "beta_d") -> None:
                              f"the restoration cost overflows, got {beta_d}")
 
 
-def thermal_wit(beta: float, delta_w: float) -> tuple[float, float]:
-    """Gibbs populations (p_g, p_e) of a working qubit: Z = 1 + exp(-beta*delta_w),
-    p_g = 1/Z, p_e = exp(-beta*delta_w)/Z."""
-    _require_finite(beta=beta, delta_w=delta_w)
-    if delta_w <= 0.0:
-        raise ParameterError(f"delta_w must be positive, got {delta_w}")
-    if beta < 0.0:
-        raise ParameterError(f"beta must be non-negative, got {beta}")
-    boltz = math.exp(-min(beta * delta_w, BETA_DELTA_CAP))
+def thermal_wit(beta_delta: float) -> tuple[float, float]:
+    """Gibbs populations (p_g, p_e) of a working qubit: Z = 1 + exp(-beta_delta),
+    p_g = 1/Z, p_e = exp(-beta_delta)/Z."""
+    _require_finite(beta=beta_delta)
+    if beta_delta < 0.0:
+        raise ParameterError(f"beta must be non-negative, got {beta_delta}")
+    boltz = math.exp(-min(beta_delta, BETA_DELTA_CAP))
     z = 1.0 + boltz
     return 1.0 / z, boltz / z
-
-
-def _entropy_rise(p_e: float, eps: float) -> float:
-    """H[x] - H[eps], x = p_e + eps(1-2p_e): the entropy a demon qubit takes up."""
-    return bit_entropy(p_e + eps * (1.0 - 2.0 * p_e)) - bit_entropy(eps)
-
-
-def _net_work_per_delta(p_e: float, eps: float, beta_d_delta: float) -> float:
-    return 2.0 * (p_e - eps - _entropy_rise(p_e, eps) / beta_d_delta)
 
 
 def _entropy_cost_ratio(p_e: float, eps: float) -> float:
     """R = (H[p_e + eps(1-2p_e)] - H[eps]) / (p_e - eps); minimising it
     maximises the two-cycle efficiency for every demon temperature."""
-    return _entropy_rise(p_e, eps) / (p_e - eps)
+    return (bit_entropy(p_e + eps * (1.0 - 2.0 * p_e)) - bit_entropy(eps)) / (p_e - eps)
 
 
-def _cycle(p_e: float, eps: float, delta: float, beta_d: float):
+def _cycle(p_e: float, eps: float, beta_d_delta: float):
     """(heat, H[x], w_in, net work, eta_2cy) of one cycle, x = p_e + eps(1-2p_e)."""
-    heat = 2.0 * delta * (p_e - eps)
+    heat = 2.0 * (p_e - eps)
     dit_entropy = bit_entropy(p_e + eps * (1.0 - 2.0 * p_e))
-    w_in = 2.0 * (dit_entropy - bit_entropy(eps)) / beta_d
+    w_in = 2.0 * (dit_entropy - bit_entropy(eps)) / beta_d_delta
     net = heat - w_in
     return heat, dit_entropy, w_in, net, net / heat if heat > 0.0 else math.nan
 
 
-def run_cycle(params: EngineParams) -> CycleReport:
-    """Closed-form bookkeeping of one cycle.
+def run_cycle(beta_delta: float, beta_d_delta: float, epsilon: float = 0.0) -> CycleReport:
+    """Closed-form bookkeeping of one cycle at demon impurity epsilon in [0, 1/2].
 
-    Per pair of swaps: w_minus = delta_w (1 - 2 p_e) is the average energy
-    the drive must supply during the mid-circuit rotations, w_plus =
-    (1 - 2 eps) delta_w is extracted by the half-Rabi pulse, heat = w_out =
-    2 delta_w (p_e - eps), and w_in = (2/beta_d)(H[p_e + eps(1-2p_e)] -
-    H[eps]) restores the demon pair. ``tests/test_symbolic.py`` derives these
-    figures from the gates of ``circuits.pswap_gate``.
+    Per pair of swaps: w_minus = 1 - 2 p_e is the average energy the drive
+    must supply during the mid-circuit rotations, w_plus = 1 - 2 eps is
+    extracted by the half-Rabi pulse, heat = w_out = 2 (p_e - eps), and
+    w_in = (2/beta_d_delta)(H[p_e + eps(1-2p_e)] - H[eps]) restores the demon
+    pair. ``tests/test_symbolic.py`` derives these figures from the gates of
+    ``circuits.pswap_gate``.
     """
-    delta, eps = params.delta_w, params.epsilon
-    p_g, p_e = thermal_wit(params.beta, delta)
-    heat, dit_entropy, w_in, net, eta_2cy = _cycle(p_e, eps, delta, params.beta_d)
-    w_minus = delta * (1.0 - 2.0 * p_e)
-    w_plus = (1.0 - 2.0 * eps) * delta
+    p_g, p_e = thermal_wit(beta_delta)
+    _check_beta_d(beta_d_delta)
+    if not 0.0 <= epsilon <= 0.5:
+        raise ParameterError(f"epsilon must lie in [0, 1/2], got {epsilon}")
+    heat, dit_entropy, w_in, net, eta_2cy = _cycle(p_e, epsilon, beta_d_delta)
+    w_minus = 1.0 - 2.0 * p_e
+    w_plus = 1.0 - 2.0 * epsilon
     w_out = heat  # identical by construction: w_plus - w_minus up to round-off
-    eta_local = w_out / heat if heat > 0.0 else math.nan
+    eta_local = 1.0 if heat > 0.0 else math.nan
 
     ledger = (("pswap_mid_rotations", w_minus), ("pswap_final_rotations", 0.0),
               ("extraction_pulse", -w_plus))
@@ -285,19 +263,19 @@ def _power_search(p_e: float, beta_d_delta: float):
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
     """Demon impurity maximising the net work per cycle.
 
-    Solves s(eps) = xi H'[x] - H'[eps] + beta_d*delta_w = 0 (xi = 1-2p_e,
+    Solves s(eps) = xi H'[x] - H'[eps] + beta_d_delta = 0 (xi = 1-2p_e,
     x = p_e + eps xi) on [EPS_FLOOR, min(p_e, 1/2) - EPS_FLOOR]. The net work
-    N has N' = -2 s/(beta_d delta_w) with s increasing, so N is strictly
+    N has N' = -2 s/beta_d_delta with s increasing, so N is strictly
     concave and a sign change of s pins its maximum. In t = ln(eps/(1-eps)),
-    s = xi H'[x] + t + beta_d*delta_w with ds/dt = 1 - xi^2 eps(1-eps)/(x(1-x))
-    in (0, 1]: Newton from t0 = -xi H'[p_e] - beta_d*delta_w takes a few steps
+    s = xi H'[x] + t + beta_d_delta with ds/dt = 1 - xi^2 eps(1-eps)/(x(1-x))
+    in (0, 1]: Newton from t0 = -xi H'[p_e] - beta_d_delta takes a few steps
     (iterations; roots = (eps*,)). Without a sign change (root below the
     floor, or N rising up to the upper end) the end with the larger N is
-    reported with iterations = 0 and roots = (). objective_value is net work
-    in units of delta_w.
+    reported with iterations = 0 and roots = (). objective_value is the
+    cycle's net work at eps*.
     """
     eps, _, residual, iters, inside, converged = _power_search(p_e, beta_d_delta)
-    return OptimizationResult(eps, _net_work_per_delta(p_e, eps, beta_d_delta), converged,
+    return OptimizationResult(eps, _cycle(p_e, eps, beta_d_delta)[3], converged,
                               iters, residual, (eps,) if inside else ())
 
 
@@ -322,7 +300,7 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     It minimises R(eps) = (H[x] - H[eps])/(p_e - eps), free of the demon
     temperature. R's stationarity function F(eps) = [xi H'[x] - H'[eps]](p_e -
     eps) + H[x] - H[eps] is (p_e - eps) times opt-power's s with R(eps) in place
-    of beta_d*delta_w, and shares its sign, so opt-power's one Newton search with
+    of beta_d_delta, and shares its sign, so opt-power's one Newton search with
     level R solves F = 0; iterations counts its steps. converged needs a root
     inside the bracket (roots = (eps*,)) and |F| <= 1e-12 (residual). At
     p_e = 1/2 the root is the boundary eps = 1/2.
@@ -371,32 +349,31 @@ def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
     return _converged(policy, p_e, found)[0]
 
 
-def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
-    """Largest working-reservoir beta with positive net work under a policy.
+def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
+    """Largest working-reservoir beta_delta with positive net work under a policy.
 
-    Net work is 2 (p_e - eps)(1 - R/(beta_d delta_w)), R the entropy cost ratio
+    Net work is 2 (p_e - eps)(1 - R/beta_d_delta), R the entropy cost ratio
     at the policy's eps (+inf once p_e <= eps); the optimal policies share R's
-    minimum over eps, opt-eta's objective. R rises with beta, so the answer is
-    the one root of R = beta_d delta_w on [0, beta_d], bisected; NaN when R at
-    beta = 0 is not below beta_d delta_w (e.g. the ideal policy at
-    beta_d*delta_w <= 2 ln 2). ParameterError when R at beta_d is not above it
-    either: p_e stops falling at BETA_DELTA_CAP, so for the ideal and fixed
-    policies beyond about beta_d*delta_w = 745 no root is left to bracket (the
-    optimal ones stop converging long before).
+    minimum over eps, opt-eta's objective. R rises with beta_delta, so the
+    answer is the one root of R = beta_d_delta on [0, beta_d_delta], bisected;
+    NaN when R at beta_delta = 0 is not below beta_d_delta (e.g. the ideal
+    policy at beta_d_delta <= 2 ln 2). ParameterError when R at beta_d_delta is
+    not above it either: p_e stops falling at BETA_DELTA_CAP, so for the ideal
+    and fixed policies beyond about beta_d_delta = 745 no root is left to
+    bracket (the optimal ones stop converging long before).
     """
-    _require_finite(beta_d=beta_d, delta_w=delta_w)
-    if beta_d <= 0.0 or delta_w <= 0.0:
-        raise ParameterError("beta_d and delta_w must be positive")
-    beta_d_delta = beta_d * delta_w
+    _require_finite(beta_d=beta_d_delta)
+    if beta_d_delta <= 0.0:
+        raise ParameterError(f"beta_d must be positive, got {beta_d_delta}")
     name, fixed = parse_policy(policy)
 
-    def excess(beta: float) -> float:
-        _, p_e = thermal_wit(beta, delta_w)
+    def excess(beta_delta: float) -> float:
+        _, p_e = thermal_wit(beta_delta)
         if not name.startswith("opt-"):
             if fixed:
                 return (_entropy_cost_ratio(p_e, fixed) if p_e > fixed else math.inf) - beta_d_delta
             # R(p_e, 0) with ln p_e = -x - ln(1 + e^-x), exact where p_e is subnormal
-            x = min(beta * delta_w, BETA_DELTA_CAP)
+            x = min(beta_delta, BETA_DELTA_CAP)
             ratio = x + math.log1p(math.exp(-x)) - (1.0 - p_e) * math.log1p(-p_e) / p_e
             return ratio - beta_d_delta
         # eps* lies below the floor wherever p_e <= 2 EPS_FLOOR; opt-eta reports
@@ -405,17 +382,17 @@ def minimal_beta(beta_d: float, delta_w: float, policy: str = "ideal") -> float:
 
     if not excess(0.0) < 0.0:
         return math.nan
-    if not name.startswith("opt-") and not excess(beta_d) > 0.0:
+    if not name.startswith("opt-") and not excess(beta_d_delta) > 0.0:
         raise ParameterError(
-            f"beta_d*delta_w = {beta_d_delta} lies past what p_e resolves: beta*delta_w "
+            f"beta_d_delta = {beta_d_delta} lies past what p_e resolves: beta_delta "
             f"is capped at BETA_DELTA_CAP = {BETA_DELTA_CAP}, so net work under policy "
-            f"{policy} does not change sign on [0, beta_d]")
-    return float(_bisect(excess, 0.0, beta_d)[0])
+            f"{policy} does not change sign on [0, beta_d_delta]")
+    return float(_bisect(excess, 0.0, beta_d_delta)[0])
 
 
 def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     """One row per working temperature: populations, the policy's epsilon,
-    heat and net work in units of delta_w, and both efficiencies.
+    heat and net work, and both efficiencies.
 
     Rows are pure functions of their grid point (safe to compute in
     parallel); ordering follows the input grid. Each row holds the fields of
@@ -426,10 +403,10 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     name, fixed = parse_policy(policy)
     rows = []
     for bd in map(float, beta_deltas):
-        _, p_e = thermal_wit(bd, 1.0)
+        _, p_e = thermal_wit(bd)
         eps = _resolve(policy, name, fixed, p_e, beta_d_delta)
         _check_beta_d(beta_d_delta)
-        heat, _, _, net, eta_2cy = _cycle(p_e, eps, 1.0, beta_d_delta)
+        heat, _, _, net, eta_2cy = _cycle(p_e, eps, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
                      "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
     return rows
@@ -439,7 +416,7 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
     """Optimal impurities versus excited-state occupation.
 
     Each row carries eps_eta (demon-temperature independent) and one eps_w_bd{:g}
-    column per requested beta_d*delta_w, refused if two values name one column;
+    column per requested beta_d_delta, refused if two values name one column;
     each entry is the optimiser's epsilon_star, converged or not.
     """
     columns = {}

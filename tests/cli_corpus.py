@@ -2,6 +2,9 @@
 
     PYTHONPATH=src python tests/cli_corpus.py    # rewrite tests/cli_corpus.json
 
+The rewrite prints the id of each case whose exit code or hashes changed, and
+of each case added or removed, against the file it replaces.
+
 Every subcommand, ``--input`` and ``--demon`` kind, gate, engine mode, policy
 and target is covered, with valid, extreme (1e±300, βΔ at 1e-8 and 40) and
 invalid (NaN, ±inf, out of range, unparsable) values. Each case stores its exit
@@ -313,9 +316,31 @@ def record(out_dir: Path) -> list[dict]:
     return cases
 
 
+#: what a case records of its run; a change to any of them re-pins the case
+PINNED = ("exit", "stdout_sha256", "stderr_sha256", "output_sha256")
+
+
+def repinned(old: list[dict], new: list[dict]) -> dict[str, list[str]]:
+    """Ids of the cases that ``new`` changes, adds and removes against ``old``.
+    A case is its id and argv: a new argv under an old id removes one case and
+    adds another."""
+    def key(case):
+        return case["id"], tuple(case["argv"])
+
+    before = {key(case): case for case in old}
+    after = {key(case): case for case in new}
+    return {
+        "changed": [k[0] for k, case in after.items() if k in before
+                    and any(case[f] != before[k][f] for f in PINNED)],
+        "added": [k[0] for k in after if k not in before],
+        "removed": [k[0] for k in before if k not in after],
+    }
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         cases = record(Path(tmp))
+    old = json.loads(CORPUS.read_text(encoding="utf-8"))["cases"] if CORPUS.exists() else []
     about = ("qdemon CLI corpus: see tests/cli_corpus.py. Recorded with "
              "Python 3.11 and numpy 2.4.6.")
     lines = ",\n".join(json.dumps(case, ensure_ascii=False) for case in cases)
@@ -323,3 +348,5 @@ if __name__ == "__main__":
     CORPUS.write_text(f'{{"about": "{about}", "seed": {SEED}, "cases": [\n{lines}\n]}}\n',
                       encoding="utf-8")
     print(f"{len(cases)} cases written to {CORPUS.name}")
+    for kind, ids in repinned(old, cases).items():
+        print(f"{kind}: {', '.join(ids) if ids else 'none'}")

@@ -63,15 +63,23 @@ def completed_double_dot(rho_in, dot_state, config: DoubleDotConfig) -> ChannelR
                                                leads, dot_state))
 
 
+def net_work_per_delta(p_e, eps, bd_delta):
+    """Net work per cycle 2 (p_e - eps - (H[x] - H[eps])/beta_d_delta), x = p_e +
+    eps(1 - 2 p_e), written as one expression: the oracle for opt-power's
+    objective_value, which the package takes from the cycle's bookkeeping."""
+    x = p_e + eps * (1.0 - 2.0 * p_e)
+    return 2.0 * (p_e - eps - (eng.bit_entropy(x) - eng.bit_entropy(eps)) / bd_delta)
+
+
 def power_stationarity(p_e, bd_delta, eps):
-    """s(eps) = xi H'[p_e + eps xi] - H'[eps] + beta_d*delta_w, xi = 1 - 2 p_e:
+    """s(eps) = xi H'[p_e + eps xi] - H'[eps] + beta_d_delta, xi = 1 - 2 p_e:
     the function optimize_epsilon_power finds the root of."""
     xi = 1.0 - 2.0 * p_e
     return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps) + bd_delta
 
 
 def stationarity_base(p_e, xi, eps):
-    """xi H'[x] - H'[eps], x = p_e + eps xi: s(eps) without beta_d*delta_w."""
+    """xi H'[x] - H'[eps], x = p_e + eps xi: s(eps) without beta_d_delta."""
     return xi * eng.bit_entropy_prime(p_e + eps * xi) - eng.bit_entropy_prime(eps)
 
 
@@ -126,7 +134,7 @@ def oracle_power(p_e, beta_d_delta):
     eps, s, iters, inside = level_search(p_e, xi, lambda _: beta_d_delta,
                                          search_bracket(p_e, xi), t0)
     return eng.OptimizationResult(
-        epsilon_star=eps, objective_value=eng._net_work_per_delta(p_e, eps, beta_d_delta),
+        epsilon_star=eps, objective_value=net_work_per_delta(p_e, eps, beta_d_delta),
         converged=abs(s) <= 1e-12, iterations=iters, residual=abs(s),
         roots=(eps,) if inside else ())
 
@@ -161,17 +169,17 @@ def ratio_round_off(p_e, eps):
     return 8.0 * math.ulp(1.0) * (eng.bit_entropy(x) + eng.bit_entropy(eps)) / (p_e - eps)
 
 
-def pswap_route(params: eng.EngineParams, phase: float = -np.pi / 2) -> dict:
-    """Density-matrix route through one engine cycle: states, marginals, and
-    the per-stage field energies, all derived from the gate sequence alone.
+def pswap_route(beta_delta: float, eps: float, phase: float = -np.pi / 2) -> dict:
+    """Density-matrix route through one engine cycle at working beta_delta and
+    demon impurity eps: states, marginals, and the per-stage field energies,
+    all derived from the gate sequence alone.
 
     Returns a dict with the final wit/dit marginals of both pairs, the
     stage-resolved field ledger, and the energy figures (w_minus, w_plus,
-    heat) in the units of delta_w. It is what the tests compare
+    heat) in units of the level spacing. It is what the tests compare
     ``engine.run_cycle``'s closed forms with.
     """
-    delta, eps = params.delta_w, params.epsilon
-    p_g, p_e = eng.thermal_wit(params.beta, delta)
+    p_g, p_e = eng.thermal_wit(beta_delta)
     rho_w = np.diag([p_e, p_g]).astype(complex)
     # both demon branches (dit up, dit down) as one (2, 4, 4) stack, kept per stage
     stacks = [np.stack([tensor(rho_w, np.diag(pops).astype(complex))
@@ -180,7 +188,7 @@ def pswap_route(params: eng.EngineParams, phase: float = -np.pi / 2) -> dict:
         stacks.append(g @ stacks[-1] @ dag(g))
     split = np.reshape(stacks, (len(stacks), 2, 2, 2, 2, 2))
     wits = np.einsum("snikjk->snij", split)
-    steps = np.diff(delta * wits[:, :, 0, 0].real, axis=0)
+    steps = np.diff(wits[:, :, 0, 0].real, axis=0)
     stage_energy = 0.0 + steps[:, 0] + steps[:, 1]  # summed from +0.0, branch by branch
     wit_up, wit_dn = wits[-1]
     dit_up, dit_dn = np.einsum("nkikj->nij", split[-1])
@@ -188,11 +196,11 @@ def pswap_route(params: eng.EngineParams, phase: float = -np.pi / 2) -> dict:
     # extraction: half-Rabi NOT on the deterministically excited wit
     pulse = half_rabi(phase)
     wit_dn_after = pulse @ wit_dn @ dag(pulse)
-    w_plus = delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real)
+    w_plus = float((wit_dn[0, 0] - wit_dn_after[0, 0]).real)
 
-    w_minus = delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta
-    leftover = delta * float((wit_up[0, 0] + wit_dn_after[0, 0]).real)
-    heat = 2.0 * p_e * delta - leftover
+    w_minus = float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e
+    leftover = float((wit_up[0, 0] + wit_dn_after[0, 0]).real)
+    heat = 2.0 * p_e - leftover
 
     return {
         "wit_marginals": (wit_up, wit_dn),

@@ -266,14 +266,14 @@ def test_engine_threshold_is_minimal_beta(capsys, policy, bd_delta):
     code, text = run_text(capsys, ["engine", "threshold", "--policy", policy,
                                    "--beta-d-delta", repr(bd_delta)])
     assert code == 0
-    beta = eng.minimal_beta(bd_delta, 1.0, policy)
+    beta = eng.minimal_beta(bd_delta, policy)
     assert json.loads(text) == {"beta_d_delta": bd_delta, "policy": policy,
                                 "max_beta_delta": None if math.isnan(beta) else beta}
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_engine_threshold_without_a_work_window_writes_null(capsys):
-    # the ideal policy yields net work only for beta_d*delta_w above 2 ln 2
+    # the ideal policy yields net work only for beta_d_delta above 2 ln 2
     code, doc = run_json(capsys, ["engine", "threshold", "--beta-d-delta", "1"])
     assert code == 0
     assert doc == {"beta_d_delta": 1.0, "policy": "ideal", "max_beta_delta": None}
@@ -310,10 +310,9 @@ def test_engine_report_bytes_match_hand_built_document(capsys, beta_delta, bd_de
     code, text = run_text(capsys, ["engine", "report", "--beta-delta", str(beta_delta),
                                    "--beta-d-delta", str(bd_delta), "--policy", policy])
     assert code == 0
-    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta)
     eps = eng.resolve_epsilon(policy, p_e, bd_delta)
-    report = eng.run_cycle(eng.EngineParams(beta=beta_delta, beta_d=bd_delta,
-                                            delta_w=1.0, epsilon=eps))
+    report = eng.run_cycle(beta_delta, bd_delta, eps)
     doc = cycle_json(report)
     doc["epsilon"] = eps
     doc["policy"] = policy
@@ -448,7 +447,7 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
         # the benchmark's grids: 21-point sweeps from 0, 11-point frontiers up to 1/2
         bdd = math.exp(rng.uniform(math.log(0.5), math.log(40.0)))
         bd = float(rng.uniform(0.0, bdd))
-        grids += [(0.0, bdd * (bd / bdd), 21), (eng.thermal_wit(bd, 1.0)[1], 0.5, 11)]
+        grids += [(0.0, bdd * (bd / bdd), 21), (eng.thermal_wit(bd)[1], 0.5, 11)]
     for start, stop, num in grids:
         assert bits(cli._linspace(start, stop, num)) == bits(np.linspace(start, stop, num)), (
             start, stop, num)

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from cli_corpus import CORPUS, run_case, sha256
+from cli_corpus import CORPUS, repinned, run_case, sha256
 
 CASES = json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]
 
@@ -39,3 +39,18 @@ def test_cli_bytes_match_the_corpus(case, out_dir):
         assert (got["stdout"], got["stderr"]) == (case["stdout"], case["stderr"])
     assert (got["exit"], sha256(got["stdout"]), sha256(got["stderr"]), got["output_sha256"]) == (
         case["exit"], case["stdout_sha256"], case["stderr_sha256"], case["output_sha256"])
+
+
+def test_rewrite_names_the_cases_it_repins():
+    def case(case_id, argv, **pins):
+        return {"id": case_id, "argv": argv, "exit": 0, "stdout_sha256": "s",
+                "stderr_sha256": "e", "output_sha256": None, **pins}
+
+    old = [case("a-0", ["a"]), case("a-1", ["a", "-x"]), case("a-2", ["a", "-y"]),
+           case("a-3", ["a", "-z"])]
+    new = [case("a-0", ["a"]), case("a-1", ["a", "-x"], exit=2),
+           case("a-2", ["a", "-w"]), case("a-3", ["a", "-z"], output_sha256="o"),
+           case("a-4", ["a", "-v"])]
+    assert repinned(old, new) == {"changed": ["a-1", "a-3"], "added": ["a-2", "a-4"],
+                                  "removed": ["a-2"]}
+    assert repinned(CASES, CASES) == {"changed": [], "added": [], "removed": []}

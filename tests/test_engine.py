@@ -15,16 +15,11 @@ from mpmath import mp
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
 from qdemon.circuits import CNOT_UP, HBAR, u14
-from conftest import (dag, half_rabi, level_search, oracle_eta, oracle_power, partial_trace,
-                      power_stationarity, pswap_route, ratio_round_off, search_bracket,
-                      stationarity_base)
+from conftest import (dag, half_rabi, level_search, net_work_per_delta, oracle_eta, oracle_power,
+                      partial_trace, power_stationarity, pswap_route, ratio_round_off,
+                      search_bracket, stationarity_base)
 
 LN2 = math.log(2)
-
-
-def net_per_delta(p_e, eps, bd_delta):
-    x = p_e + eps * (1 - 2 * p_e)
-    return 2 * (p_e - eps - (eng.bit_entropy(x) - eng.bit_entropy(eps)) / bd_delta)
 
 
 def eta_2cy(p_e, eps, bd_delta):
@@ -42,23 +37,21 @@ def test_bit_entropy_values():
 
 
 def test_thermal_wit_limits():
-    _, p_e_cold = eng.thermal_wit(1e9, 1.0)
+    _, p_e_cold = eng.thermal_wit(1e9)
     assert p_e_cold < 1e-300  # capped exponent, no overflow
-    _, p_e_hot = eng.thermal_wit(0.0, 1.0)
+    _, p_e_hot = eng.thermal_wit(0.0)
     assert p_e_hot == 0.5
-    p_g, p_e = eng.thermal_wit(1.0, 1.0)
+    p_g, p_e = eng.thermal_wit(1.0)
     assert math.isclose(p_e, 1.0 / (1.0 + math.e), abs_tol=1e-15)
     assert math.isclose(p_g + p_e, 1.0, abs_tol=1e-15)
     with pytest.raises(qm.ParameterError):
-        eng.thermal_wit(1.0, 0.0)
-    with pytest.raises(qm.ParameterError):
-        eng.thermal_wit(-1.0, 1.0)
+        eng.thermal_wit(-1.0)
 
 
 def test_thermal_wit_cap_keeps_smallest_subnormal():
     # exp(-BETA_DELTA_CAP) is the smallest subnormal: p_e never reaches 0.0
     for beta_delta in (eng.BETA_DELTA_CAP, 800.0, 1e9):
-        p_g, p_e = eng.thermal_wit(beta_delta, 1.0)
+        p_g, p_e = eng.thermal_wit(beta_delta)
         assert p_e == 5e-324 == math.ulp(0.0)
         assert p_g == 1.0
 
@@ -77,18 +70,19 @@ def test_parse_policy_rejects_unparsable_fixed_epsilon(policy):
 
 
 def test_params_validation():
-    with pytest.raises(qm.ParameterError):
-        eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=-1.0)
-    with pytest.raises(qm.ParameterError):
-        eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=1.0, epsilon=0.7)
-    with pytest.raises(qm.ParameterError):
-        eng.EngineParams(beta=1.0, beta_d=0.0, delta_w=1.0)
+    # run_cycle checks beta_delta, then beta_d_delta, then epsilon
+    for args, message in [((-1.0, 0.0, 0.7), "beta must be non-negative, got -1.0"),
+                          ((1.0, 0.0, 0.7), "beta_d must be positive, got 0.0"),
+                          ((1.0, 2.0, 0.7), "epsilon must lie in [0, 1/2], got 0.7"),
+                          ((1.0, 2.0, -0.1), "epsilon must lie in [0, 1/2], got -0.1")]:
+        with pytest.raises(qm.ParameterError, match=re.escape(message)):
+            eng.run_cycle(*args)
 
 
 def test_beta_d_below_the_overflow_limit_is_refused():
     below = math.nextafter(eng.BETA_D_MIN, 0.0)
     calls = {
-        "EngineParams": lambda: eng.EngineParams(beta=1.0, beta_d=below, delta_w=1.0),
+        "run_cycle": lambda: eng.run_cycle(1.0, below),
         "sweep_beta": lambda: eng.sweep_beta(below, "ideal", [1.0]),
         "optimize_epsilon_power": lambda: eng.optimize_epsilon_power(0.3, below),
     }
@@ -108,7 +102,7 @@ def test_restoration_cost_at_the_limit_stays_finite():
     worst = max(over, key=eng.bit_entropy)
     assert math.isinf(2.0 * eng.bit_entropy(worst) / (2.0 * LN2 / sys.float_info.max))
     for x in over:
-        _, _, w_in, net, _ = eng._cycle(x, 0.0, 1.0, eng.BETA_D_MIN)
+        _, _, w_in, net, _ = eng._cycle(x, 0.0, eng.BETA_D_MIN)
         assert math.isfinite(w_in) and math.isfinite(net)
         assert math.isfinite(eng.optimize_epsilon_power(x, eng.BETA_D_MIN).objective_value)
 
@@ -116,14 +110,11 @@ def test_restoration_cost_at_the_limit_stays_finite():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_engine_inputs_rejected(bad):
     calls = {
-        "thermal_wit(beta)": lambda: eng.thermal_wit(bad, 1.0),
-        "thermal_wit(delta_w)": lambda: eng.thermal_wit(1.0, bad),
-        "EngineParams(beta)": lambda: eng.EngineParams(beta=bad, beta_d=2.0, delta_w=1.0),
-        "EngineParams(beta_d)": lambda: eng.EngineParams(beta=1.0, beta_d=bad, delta_w=1.0),
-        "EngineParams(delta_w)": lambda: eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=bad),
+        "thermal_wit": lambda: eng.thermal_wit(bad),
+        "run_cycle(beta_delta)": lambda: eng.run_cycle(bad, 2.0),
+        "run_cycle(beta_d_delta)": lambda: eng.run_cycle(1.0, bad),
         "optimize_epsilon_power": lambda: eng.optimize_epsilon_power(0.3, bad),
-        "minimal_beta(beta_d)": lambda: eng.minimal_beta(bad, 1.0),
-        "minimal_beta(delta_w)": lambda: eng.minimal_beta(2.0, bad),
+        "minimal_beta": lambda: eng.minimal_beta(bad),
     }
     for name, call in calls.items():
         with pytest.raises(qm.ParameterError, match="must be finite"):
@@ -132,25 +123,25 @@ def test_non_finite_engine_inputs_rejected(bad):
 
 
 def test_ideal_cycle_unit_local_efficiency():
-    report = eng.run_cycle(eng.EngineParams(beta=0.8, beta_d=2.0, delta_w=1.5))
-    assert math.isclose(report.heat, 2 * report.p_e * 1.5, abs_tol=1e-15)
+    # beta = 0.8 and beta_d = 2 at level spacing 1.5, whose energy gates were
+    # absolute: per level spacing they are 1/1.5 of what they were
+    report = eng.run_cycle(0.8 * 1.5, 2.0 * 1.5)
+    assert math.isclose(report.heat, 2 * report.p_e, abs_tol=1e-15 / 1.5)
     assert report.w_out == report.heat
     assert report.eta_local == 1.0
-    assert math.isclose(report.w_plus - report.w_minus, report.w_out, abs_tol=1e-12)
+    assert math.isclose(report.w_plus - report.w_minus, report.w_out, abs_tol=1e-12 / 1.5)
 
 
 def test_cycle_impurity_equal_to_occupation_yields_nothing():
-    _, p_e = eng.thermal_wit(1.0, 1.0)
-    report = eng.run_cycle(eng.EngineParams(beta=1.0, beta_d=2.0, delta_w=1.0,
-                                            epsilon=p_e))
+    _, p_e = eng.thermal_wit(1.0)
+    report = eng.run_cycle(1.0, 2.0, p_e)
     assert abs(report.w_out) < 1e-15
     assert math.isnan(report.eta_local)
     assert math.isnan(report.eta_2cy)
 
 
 def test_cycle_beta_zero_costs_no_average_field_energy():
-    report = eng.run_cycle(eng.EngineParams(beta=0.0, beta_d=2.0, delta_w=1.0,
-                                            epsilon=0.1))
+    report = eng.run_cycle(0.0, 2.0, 0.1)
     assert report.w_minus == 0.0
     ledger = dict(report.field_ledger)
     assert ledger["pswap_mid_rotations"] == 0.0
@@ -159,27 +150,25 @@ def test_cycle_beta_zero_costs_no_average_field_energy():
 
 
 def test_cycle_efficiency_identity_at_zero_impurity():
-    beta, beta_d, delta = 0.7, 2.5, 1.3
-    report = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta))
-    z = 1.0 + math.exp(-beta * delta)
-    expected = 1.0 - beta / beta_d - math.log(z) / (beta_d * delta * report.p_e)
+    beta_delta, bd_delta = 0.7 * 1.3, 2.5 * 1.3
+    report = eng.run_cycle(beta_delta, bd_delta)
+    z = 1.0 + math.exp(-beta_delta)
+    expected = 1.0 - beta_delta / bd_delta - math.log(z) / (bd_delta * report.p_e)
     assert math.isclose(report.eta_2cy, expected, abs_tol=1e-12)
 
 
 def test_entropy_cycle_cost_never_negative():
     for beta_delta in (0.0, 0.1, 0.5, 1.0, 3.0):
         for eps in (0.0, 0.1, 0.3, 0.49):
-            r = eng.run_cycle(eng.EngineParams(beta=beta_delta, beta_d=2.0,
-                                               delta_w=1.0, epsilon=eps))
+            r = eng.run_cycle(beta_delta, 2.0, eps)
             assert r.w_in >= -1e-15
 
 
 @pytest.mark.parametrize("beta_delta", [0.0, 0.3, 1.2, 4.0])
 @pytest.mark.parametrize("eps", [0.0, 0.07, 0.3])
 def test_gate_route_matches_closed_forms(beta_delta, eps):
-    params = eng.EngineParams(beta=beta_delta, beta_d=2.0, delta_w=1.0, epsilon=eps)
-    report = eng.run_cycle(params)
-    route = pswap_route(params)
+    report = eng.run_cycle(beta_delta, 2.0, eps)
+    route = pswap_route(beta_delta, eps)
     assert abs(route["w_minus"] - report.w_minus) < 1e-10
     assert abs(route["w_plus"] - report.w_plus) < 1e-10
     assert abs(route["heat"] - report.heat) < 1e-10
@@ -202,26 +191,24 @@ def test_gate_route_matches_closed_forms(beta_delta, eps):
 
 def test_gate_route_phase_independent():
     # the drive phase moves individual amplitudes but no energy averages
-    params = eng.EngineParams(beta=0.9, beta_d=2.0, delta_w=1.0, epsilon=0.12)
-    base = pswap_route(params)
+    base = pswap_route(0.9, 0.12)
     for phase in (0.0, 0.7, 2.2):
-        other = pswap_route(params, phase=phase)
+        other = pswap_route(0.9, 0.12, phase=phase)
         for key in ("w_minus", "w_plus", "heat"):
             assert math.isclose(base[key], other[key], abs_tol=1e-12)
 
 
-def branch_by_branch_route(params, phase=-np.pi / 2):
+def branch_by_branch_route(beta_delta, eps, phase=-np.pi / 2):
     """pswap_route as it once ran, one dit branch after the other with the
     stage gates rebuilt per call: the oracle for the stacked route."""
-    delta, eps = params.delta_w, params.epsilon
-    p_g, p_e = eng.thermal_wit(params.beta, delta)
+    p_g, p_e = eng.thermal_wit(beta_delta)
     rho_w = np.diag([p_e, p_g]).astype(complex)
     dits = (np.diag([1.0 - eps, eps]).astype(complex), np.diag([eps, 1.0 - eps]).astype(complex))
     stages = (CNOT_UP, qm.tensor(u14(phase), HBAR), CNOT_UP,
               qm.tensor(u14(phase), np.eye(2, dtype=complex)))
 
     def wit_energy(joint):
-        return delta * float(partial_trace(joint, "first")[0, 0].real)
+        return float(partial_trace(joint, "first")[0, 0].real)
 
     stage_energy = np.zeros(len(stages))
     finals = []
@@ -244,9 +231,9 @@ def branch_by_branch_route(params, phase=-np.pi / 2):
         "dit_marginals_unrotated": (dag(HBAR) @ dit_up @ HBAR, dag(HBAR) @ dit_dn @ HBAR),
         "joints": tuple(finals),
         "stage_field_energy": tuple(float(e) for e in stage_energy),
-        "w_minus": delta * float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e * delta,
-        "w_plus": delta * float((wit_dn[0, 0] - wit_dn_after[0, 0]).real),
-        "heat": 2.0 * p_e * delta - delta * float((wit_up[0, 0] + wit_dn_after[0, 0]).real),
+        "w_minus": float((wit_up[0, 0] + wit_dn[0, 0]).real) - 2.0 * p_e,
+        "w_plus": float((wit_dn[0, 0] - wit_dn_after[0, 0]).real),
+        "heat": 2.0 * p_e - float((wit_up[0, 0] + wit_dn_after[0, 0]).real),
         "dit_entropies": (qm.von_neumann_entropy(dit_up), qm.von_neumann_entropy(dit_dn)),
     }
 
@@ -259,23 +246,22 @@ def route_bytes(route):
 def test_stacked_route_is_bit_identical_to_branch_by_branch():
     rng = np.random.default_rng(3)
     for _ in range(60):
-        delta_w = float(rng.choice([1.0, math.exp(rng.uniform(-7.0, 7.0))]))
-        params = eng.EngineParams(beta=float(rng.uniform(0.0, 40.0)) / delta_w, beta_d=50.0,
-                                  delta_w=delta_w,
-                                  epsilon=float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)])))
+        beta_delta = float(rng.uniform(0.0, 40.0))
+        eps = float(rng.choice([0.0, 0.5, rng.uniform(0.0, 0.5)]))
         phase = float(rng.choice([-np.pi / 2, rng.uniform(-np.pi, np.pi)]))
-        assert (route_bytes(pswap_route(params, phase))
-                == route_bytes(branch_by_branch_route(params, phase)))
+        assert (route_bytes(pswap_route(beta_delta, eps, phase))
+                == route_bytes(branch_by_branch_route(beta_delta, eps, phase)))
 
 
 def test_stage_field_energies():
-    params = eng.EngineParams(beta=0.6, beta_d=2.0, delta_w=2.0, epsilon=0.05)
-    route = pswap_route(params)
+    # beta = 0.6 and beta_d = 2 at level spacing 2: the absolute 1e-12 gates on
+    # energies become 1e-12 / 2 per level spacing
+    route = pswap_route(0.6 * 2.0, 0.05)
     stage = route["stage_field_energy"]
-    assert abs(stage[0]) < 1e-12 and abs(stage[2]) < 1e-12  # interactions are free
-    report = eng.run_cycle(params)
-    assert math.isclose(stage[1], report.w_minus, abs_tol=1e-12)
-    assert abs(stage[3]) < 1e-12  # final rotations balance on average
+    assert abs(stage[0]) < 0.5e-12 and abs(stage[2]) < 0.5e-12  # interactions are free
+    report = eng.run_cycle(0.6 * 2.0, 2.0 * 2.0, 0.05)
+    assert math.isclose(stage[1], report.w_minus, abs_tol=0.5e-12)
+    assert abs(stage[3]) < 0.5e-12  # final rotations balance on average
 
 
 def test_optimize_power_closed_form_at_half():
@@ -287,7 +273,7 @@ def test_optimize_power_closed_form_at_half():
 
 
 def test_optimize_power_hot_regime_approximation():
-    _, p_e = eng.thermal_wit(0.05, 1.0)
+    _, p_e = eng.thermal_wit(0.05)
     xi = 1 - 2 * p_e
     for bd in (1.0, 2.0):
         approx = 1.0 / (1.0 + math.exp(bd + eng.bit_entropy_prime(p_e) * xi))
@@ -296,18 +282,18 @@ def test_optimize_power_hot_regime_approximation():
 
 
 def test_optimize_power_monotone_in_demon_temperature():
-    _, p_e = eng.thermal_wit(0.4, 1.0)
+    _, p_e = eng.thermal_wit(0.4)
     values = [eng.optimize_epsilon_power(p_e, bd).epsilon_star
               for bd in (1.0, 2.0, 4.0, 8.0)]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_optimize_power_true_maximum_on_grid():
-    _, p_e = eng.thermal_wit(0.2, 1.0)
+    _, p_e = eng.thermal_wit(0.2)
     result = eng.optimize_epsilon_power(p_e, 2.0)
-    best = net_per_delta(p_e, result.epsilon_star, 2.0)
+    best = net_work_per_delta(p_e, result.epsilon_star, 2.0)
     for eps in np.arange(1e-3, min(p_e, 0.5), 1e-3):
-        assert best >= net_per_delta(p_e, float(eps), 2.0) - 1e-12
+        assert best >= net_work_per_delta(p_e, float(eps), 2.0) - 1e-12
 
 
 def test_optimize_power_nonconvergence_below_floor():
@@ -388,7 +374,7 @@ def dinkelbach_eta(p_e):
     """optimize_epsilon_eta as it was before the single search: Dinkelbach's
     iteration lambda <- R(eps_power(lambda)) (W. Dinkelbach, "On nonlinear
     fractional programming", Management Science 13(7), 1967), each pass an
-    opt-power search at beta_d*delta_w = lambda, stopping once lambda fails to
+    opt-power search at beta_d_delta = lambda, stopping once lambda fails to
     fall by more than 4 ulps. The search no longer hands back its last t, so
     each pass starts from ln(eps/(1-eps)) of the last eps."""
     if p_e == 0.5:
@@ -464,10 +450,10 @@ def search_outcome(optimize, *args):
         return type(exc), str(exc)
 
 
-# p_e from beta*delta_w log-uniform in [1e-9, 745] (down to 5e-324, past the H' domain
+# p_e from beta_delta log-uniform in [1e-9, 745] (down to 5e-324, past the H' domain
 # and the empty bracket below 2 EPS_FLOOR), and 1/2 - 10^-k up to 1/2 itself
 search_pes = st.one_of(
-    st.floats(math.log(1e-9), math.log(745.0)).map(lambda b: eng.thermal_wit(math.exp(b), 1.0)[1]),
+    st.floats(math.log(1e-9), math.log(745.0)).map(lambda b: eng.thermal_wit(math.exp(b))[1]),
     st.integers(1, 17).map(lambda k: 0.5 - 10.0**-k))
 
 
@@ -483,12 +469,33 @@ def test_inlined_search_matches_the_level_search_bit_for_bit(p_e, bd_delta):
     assert search_outcome(eng.optimize_epsilon_eta, p_e) == search_outcome(oracle_eta, p_e)
 
 
+# opt-power's domain: p_e from 2 EPS_FLOOR (the one-point bracket) up to 1/2, and
+# beta_d_delta from BETA_D_MIN to the population cap, both log-uniform
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(p_e=st.floats(math.log(2 * eng.EPS_FLOOR), math.log(0.5)).map(
+           lambda v: min(max(math.exp(v), 2 * eng.EPS_FLOOR), 0.5)),
+       bd_delta=st.floats(math.log(eng.BETA_D_MIN), math.log(745.0)).map(
+           lambda v: max(math.exp(v), eng.BETA_D_MIN)))
+@example(p_e=0.5, bd_delta=2.0)
+@example(p_e=math.nextafter(2 * eng.EPS_FLOOR, 1.0), bd_delta=2.0)
+@example(p_e=0.3, bd_delta=eng.BETA_D_MIN)
+@example(p_e=0.3, bd_delta=745.0)
+@example(p_e=0.5, bd_delta=eng.BETA_D_MIN)
+@example(p_e=math.nextafter(2 * eng.EPS_FLOOR, 1.0), bd_delta=745.0)
+def test_power_objective_is_the_net_work_formula(p_e, bd_delta):
+    # objective_value is the cycle's net work 2 (p_e - eps) - w_in, bit for bit the
+    # one-expression formula it was computed with before
+    result = eng.optimize_epsilon_power(p_e, bd_delta)
+    want = net_work_per_delta(p_e, result.epsilon_star, bd_delta)
+    assert result.objective_value.hex() == want.hex()
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(beta_delta=st.floats(math.log(1e-4), math.log(16.0)).map(math.exp))
 @example(beta_delta=1e-4)
 @example(beta_delta=16.0)
 def test_optimize_eta_matches_mpmath_root(beta_delta):
-    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta)
     result = eng.optimize_epsilon_eta(p_e)
     want = mp_eta_root(p_e)
     assert result.converged
@@ -539,7 +546,7 @@ def test_optimize_eta_raises_where_scalar_scan_raises(p_e):
 def test_optimize_eta_demon_temperature_invariant():
     # the policy resolution must return bit-identical impurities whatever the
     # demon temperature of the surrounding sweep
-    _, p_e = eng.thermal_wit(0.4, 1.0)
+    _, p_e = eng.thermal_wit(0.4)
     values = {eng.resolve_epsilon("opt-eta", p_e, bd) for bd in (1.0, 2.0, 4.0)}
     assert len(values) == 1
     reference = eng.optimize_epsilon_eta(p_e).epsilon_star
@@ -547,7 +554,7 @@ def test_optimize_eta_demon_temperature_invariant():
 
 
 def test_optimize_eta_true_maximum_on_grid():
-    _, p_e = eng.thermal_wit(0.5, 1.0)
+    _, p_e = eng.thermal_wit(0.5)
     star = eng.optimize_epsilon_eta(p_e).epsilon_star
     best = eta_2cy(p_e, star, 2.0)
     for eps in np.arange(1e-3, p_e - 1e-3, 1e-3):
@@ -566,76 +573,80 @@ def test_policy_parsing():
 def test_point_of_zero_ideal_work_at_threshold():
     # at beta -> 0 the ideal engine's net work crosses zero when the demon
     # reservoir sits exactly at 2 ln 2 per level spacing
-    assert abs(net_per_delta(0.5, 0.0, 2 * LN2)) < 1e-9
-    assert net_per_delta(0.5, 0.0, 2 * LN2 + 0.01) > 0
-    assert net_per_delta(0.5, 0.0, 2 * LN2 - 0.01) < 0
+    assert abs(net_work_per_delta(0.5, 0.0, 2 * LN2)) < 1e-9
+    assert net_work_per_delta(0.5, 0.0, 2 * LN2 + 0.01) > 0
+    assert net_work_per_delta(0.5, 0.0, 2 * LN2 - 0.01) < 0
 
 
+# each case names a (beta_d, delta_w) pair; the engine takes their product beta_d_delta
 @pytest.mark.parametrize("beta_d, delta_w", [(0.0, 1.0), (-2.0, 1.0), (2.0, 0.0), (2.0, -1.0)])
 def test_minimal_beta_rejects_non_positive_scales(beta_d, delta_w):
-    with pytest.raises(qm.ParameterError, match="beta_d and delta_w must be positive"):
-        eng.minimal_beta(beta_d, delta_w)
+    beta_d_delta = beta_d * delta_w
+    with pytest.raises(qm.ParameterError, match=re.escape(
+            f"beta_d must be positive, got {beta_d_delta}")):
+        eng.minimal_beta(beta_d_delta)
 
 
 def test_minimal_beta_ideal_never_positive_below_threshold():
-    assert math.isnan(eng.minimal_beta(1.0, 1.0, "ideal"))
-    assert math.isnan(eng.minimal_beta(2 * LN2 - 1e-3, 1.0, "ideal"))
+    assert math.isnan(eng.minimal_beta(1.0, "ideal"))
+    assert math.isnan(eng.minimal_beta(2 * LN2 - 1e-3, "ideal"))
 
 
 def test_minimal_beta_ideal_cold_regime():
-    beta_m = eng.minimal_beta(20.0, 1.0, "ideal")
+    beta_m = eng.minimal_beta(20.0, "ideal")
     assert abs(beta_m - 19.0) / 19.0 < 0.02
 
 
+# as above, the engine takes beta_d_delta = beta_d * delta_w
 @pytest.mark.parametrize("beta_d, delta_w, policy", [
     (760.0, 1.0, "ideal"), (1000.0, 1.0, "ideal"), (380.0, 2.0, "ideal"),
     (760.0, 1.0, "fixed:0"),
 ])
 def test_minimal_beta_raises_past_the_population_cap(beta_d, delta_w, policy):
-    # p_e stops falling at BETA_DELTA_CAP, so R never reaches beta_d*delta_w and
-    # net work never changes sign; the bisection once returned beta_d itself
+    # p_e stops falling at BETA_DELTA_CAP, so R never reaches beta_d_delta and
+    # net work never changes sign; the bisection once returned beta_d_delta itself
     with pytest.raises(qm.ParameterError, match="BETA_DELTA_CAP"):
-        eng.minimal_beta(beta_d, delta_w, policy)
+        eng.minimal_beta(beta_d * delta_w, policy)
 
 
 def test_minimal_beta_below_the_population_cap_unchanged():
-    assert eng.minimal_beta(700.0, 1.0, "ideal") == 699.0
+    assert eng.minimal_beta(700.0, "ideal") == 699.0
 
 
 @pytest.mark.parametrize("delta_w", [1.0, 2.0])
 @pytest.mark.parametrize("policy", ["ideal", "fixed:0"])
 def test_minimal_beta_exact_where_p_e_is_subnormal(delta_w, policy):
-    # R = beta*delta_w + 1 up to e^-beta*delta_w, so the root is beta_d - 1/delta_w;
-    # ln p_e taken from a subnormal p_e once put it 0.092 off at beta_d*delta_w = 744
-    for beta_d_delta in np.linspace(700.0, 744.0, 45):
-        beta_d = float(beta_d_delta) / delta_w
-        assert abs(eng.minimal_beta(beta_d, delta_w, policy) - (beta_d - 1.0 / delta_w)) <= 1e-12
+    # R = beta_delta + 1 up to e^-beta_delta, so the root is beta_d_delta - 1; ln p_e
+    # taken from a subnormal p_e once put it 0.092 off at beta_d_delta = 744. Each case
+    # takes beta_d = bd/delta_w, and the engine the product beta_d * delta_w
+    for bd in np.linspace(700.0, 744.0, 45):
+        beta_d_delta = float(bd) / delta_w * delta_w
+        assert abs(eng.minimal_beta(beta_d_delta, policy) - (beta_d_delta - 1.0)) <= 1e-12
 
 
 def test_minimal_beta_hot_regime_optimized():
     for policy in ("opt-power", "opt-eta"):
-        beta_m = eng.minimal_beta(0.1, 1.0, policy)
+        beta_m = eng.minimal_beta(0.1, policy)
         assert abs(beta_m / 0.1 - 0.5) <= 0.05
     # the two optimised frontiers coincide
-    bw = eng.minimal_beta(2.0, 1.0, "opt-power")
-    be = eng.minimal_beta(2.0, 1.0, "opt-eta")
+    bw = eng.minimal_beta(2.0, "opt-power")
+    be = eng.minimal_beta(2.0, "opt-eta")
     assert abs(bw - be) < 1e-6
 
 
-def policy_net_work(delta_w, policy, bd_delta):
-    """Net work per delta_w at a working beta under the policy's own eps."""
-    def net(beta):
-        p_e = eng.thermal_wit(beta, delta_w)[1]
-        return eng._net_work_per_delta(p_e, eng.resolve_epsilon(policy, p_e, bd_delta),
-                                       bd_delta)
+def policy_net_work(policy, bd_delta):
+    """Net work at a working beta_delta under the policy's own eps."""
+    def net(beta_delta):
+        p_e = eng.thermal_wit(beta_delta)[1]
+        return net_work_per_delta(p_e, eng.resolve_epsilon(policy, p_e, bd_delta), bd_delta)
     return net
 
 
-def scan_minimal_beta(beta_d, delta_w, policy):
+def scan_minimal_beta(bd_delta, policy):
     """minimal_beta as it once was: the net work on 257 points over
-    [0, beta_d], its last sign change bisected. The oracle for the single root."""
-    net = policy_net_work(delta_w, policy, beta_d * delta_w)
-    grid = np.linspace(0.0, beta_d, 257)
+    [0, bd_delta], its last sign change bisected. The oracle for the single root."""
+    net = policy_net_work(policy, bd_delta)
+    grid = np.linspace(0.0, bd_delta, 257)
     positive = [i for i, beta in enumerate(grid) if net(float(beta)) > 0.0]
     if not positive:
         return math.nan
@@ -659,10 +670,9 @@ def test_minimal_beta_matches_the_scan():
     seen = set()
     for _ in range(600):
         bd_delta = math.exp(rng.uniform(math.log(0.1), math.log(60.0)))
-        delta_w = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
         policy = ("ideal", "opt-power", "opt-eta",
                   f"fixed:{rng.uniform(0.0, 0.5)!r}")[rng.integers(4)]
-        case = (bd_delta / delta_w, delta_w, policy)
+        case = (bd_delta, policy)
         want, want_value = minimal_beta_outcome(scan_minimal_beta, *case)
         got, value = minimal_beta_outcome(eng.minimal_beta, *case)
         seen.add(got)
@@ -670,7 +680,7 @@ def test_minimal_beta_matches_the_scan():
             # the scan also solves at grid points colder than the root, where
             # eps* drops below the floor; net work changes sign at the root,
             # with the policy's optimiser converged on both sides
-            net = policy_net_work(delta_w, policy, bd_delta)
+            net = policy_net_work(policy, bd_delta)
             assert net(value * (1.0 - 1e-9)) > 0.0 > net(value * (1.0 + 1e-9)), case
             continue
         assert got == want, case
@@ -683,8 +693,7 @@ def test_carnot_bound_on_grid():
     beta_d = 2.0
     for beta in np.linspace(0.0, 2.0, 21):
         for eps in np.linspace(0.0, 0.5, 21):
-            r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d,
-                                               delta_w=1.0, epsilon=eps))
+            r = eng.run_cycle(beta, beta_d, eps)
             if r.net_work > 0:
                 assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
 
@@ -718,9 +727,9 @@ def policy_epsilon(policy, p_e, beta_d_delta):
 
 def cycle_row(beta_d_delta, policy, bd):
     """A sweep row as ``run_cycle`` gives it: the oracle for sweep_beta's arithmetic."""
-    _, p_e = eng.thermal_wit(bd, 1.0)
+    _, p_e = eng.thermal_wit(bd)
     eps = policy_epsilon(policy, p_e, beta_d_delta)
-    r = eng.run_cycle(eng.EngineParams(beta=bd, beta_d=beta_d_delta, delta_w=1.0, epsilon=eps))
+    r = eng.run_cycle(bd, beta_d_delta, eps)
     return {"beta_delta": bd, "p_e": r.p_e, "epsilon": eps, "heat": r.heat,
             "net_work": r.net_work, "eta_2cy": r.eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta}
 
@@ -781,19 +790,19 @@ def test_sweep_parses_its_policy_once():
 def count_dataclasses():
     """Mocks wrapping each of engine's dataclasses, to count what a call builds."""
     return [mock.patch.object(eng, name, wraps=getattr(eng, name))
-            for name in ("EngineParams", "CycleReport", "OptimizationResult")]
+            for name in ("CycleReport", "OptimizationResult")]
 
 
 @pytest.mark.parametrize("policy", ["ideal", "fixed:0.1", "opt-power", "opt-eta"])
 def test_sweep_row_builds_no_dataclass(policy):
-    # a row is arithmetic: one population, no EngineParams, CycleReport or
-    # OptimizationResult to build; the searches hand back plain values
+    # a row is arithmetic: one population, no CycleReport or OptimizationResult
+    # to build; the searches hand back plain values
     with mock.patch.object(eng, "thermal_wit", wraps=eng.thermal_wit) as wit, \
          contextlib.ExitStack() as stack:
         built = [stack.enter_context(patch) for patch in count_dataclasses()]
         rows = eng.sweep_beta(2.0, policy, np.linspace(0.0, 2.0, 21))
     assert len(rows) == wit.call_count == 21
-    assert [cls.call_count for cls in built] == [0, 0, 0]
+    assert [cls.call_count for cls in built] == [0, 0]
 
 
 def test_frontier_row_builds_no_dataclass():
@@ -801,7 +810,7 @@ def test_frontier_row_builds_no_dataclass():
         built = [stack.enter_context(patch) for patch in count_dataclasses()]
         rows = eng.frontier_epsilons(np.linspace(0.3, 0.5, 11), [1.0, 2.0])
     assert len(rows) == 11
-    assert [cls.call_count for cls in built] == [0, 0, 0]
+    assert [cls.call_count for cls in built] == [0, 0]
 
 
 def frontier_oracle(pe_values, beta_d_deltas):
@@ -811,9 +820,9 @@ def frontier_oracle(pe_values, beta_d_deltas):
                 for bd in beta_d_deltas}} for pe in pe_values]
 
 
-# p_e from beta*delta_w log-uniform in [1e-9, 60], and within 1e-8 of 1/2
+# p_e from beta_delta log-uniform in [1e-9, 60], and within 1e-8 of 1/2
 frontier_pes = st.one_of(
-    st.floats(math.log(1e-9), math.log(60.0)).map(lambda b: eng.thermal_wit(math.exp(b), 1.0)[1]),
+    st.floats(math.log(1e-9), math.log(60.0)).map(lambda b: eng.thermal_wit(math.exp(b))[1]),
     st.floats(0.5 - 1e-8, 0.5))
 
 
@@ -823,8 +832,8 @@ frontier_pes = st.one_of(
                               max_size=3, unique_by=lambda bd: f"{bd:g}"))
 @example(pe_values=[0.5 - 1e-9, 0.5, 0.3], beta_d_deltas=[40.0, 2.0])
 # opt-power's root lies below the floor: the entry is the unconverged bracket end
-@example(pe_values=[eng.thermal_wit(1.0, 1.0)[1]], beta_d_deltas=[40.0])
-@example(pe_values=[eng.thermal_wit(40.0, 1.0)[1]], beta_d_deltas=[40.0])  # empty bracket
+@example(pe_values=[eng.thermal_wit(1.0)[1]], beta_d_deltas=[40.0])
+@example(pe_values=[eng.thermal_wit(40.0)[1]], beta_d_deltas=[40.0])  # empty bracket
 def test_frontier_entries_are_the_public_epsilon_star(pe_values, beta_d_deltas):
     assert (outcome(eng.frontier_epsilons, pe_values, beta_d_deltas)
             == outcome(frontier_oracle, pe_values, beta_d_deltas))
@@ -890,12 +899,12 @@ def no_sign_change_cases():
     rng = np.random.default_rng(7557)
     # root below the floor: s > 0 on the whole bracket, the objective falls
     for _ in range(40):
-        _, p_e = eng.thermal_wit(rng.uniform(0.0, 5.0), 1.0)
+        _, p_e = eng.thermal_wit(rng.uniform(0.0, 5.0))
         yield p_e, float(np.exp(rng.uniform(math.log(36.0), math.log(300.0)))), "lo"
-    # s(hi) < 0 once beta_d*delta_w falls below -s(hi) at beta_d*delta_w = 0
+    # s(hi) < 0 once beta_d_delta falls below -s(hi) at beta_d_delta = 0
     # (about ln 2 cold, beta_delta hot): the objective rises to hi
     for _ in range(40):
-        _, p_e = eng.thermal_wit(rng.uniform(0.5, 20.0), 1.0)
+        _, p_e = eng.thermal_wit(rng.uniform(0.5, 20.0))
         threshold = -power_stationarity(p_e, 0.0, power_bracket(p_e)[1])
         yield p_e, threshold * rng.uniform(0.05, 0.95), "hi"
 
@@ -907,7 +916,7 @@ def test_optimize_power_without_sign_change_returns_bracket_end(p_e, bd_delta, e
     assert (s_lo > 0.0 and s_hi > 0.0) if end == "lo" else (s_lo < 0.0 and s_hi < 0.0)
 
     def objective(eps):
-        return net_per_delta(p_e, eps, bd_delta)
+        return net_work_per_delta(p_e, eps, bd_delta)
 
     golden, _ = golden_max(objective, lo, hi)
     golden_converged = (abs(power_stationarity(p_e, bd_delta, golden)) <= 1e-12
@@ -919,7 +928,7 @@ def test_optimize_power_without_sign_change_returns_bracket_end(p_e, bd_delta, e
     assert result.iterations == 0
     assert result.roots == ()
     assert result.residual == abs(power_stationarity(p_e, bd_delta, result.epsilon_star))
-    assert result.objective_value == eng._net_work_per_delta(p_e, result.epsilon_star, bd_delta)
+    assert result.objective_value == net_work_per_delta(p_e, result.epsilon_star, bd_delta)
 
 
 @pytest.mark.parametrize("target", ["power", "eta"])
@@ -952,7 +961,7 @@ def test_optimize_power_root_at_upper_end_converges():
     # beta = beta_d: s(hi) ~ 2 xi^3 ~ 1e-19, so the upper end solves the
     # stationarity equation, though round-off in the objective (~1e-10 here)
     # hides the maximum from a search on the objective within ~1e-9 of it
-    _, p_e = eng.thermal_wit(1e-6, 1.0)
+    _, p_e = eng.thermal_wit(1e-6)
     result = eng.optimize_epsilon_power(p_e, 1e-6)
     assert result.epsilon_star == power_bracket(p_e)[1]
     assert result.converged and result.residual <= 1e-12
@@ -982,7 +991,7 @@ def test_bisect_returns_its_last_midpoint_when_max_iter_runs_out():
 
 @pytest.mark.parametrize("max_iter", [200, 100])
 def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
-    _, p_e = eng.thermal_wit(1e-6, 1.0)  # the `engine optimize` defaults
+    _, p_e = eng.thermal_wit(1e-6)  # the `engine optimize` defaults
     cases = [
         (lambda eps: power_stationarity(p_e, 2.0, eps), *power_bracket(p_e)),
         (lambda x: x * x - 2.0, 1.0, 2.0),

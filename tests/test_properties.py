@@ -5,7 +5,7 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qdemon import channel as ch
@@ -14,8 +14,8 @@ from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.qmatrix import ConvergenceError
 from qdemon.spin_demon import SpinDemonParams, spin_config
-from conftest import (completed_double_dot, power_stationarity, pswap_route, random_density,
-                      random_unitary, ratio_round_off)
+from conftest import (completed_double_dot, net_work_per_delta, power_stationarity, pswap_route,
+                      random_density, random_unitary, ratio_round_off)
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -86,7 +86,7 @@ def test_mzi_probabilities_sum_to_one(chi, epsilon, theta, eta, phi, arm, bypass
     assert report.p3.min() >= -1e-12 and report.p3.max() <= 1.0 + 1e-12
 
 
-# beta*delta_w of the working reservoir, with the edges beta*delta_w -> 0
+# beta_delta of the working reservoir, with the edges beta_delta -> 0
 # (p_e -> 1/2) and p_e -> 0 (p_e = 1.3e-14 at 32, one decade above the floor)
 beta_deltas = st.one_of(st.sampled_from([0.0, 1e-12, 1e-6, 32.0]), st.floats(0.0, 32.0))
 beta_d_deltas = st.floats(1e-2, 1e3)
@@ -95,7 +95,7 @@ beta_d_deltas = st.floats(1e-2, 1e3)
 @PROPERTY
 @given(beta_delta=beta_deltas, bd_delta=beta_d_deltas)
 def test_power_stationarity_increases_on_bracket(beta_delta, bd_delta):
-    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta)
     grid = np.linspace(eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR, 65)
     s = [power_stationarity(p_e, bd_delta, float(eps)) for eps in grid]
     assert all(a < b for a, b in zip(s, s[1:]))
@@ -109,7 +109,7 @@ def test_power_stationarity_increases_on_bracket(beta_delta, bd_delta):
 @example(beta_delta=1e-6, bd_delta=2.0)
 @example(beta_delta=0.0, bd_delta=1e-2)
 def test_power_optimum_is_a_local_maximum(beta_delta, bd_delta):
-    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+    _, p_e = eng.thermal_wit(beta_delta)
     result = eng.optimize_epsilon_power(p_e, bd_delta)
     lo, hi = eng.EPS_FLOOR, min(p_e, 0.5) - eng.EPS_FLOOR
     assert lo <= result.epsilon_star <= hi
@@ -117,69 +117,61 @@ def test_power_optimum_is_a_local_maximum(beta_delta, bd_delta):
         assert result.residual <= 1e-12
         best = result.objective_value
         for eps in (max(lo, result.epsilon_star - 1e-6), min(hi, result.epsilon_star + 1e-6)):
-            assert best >= eng._net_work_per_delta(p_e, eps, bd_delta) - 1e-12
+            assert best >= net_work_per_delta(p_e, eps, bd_delta) - 1e-12
 
 
 @PROPERTY
-@given(beta_delta=beta_deltas, bd_delta=beta_d_deltas,
-       delta_w=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
-@example(beta_delta=0.0, bd_delta=2.0, delta_w=1.0)
-@example(beta_delta=32.0, bd_delta=40.0, delta_w=1.0)
-def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_delta, delta_w):
-    _, p_e = eng.thermal_wit(beta_delta, 1.0)
+@given(beta_delta=beta_deltas, bd_delta=beta_d_deltas)
+@example(beta_delta=0.0, bd_delta=2.0)
+@example(beta_delta=32.0, bd_delta=40.0)
+def test_cycle_at_power_optimum_balances_and_stays_below_carnot(beta_delta, bd_delta):
+    _, p_e = eng.thermal_wit(beta_delta)
     eps = eng.optimize_epsilon_power(p_e, bd_delta).epsilon_star
-    beta, beta_d = beta_delta / delta_w, bd_delta / delta_w
-    r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
-                                       epsilon=eps))
-    assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12 * delta_w
+    r = eng.run_cycle(beta_delta, bd_delta, eps)
+    assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12
     if r.heat > 0.0:
         # eta_2cy <= 1 - beta/beta_d, times heat > 0 so that a vanishing heat
         # cannot blow the round-off of net_work up
-        assert r.net_work <= (1.0 - beta / beta_d) * r.heat + 1e-12 * delta_w
-        if r.heat > 1e-6 * delta_w:
-            assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
+        assert r.net_work <= (1.0 - beta_delta / bd_delta) * r.heat + 1e-12
+        if r.heat > 1e-6:
+            assert r.eta_2cy <= 1.0 - beta_delta / bd_delta + 1e-9
     else:
         assert math.isnan(r.eta_2cy)
 
 
-# beta*delta_w from 0 through BETA_DELTA_CAP (where p_e stops at 5e-324) far
-# past it, delta_w over the normal floats, eps with both ends of [0, 1/2]
+# beta_delta from 0 through BETA_DELTA_CAP (where p_e stops at 5e-324) far
+# past it, eps with both ends of [0, 1/2]
 route_beta_deltas = st.one_of(
     st.sampled_from([0.0, eng.BETA_DELTA_CAP, 2 * eng.BETA_DELTA_CAP, 1e300]),
     st.floats(0.0, 2 * eng.BETA_DELTA_CAP),
     st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
-route_delta_ws = st.one_of(st.sampled_from([1.0, 1e-300, 1e300]),
-                           st.floats(math.log(1e-300), math.log(1e300)).map(math.exp))
 route_epsilons = st.one_of(st.sampled_from([0.0, 0.5, 1e-300]), st.floats(0.0, 0.5))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(beta_delta=route_beta_deltas, delta_w=route_delta_ws, eps=route_epsilons)
-@example(beta_delta=0.0, delta_w=1.0, eps=0.0)
-@example(beta_delta=0.0, delta_w=1.0, eps=0.5)
-@example(beta_delta=eng.BETA_DELTA_CAP, delta_w=1.0, eps=0.0)
-@example(beta_delta=2 * eng.BETA_DELTA_CAP, delta_w=1.0, eps=0.5)
-@example(beta_delta=1e300, delta_w=1e-8, eps=0.25)
-@example(beta_delta=1.0, delta_w=1e-300, eps=0.0)
-@example(beta_delta=1.0, delta_w=1e300, eps=0.5)
-@example(beta_delta=eng.BETA_DELTA_CAP, delta_w=1e300, eps=0.1)
-@example(beta_delta=2 * eng.BETA_DELTA_CAP, delta_w=1e-300, eps=0.3)
-def test_gate_route_matches_closed_forms_over_the_valid_range(beta_delta, delta_w, eps):
-    beta = beta_delta / delta_w
-    assume(math.isfinite(beta))
-    params = eng.EngineParams(beta=beta, beta_d=2.0, delta_w=delta_w, epsilon=eps)
-    r, route = eng.run_cycle(params), pswap_route(params)
+@given(beta_delta=route_beta_deltas, eps=route_epsilons)
+@example(beta_delta=0.0, eps=0.0)
+@example(beta_delta=0.0, eps=0.5)
+@example(beta_delta=eng.BETA_DELTA_CAP, eps=0.0)
+@example(beta_delta=2 * eng.BETA_DELTA_CAP, eps=0.5)
+@example(beta_delta=1e300, eps=0.25)
+@example(beta_delta=1.0, eps=0.0)
+@example(beta_delta=1.0, eps=0.5)
+@example(beta_delta=eng.BETA_DELTA_CAP, eps=0.1)
+@example(beta_delta=2 * eng.BETA_DELTA_CAP, eps=0.3)
+def test_gate_route_matches_closed_forms_over_the_valid_range(beta_delta, eps):
+    r, route = eng.run_cycle(beta_delta, 2.0, eps), pswap_route(beta_delta, eps)
     stage = route["stage_field_energy"]
     gaps = {"w_minus": route["w_minus"] - r.w_minus, "w_plus": route["w_plus"] - r.w_plus,
             "heat": route["heat"] - r.heat,
             "dit_up_entropy": route["dit_entropies"][0] - r.dit_out_entropy,
             "dit_down_entropy": route["dit_entropies"][1] - r.dit_out_entropy,
             "mid_rotations": stage[1] - r.w_minus, "final_rotations": stage[3]}
-    assert max(abs(g) for g in gaps.values()) <= 1e-10 * max(1.0, delta_w), gaps
+    assert max(abs(g) for g in gaps.values()) <= 1e-10, gaps
 
 
 # excited populations for opt-eta, log-uniform down to two floors, with the
-# edges p_e -> 2 EPS_FLOOR (the narrowest bracket) and p_e -> 1/2 (beta*delta_w -> 0)
+# edges p_e -> 2 EPS_FLOOR (the narrowest bracket) and p_e -> 1/2 (beta_delta -> 0)
 eta_pes = st.one_of(
     st.sampled_from([2 * eng.EPS_FLOOR, 2.5e-15, 1e-12, 0.5 - 1e-6, 0.5 - 1e-12, 0.5]),
     st.floats(math.log(2 * eng.EPS_FLOOR), math.log(0.5)).map(math.exp),
@@ -206,25 +198,22 @@ def test_eta_optimum_beats_its_neighbours(p_e):
 
 @PROPERTY
 @given(p_e=eta_pes, bd_delta=beta_d_deltas,
-       policy=st.sampled_from(["opt-eta", "fixed:0", "fixed:0.5"]),
-       delta_w=st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
-@example(p_e=2 * eng.EPS_FLOOR, bd_delta=40.0, policy="opt-eta", delta_w=1.0)
-@example(p_e=0.5, bd_delta=2.0, policy="opt-eta", delta_w=1.0)
-@example(p_e=0.5, bd_delta=1e-2, policy="fixed:0", delta_w=1.0)
-def test_cycle_at_eta_optimum_balances_and_stays_below_carnot(p_e, bd_delta, policy, delta_w):
+       policy=st.sampled_from(["opt-eta", "fixed:0", "fixed:0.5"]))
+@example(p_e=2 * eng.EPS_FLOOR, bd_delta=40.0, policy="opt-eta")
+@example(p_e=0.5, bd_delta=2.0, policy="opt-eta")
+@example(p_e=0.5, bd_delta=1e-2, policy="fixed:0")
+def test_cycle_at_eta_optimum_balances_and_stays_below_carnot(p_e, bd_delta, policy):
     name, fixed = eng.parse_policy(policy)
     eps = fixed if name == "fixed" else eng.optimize_epsilon_eta(p_e).epsilon_star
     beta_delta = eng.bit_entropy_prime(p_e)
-    beta, beta_d = beta_delta / delta_w, bd_delta / delta_w
-    if beta_d <= beta:
+    if bd_delta <= beta_delta:
         return  # no Carnot window: the demon reservoir is not the colder one
-    r = eng.run_cycle(eng.EngineParams(beta=beta, beta_d=beta_d, delta_w=delta_w,
-                                       epsilon=eps))
-    assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12 * delta_w
+    r = eng.run_cycle(beta_delta, bd_delta, eps)
+    assert abs(r.w_out - (r.w_plus - r.w_minus)) <= 1e-12
     if r.heat > 0.0:
-        assert r.net_work <= (1.0 - beta / beta_d) * r.heat + 1e-12 * delta_w
-        if r.heat > 1e-6 * delta_w:
-            assert r.eta_2cy <= 1.0 - beta / beta_d + 1e-9
+        assert r.net_work <= (1.0 - beta_delta / bd_delta) * r.heat + 1e-12
+        if r.heat > 1e-6:
+            assert r.eta_2cy <= 1.0 - beta_delta / bd_delta + 1e-9
     else:
         assert math.isnan(r.eta_2cy)
 
@@ -252,15 +241,17 @@ def test_optimizer_step_counts_stay_small(p_e, bd_delta):
 
 
 @PROPERTY
-@given(beta_d=st.floats(1e-2, 60.0), delta_w=st.one_of(st.just(1.0), st.floats(1e-2, 1e2)))
-@example(beta_d=17.0, delta_w=1.0)   # eps* falls below the floor past the root
-@example(beta_d=40.0, delta_w=1.0)   # p_e falls below 2 EPS_FLOOR before beta_d
-def test_optimal_policies_share_minimal_beta(beta_d, delta_w):
-    # the best net work over eps is positive exactly where min R < beta_d delta_w
+# beta_d_delta over [1e-2, 60] and over the range the products of beta_d in
+# [1e-2, 60] and delta_w in [1e-2, 1e2] once spanned
+@given(bd_delta=st.one_of(st.floats(1e-2, 60.0), st.floats(1e-4, 6e3)))
+@example(bd_delta=17.0)   # eps* falls below the floor past the root
+@example(bd_delta=40.0)   # p_e falls below 2 EPS_FLOOR before beta_d_delta
+def test_optimal_policies_share_minimal_beta(bd_delta):
+    # the best net work over eps is positive exactly where min R < beta_d_delta
     outcomes = []
     for policy in ("opt-power", "opt-eta"):
         try:
-            outcomes.append(repr(eng.minimal_beta(beta_d, delta_w, policy)))
+            outcomes.append(repr(eng.minimal_beta(bd_delta, policy)))
         except ConvergenceError:
             outcomes.append("no convergence")
     assert outcomes[0] == outcomes[1]
@@ -270,10 +261,10 @@ def test_optimal_policies_share_minimal_beta(beta_d, delta_w):
 @given(beta_deltas=st.lists(st.floats(1e-6, 16.5), min_size=2, max_size=2, unique=True))
 @example(beta_deltas=[1e-6, 16.5])
 def test_minimal_cost_ratio_falls_with_p_e(beta_deltas):
-    # beta*delta_w <= 16.5 keeps p_e where opt-eta's root lies above EPS_FLOOR
+    # beta_delta <= 16.5 keeps p_e where opt-eta's root lies above EPS_FLOOR
     (p_cold, cold), (p_hot, hot) = (
         (p_e, eng.optimize_epsilon_eta(p_e))
-        for p_e in sorted(eng.thermal_wit(b, 1.0)[1] for b in beta_deltas))
+        for p_e in sorted(eng.thermal_wit(b)[1] for b in beta_deltas))
     assert cold.converged and hot.converged
     assert cold.objective_value >= hot.objective_value - (
         ratio_round_off(p_cold, cold.epsilon_star) + ratio_round_off(p_hot, hot.epsilon_star))
