@@ -243,7 +243,7 @@ def cmd_engine(parser, args, argv) -> int:
     if args.target == "power":
         result = eng.optimize_epsilon_power(pe, bd_delta)
     else:
-        eng._check_beta_d(bd_delta, "beta_d_delta")  # only echoed here; checked as for power
+        eng._check_beta_d(bd_delta)  # only echoed here; checked as for power
         result = eng.optimize_epsilon_eta(pe)
     doc = dict(vars(result), target=args.target, p_e=pe, beta_d_delta=bd_delta)
     _write(args.output, _json(doc))

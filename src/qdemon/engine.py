@@ -101,13 +101,13 @@ class OptimizationResult:
     roots: tuple[float, ...] = field(default=())
 
 
-def _check_beta_d(beta_d: float, name: str = "beta_d") -> None:
-    _require_finite(**{name: beta_d})
-    if beta_d <= 0.0:
-        raise ParameterError(f"{name} must be positive, got {beta_d}")
-    if beta_d < BETA_D_MIN:
-        raise ParameterError(f"{name} must be at least {BETA_D_MIN!r}, below which "
-                             f"the restoration cost overflows, got {beta_d}")
+def _check_beta_d(beta_d_delta: float) -> None:
+    _require_finite(beta_d_delta=beta_d_delta)
+    if beta_d_delta <= 0.0:
+        raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
+    if beta_d_delta < BETA_D_MIN:
+        raise ParameterError(f"beta_d_delta must be at least {BETA_D_MIN!r}, below which "
+                             f"the restoration cost overflows, got {beta_d_delta}")
 
 
 def thermal_wit(beta_delta: float) -> tuple[float, float]:
@@ -194,27 +194,33 @@ _S_NOISE = 8.0 * 2.0**-52
 _T_FLOOR = math.log(EPS_FLOOR / (1.0 - EPS_FLOOR))
 _HP_FLOOR = bit_entropy_prime(EPS_FLOOR)
 _H_FLOOR = bit_entropy(EPS_FLOOR)
+_exp, _log, _log1p, _STEPS = math.exp, math.log, math.log1p, range(1, 101)  # bound once
 
 
 def _max_net_work(p_e, xi, bd_delta, t):
     """Root of s(eps) = xi H'[x] - H'[eps] + level, x = p_e + eps xi, on [EPS_FLOOR,
-    min(p_e, 1/2) - EPS_FLOOR]: level is opt-power's bd_delta, or for None opt-eta's
+    p_e - EPS_FLOOR] (p_e <= 1/2): level is opt-power's bd_delta, or for None opt-eta's
     R(eps). Without a sign change of s, the end where s is larger (lo if s >= 0
     there); else Newton on s(t) from t, bisecting steps that leave the sign bracket.
     The step leaves level's slope out: exact for a constant, and for R Newton's step
     on F = (p_e - eps) s, whose t-slope is (p_e - eps) ds/dt. Returns (eps, level,
     residual, Newton steps, root found) of the last evaluation, residual |s| or for
     R |F|. H' raises at hi for p_e <= EPS_FLOOR; below 2 EPS_FLOOR hi < lo is refused."""
-    lo, hi = EPS_FLOOR, min(p_e, 0.5) - EPS_FLOOR
+    # Each call saved is a measurable share of a search, so H' and H are bit_entropy_prime's
+    # and bit_entropy's expressions inline, bit for bit; min, max and abs are comparisons
+    lo, hi = EPS_FLOOR, p_e - EPS_FLOOR
     x_lo, x_hi = p_e + lo * xi, p_e + hi * xi
-    base_lo = xi * math.log((1.0 - x_lo) / x_lo) - _HP_FLOOR
-    base_hi = xi * bit_entropy_prime(x_hi) - bit_entropy_prime(hi)
-    if hi < lo:
-        raise ParameterError(f"p_e={p_e} leaves no epsilon bracket above {EPS_FLOOR}")
+    if hi < lo:  # H' refuses x_hi, then hi, at or below 0 first; neither reaches 1
+        raise ParameterError(f"p_e={p_e} leaves no epsilon bracket above {EPS_FLOOR}" if hi > 0.0
+                             else f"H' needs x in (0, 1), got {hi if x_hi > 0.0 else x_hi}")
+    base_lo = xi * _log((1.0 - x_lo) / x_lo) - _HP_FLOOR
+    base_hi = xi * _log((1.0 - x_hi) / x_hi) - _log((1.0 - hi) / hi)
     r_level, lev_lo, lev_hi = bd_delta is None, bd_delta, bd_delta
     hx_lo = hx_hi = he_hi = 0.0  # H[x] and H[eps] at the ends, which only R reads
     if r_level:
-        hx_lo, hx_hi, he_hi = bit_entropy(x_lo), bit_entropy(x_hi), bit_entropy(hi)
+        hx_lo = -x_lo * _log(x_lo) - (1.0 - x_lo) * _log1p(-x_lo)
+        hx_hi = -x_hi * _log(x_hi) - (1.0 - x_hi) * _log1p(-x_hi)
+        he_hi = -hi * _log(hi) - (1.0 - hi) * _log1p(-hi)
         lev_lo, lev_hi = (hx_lo - _H_FLOOR) / (p_e - lo), (hx_hi - he_hi) / (p_e - hi)
     s_lo, s_hi = base_lo + lev_lo, base_hi + lev_hi
     it, inside = 0, s_lo * s_hi < 0.0
@@ -222,31 +228,33 @@ def _max_net_work(p_e, xi, bd_delta, t):
         eps, base, lev, hx, he = ((lo, base_lo, lev_lo, hx_lo, _H_FLOOR) if s_lo >= 0.0
                                   else (hi, base_hi, lev_hi, hx_hi, he_hi))
     else:
-        a, b = _T_FLOOR, math.log(hi / (1.0 - hi))
-        t, settled, lev = min(max(t, a), b), False, bd_delta
-        for it in range(1, 101):
-            eps = min(max(1.0 / (1.0 + math.exp(-t)), lo), hi)
+        a, b, settled, lev, xi2 = _T_FLOOR, _log(hi / (1.0 - hi)), False, bd_delta, xi * xi
+        t = a if t < a else b if t > b else t
+        for it in _STEPS:
+            eps = 1.0 / (1.0 + _exp(-t))
+            eps = lo if eps < lo else hi if eps > hi else eps
             x = p_e + eps * xi
-            # H' and H written as bit_entropy_prime and bit_entropy write them
-            base = xi * math.log((1.0 - x) / x) - math.log((1.0 - eps) / eps)
+            ox, oe = 1.0 - x, 1.0 - eps
+            base = xi * _log(ox / x) - _log(oe / eps)
             if r_level:
-                hx = -x * math.log(x) - (1.0 - x) * math.log1p(-x)
-                he = -eps * math.log(eps) - (1.0 - eps) * math.log1p(-eps)
+                hx = -x * _log(x) - ox * _log1p(-x)
+                he = -eps * _log(eps) - oe * _log1p(-eps)
                 lev = (hx - he) / (p_e - eps)
             s = base + lev
             if s < 0.0:
                 a = t
             else:
                 b = t
-            step = s / (1.0 - xi * xi * eps * (1.0 - eps) / (x * (1.0 - x)))
-            if settled or abs(step) <= _S_NOISE * (1.0 + abs(t) + abs(lev)):
+            step = s / (1.0 - xi2 * eps * oe / (x * ox))
+            noise = _S_NOISE * (1.0 + (t if t >= 0.0 else -t) + (lev if lev >= 0.0 else -lev))
+            if settled or -noise <= step <= noise:
                 break
             if a < t - step < b:
-                t, settled = t - step, abs(step) <= _T_SETTLED
+                t, settled = t - step, -_T_SETTLED <= step <= _T_SETTLED
             else:
                 t, settled = 0.5 * (a + b), b - a <= _T_SETTLED
-    residual = abs(base * (p_e - eps) + hx - he) if r_level else abs(base + lev)
-    return eps, lev, residual, it, inside
+    res = base * (p_e - eps) + hx - he if r_level else base + lev
+    return eps, lev, res if res > 0.0 else 0.0 - res, it, inside  # 0.0 - res: +0.0 at res = -0.0
 
 
 def _power_search(p_e: float, beta_d_delta: float):
@@ -254,7 +262,8 @@ def _power_search(p_e: float, beta_d_delta: float):
     root found, converged), the fields ``optimize_epsilon_power`` reports."""
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    _check_beta_d(beta_d_delta, "beta_d_delta")
+    if not BETA_D_MIN <= beta_d_delta <= sys.float_info.max:
+        _check_beta_d(beta_d_delta)  # raises, with the message for the fault
     xi = 1.0 - 2.0 * p_e
     found = _max_net_work(p_e, xi, beta_d_delta, -xi * bit_entropy_prime(p_e) - beta_d_delta)
     return (*found, found[2] <= 1e-12)
@@ -289,8 +298,8 @@ def _eta_search(p_e: float):
     xi = 1.0 - 2.0 * p_e
     # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
     # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
-    eps = max(p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e)), EPS_FLOOR)
-    found = _max_net_work(p_e, xi, None, math.log(eps / (1.0 - eps)))
+    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
+    found = _max_net_work(p_e, xi, None, _log(eps / (1.0 - eps)) if eps >= EPS_FLOOR else _T_FLOOR)
     return (*found, found[4] and found[2] <= 1e-12)
 
 
@@ -362,9 +371,9 @@ def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
     and fixed policies beyond about beta_d_delta = 745 no root is left to
     bracket (the optimal ones stop converging long before).
     """
-    _require_finite(beta_d=beta_d_delta)
+    _require_finite(beta_d_delta=beta_d_delta)
     if beta_d_delta <= 0.0:
-        raise ParameterError(f"beta_d must be positive, got {beta_d_delta}")
+        raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
     name, fixed = parse_policy(policy)
 
     def excess(beta_delta: float) -> float:
@@ -426,9 +435,6 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
             raise ParameterError(f"beta_d_delta values {columns[name]!r} and {bd!r} "
                                  f"both name the frontier column {name}")
         columns[name] = bd
-    rows = []
-    for pe in map(float, pe_values):
-        row = {"p_e": pe, "eps_eta": _eta_search(pe)[0]}
-        row.update((name, _power_search(pe, bd)[0]) for name, bd in columns.items())
-        rows.append(row)
-    return rows
+    return [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
+             **{name: _power_search(pe, bd)[0] for name, bd in columns.items()}}
+            for pe in map(float, pe_values)]

@@ -263,6 +263,23 @@ def _later_cases() -> list[list[str]]:
         ["engine", "frontier", "--beta-d-delta", "2", "2.0000001", "--steps", "3"],
         ["engine", "frontier", "--beta-d-delta", "2", "2", "--pe", "0.3"],
     ]
+    # the epsilon searches over a p_e ladder from the floor to next to 1/2: the JSON
+    # prints eps* to 17 digits, so a drift of one ulp changes the bytes
+    ladder = ["1e-12", "1e-06", "0.01", "0.1", "0.3", "0.45", repr(0.5 - 1e-7)]
+    cases += [["engine", "optimize", "--target", "power", "--pe", pe, "--beta-d-delta", bd]
+              for bd in ("0.5", "3", "40") for pe in ladder]
+    cases += [["engine", "optimize", "--target", "eta", "--pe", pe, "--beta-d-delta", "3"]
+              for pe in ladder]
+    cases += [["engine", "report", "--policy", policy, "--beta-delta", beta_delta,
+               "--beta-d-delta", "3"]
+              for policy in ("opt-eta", "opt-power") for beta_delta in ("1e-6", "0.3", "1.5", "6")]
+    # the benchmark's table shapes: 21-row sweeps and 11-row two-column frontiers
+    cases += [["engine", "sweep", "--policy", policy, "--beta-d-delta", bd,
+               "--beta-max-frac", frac, "--steps", "21"]
+              for policy in ("opt-eta", "opt-power")
+              for bd, frac in (("0.5", "0.6"), ("3", "0.6"), ("17", "0.6"), ("40", "0.3"))]
+    cases += [["engine", "frontier", "--pe-min", pe_min, "--beta-d-delta", *bds, "--steps", "11"]
+              for pe_min, bds in (("1e-06", ("0.5", "3")), ("0.01", ("17", "40")))]
     return cases
 
 

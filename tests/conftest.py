@@ -128,7 +128,7 @@ def oracle_power(p_e, beta_d_delta):
     """``engine.optimize_epsilon_power`` on ``level_search`` with a constant level."""
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    eng._check_beta_d(beta_d_delta, "beta_d_delta")
+    eng._check_beta_d(beta_d_delta)
     xi = 1.0 - 2.0 * p_e
     t0 = -xi * eng.bit_entropy_prime(p_e) - beta_d_delta
     eps, s, iters, inside = level_search(p_e, xi, lambda _: beta_d_delta,

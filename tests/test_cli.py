@@ -206,6 +206,17 @@ def test_mzi_epsilon_out_of_range_exits_2():
     assert err.value.code == 2
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+def test_opt_eta_report_next_to_half_stays_below_carnot(capsys):
+    # H(x) - H(eps) cancels next to p_e = 1/2: today w_in reads -1.1e-16 and eta_2cy
+    # 1.00000003, above both unit efficiency and Carnot
+    beta_delta = 1.0411181076233397e-08
+    code, doc = run_json(capsys, ["engine", "report", "--policy", "opt-eta",
+                                  "--beta-delta", repr(beta_delta)])
+    assert code == 0
+    assert doc["w_in"] >= 0.0 and doc["eta_2cy"] <= 1.0 - beta_delta / 2.0
+
+
 def test_engine_report_optimal_power_point(capsys):
     code, doc = run_json(capsys, [
         "engine", "report", "--beta-delta", "1e-6", "--beta-d-delta", "2",

@@ -72,7 +72,7 @@ def test_parse_policy_rejects_unparsable_fixed_epsilon(policy):
 def test_params_validation():
     # run_cycle checks beta_delta, then beta_d_delta, then epsilon
     for args, message in [((-1.0, 0.0, 0.7), "beta must be non-negative, got -1.0"),
-                          ((1.0, 0.0, 0.7), "beta_d must be positive, got 0.0"),
+                          ((1.0, 0.0, 0.7), "beta_d_delta must be positive, got 0.0"),
                           ((1.0, 2.0, 0.7), "epsilon must lie in [0, 1/2], got 0.7"),
                           ((1.0, 2.0, -0.1), "epsilon must lie in [0, 1/2], got -0.1")]:
         with pytest.raises(qm.ParameterError, match=re.escape(message)):
@@ -583,7 +583,7 @@ def test_point_of_zero_ideal_work_at_threshold():
 def test_minimal_beta_rejects_non_positive_scales(beta_d, delta_w):
     beta_d_delta = beta_d * delta_w
     with pytest.raises(qm.ParameterError, match=re.escape(
-            f"beta_d must be positive, got {beta_d_delta}")):
+            f"beta_d_delta must be positive, got {beta_d_delta}")):
         eng.minimal_beta(beta_d_delta)
 
 
@@ -811,6 +811,41 @@ def test_frontier_row_builds_no_dataclass():
         rows = eng.frontier_epsilons(np.linspace(0.3, 0.5, 11), [1.0, 2.0])
     assert len(rows) == 11
     assert [cls.call_count for cls in built] == [0, 0]
+
+
+# (p_e, level) for each outcome of a search: a constant level (opt-power's) or R (None)
+SEARCH_OUTCOMES = {
+    "constant-interior": (0.3, 3.0), "constant-lower-end": (0.3, 40.0),
+    "constant-upper-end": (0.3, 0.5), "R-interior": (0.3, None),
+    "R-lower-end": (1e-12, None), "R-upper-end": (0.5 - 1e-13, None),
+}
+
+
+@pytest.mark.parametrize("case", SEARCH_OUTCOMES)
+def test_search_kernel_calls_no_entropy_function(case):
+    # H' and H are written inline, at the bracket ends as at every Newton step: the
+    # kernel calls nothing but exp, log and log1p
+    p_e, level = SEARCH_OUTCOMES[case]
+    kernel, called = eng._max_net_work.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "c_call" and frame.f_code is kernel:
+            called.append(arg.__name__)
+        elif event == "call" and frame.f_back is not None and frame.f_back.f_code is kernel:
+            called.append(frame.f_code.co_name)
+
+    with mock.patch.object(eng, "bit_entropy", wraps=eng.bit_entropy) as h, \
+         mock.patch.object(eng, "bit_entropy_prime", wraps=eng.bit_entropy_prime) as hp:
+        sys.setprofile(profile)
+        try:
+            eps, _, _, _, inside = eng._max_net_work(p_e, 1.0 - 2.0 * p_e, level, -1.0)
+        finally:
+            sys.setprofile(None)
+    outcome = ("interior" if inside else "lower-end" if eps == eng.EPS_FLOOR
+               else "upper-end" if eps == p_e - eng.EPS_FLOOR else None)
+    assert case.endswith(outcome)
+    assert (h.call_count, hp.call_count) == (0, 0)
+    assert set(called) <= {"exp", "log", "log1p"}
 
 
 def frontier_oracle(pe_values, beta_d_deltas):

@@ -5,6 +5,7 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -238,6 +239,13 @@ def test_optimizer_step_counts_stay_small(p_e, bd_delta):
         result = eng.optimize_epsilon_eta(p_e)
     assert solve.call_count == (p_e < 0.5)  # one search; eps* = 1/2 needs none
     assert result.iterations <= 6
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7")
+def test_optimize_eta_step_count_within_7e_9_of_half():
+    # the draws above never land where 1/2 - p_e < 7e-9; there opt-eta's steps chase
+    # R's round-off, and this p_e takes 8
+    assert eng.optimize_epsilon_eta(0.4999999993876208).iterations <= 6
 
 
 @PROPERTY
