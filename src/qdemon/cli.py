@@ -16,7 +16,10 @@ output is byte-identical across runs. The engine's JSON writes null for NaN
 and infinities; a CSV cell, which readers parse with float(), writes ``nan``
 where eta_2cy is undefined at zero heat. An argv that opens with a subcommand
 goes to that subcommand's parser alone: the top-level parser handles only help
-and a missing or unknown one.
+and a missing or unknown one. An argv whose words after the subcommand are all
+exact option strings of plain store options (one value, or "+"), their values and
+positionals is read without argparse, into the namespace argparse would give; any
+other goes to argparse, which writes every usage error and help text.
 
 Exit codes: 0 success, 2 usage error (a rejected parameter or state
 included), 3 numerical non-convergence.
@@ -315,21 +318,79 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, sub.choices
 
 
-#: the parsers ``main`` uses, built on first use: parsing leaves them unchanged,
-#: so one set per process serves every call
-_parser = functools.cache(build_parser)
+def _grammar(sub: argparse.ArgumentParser):
+    """``_read``'s view of a subcommand parser: (dest, type function, choices, nargs) of
+    each plain store option by exact string and of each positional (None if not plain);
+    the defaults parse_known_args sets; the dests that must be given, positionals too."""
+    plain = {a: (a.dest, sub._registry_get("type", a.type, a.type), a.choices, a.nargs)
+             for a in sub._actions if type(a) is argparse._StoreAction
+             and (a.nargs is None or a.nargs == "+" and a.option_strings)}
+    defaults = {a.dest: sub._get_value(a, a.default) if isinstance(a.default, str) else a.default
+                for a in reversed(sub._actions)  # the first action of a dest sets it
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
+    return ({o: plain[a] for a in plain for o in a.option_strings},
+            [plain.get(a) for a in sub._get_positional_actions()], {**sub._defaults, **defaults},
+            [a.dest for a in sub._actions if a.required or not a.option_strings])
+
+
+@functools.cache
+def _parser():
+    """The parsers ``main`` uses and each subcommand's grammar, built on first use:
+    parsing leaves them unchanged, so one set per process serves every call."""
+    parser, commands = build_parser()
+    return parser, commands, {name: _grammar(sub) for name, sub in commands.items()}
+
+
+def _is_value(sub: argparse.ArgumentParser, word: str) -> bool:
+    """Whether ``sub`` reads ``word`` as a value: it opens with no prefix character, or it
+    is a negative number that ``sub`` does not read as an option."""
+    return (not word or word[0] not in sub.prefix_chars
+            or sub._negative_number_matcher.match(word) is not None
+            and sub._parse_optional(word) is None)
+
+
+def _read(sub, grammar, argv: list[str]) -> argparse.Namespace | None:
+    """``sub``'s namespace for the words after argv's subcommand if each is an exact plain
+    option string, one of its values (a "+" option takes the run) or a positional, each value
+    converts and meets its choices and each required dest is given; else None."""
+    options, positionals, defaults, required = grammar
+    values, free, words, i = {}, iter(positionals), argv[1:], 0
+    while i < len(words):
+        entry = options.get(words[i]) or next(free, None)
+        if entry is None:
+            return None
+        dest, convert, choices, nargs = entry
+        i = stop = i + (words[i] in options)
+        while stop < len(words) and (nargs or stop == i) and _is_value(sub, words[stop]):
+            stop += 1
+        try:
+            got = [convert(word) for word in words[i:stop]]
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if not got or choices is not None and any(v not in choices for v in got):
+            return None
+        values[dest] = got if nargs else got[0]
+        i = stop
+    if not all(dest in values for dest in required):
+        return None
+    args = argparse.Namespace()
+    vars(args).update({**defaults, "command": argv[0], **values})
+    return args
 
 
 def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace]:
     """(parser, parser.parse_args(argv)) in one pass: an argv that opens with a
-    subcommand goes straight to its parser, to which ``parser`` would hand it whole."""
-    parser, commands = _parser()
+    subcommand goes straight to its parser, to which ``parser`` would hand it whole,
+    unless ``_read`` takes it; argparse writes every usage error and help text."""
+    parser, commands, grammars = _parser()
     if not argv or argv[0] not in commands:
         return parser, parser.parse_args(argv)
-    args, extra = commands[argv[0]].parse_known_args(argv[1:],
-                                                     argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
+    sub = commands[argv[0]]
+    args = _read(sub, grammars[argv[0]], argv)
+    if args is None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     return parser, args
 
 

@@ -414,7 +414,8 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     for bd in map(float, beta_deltas):
         _, p_e = thermal_wit(bd)
         eps = _resolve(policy, name, fixed, p_e, beta_d_delta)
-        _check_beta_d(beta_d_delta)
+        if not rows:  # beta_d_delta is checked once, after the first epsilon, as a report does
+            _check_beta_d(beta_d_delta)
         heat, _, _, net, eta_2cy = _cycle(p_e, eps, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
                      "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})

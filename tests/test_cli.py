@@ -19,7 +19,7 @@ from qdemon.channel import report_to_json
 from qdemon.circuits import pswap_gate
 from qdemon.cli import _recorded_flags, main
 from qdemon.spin_demon import SpinDemonParams, scatter
-from cli_corpus import EXTREMES, POLICIES
+from cli_corpus import CORPUS, EXTREMES, POLICIES
 
 LN2 = math.log(2)
 
@@ -766,8 +766,31 @@ def parse_outcome(parse, argv):
     return got, out.getvalue(), err.getvalue()
 
 
+def corpus_examples(test):
+    """``test`` with each argv of the CLI corpus as one more explicit example."""
+    for case in json.loads(CORPUS.read_text(encoding="utf-8"))["cases"]:
+        test = example(argv=case["argv"])(test)
+    return test
+
+
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(argv=argvs)
+@corpus_examples
+# the edges of the read that skips argparse: a negative number is a value, but
+# -1e-3 and -inf are options to argparse; a "+" option swallows the mode; a value
+# missing, repeated, empty or outside its choices; a required option missing; a "--"
+# where a value goes, which argparse skips
+@example(argv=["engine", "sweep", "--beta-min", "-1"])
+@example(argv=["engine", "report", "--policy", "--", "ideal"])
+@example(argv=["engine", "sweep", "--beta-min", "-1e-3"])
+@example(argv=["engine", "report", "--beta-delta", "-inf"])
+@example(argv=["engine", "--beta-d-delta", "2", "3", "report"])
+@example(argv=["engine", "report", "--steps"])
+@example(argv=["engine", "frontier", "--steps", "3", "--pe", "0.4", "--steps", "5", "--pe", "0.3"])
+@example(argv=["engine", "report", "--policy", ""])
+@example(argv=["engine", "report", "--target", "speed"])
+@example(argv=["gates", "--phase", "1"])
+@example(argv=["channel", "--demon", "mixture", "0.3", "--input", "up"])
 @example(argv=["engine", "report", "--beta-delta", "1", "--policy", "opt-eta"])
 @example(argv=["engine", "frontier", "--beta-d-delta", "2", "4", "--o", "x", "extra"])
 @example(argv=["gates", "--which", "U14", "--phase=-1", "--", "UD"])
@@ -794,3 +817,31 @@ def test_main_skips_the_top_level_parse_of_a_subcommand_argv(capsys, tmp_path):
         with pytest.raises(SystemExit):
             main([])  # no subcommand: the top-level parser parses
         assert top.call_count == 1
+
+
+def test_main_reads_the_bench_engine_argvs_without_argparse(capsys, tmp_path):
+    # the four argv shapes of the engine_cli benchmark and a negative value skip argparse;
+    # an abbreviated or "=" option, help and a word argparse reads as an option do not
+    engine = cli._parser()[1]["engine"]
+    out = str(tmp_path / "op")
+    with mock.patch.object(engine, "parse_known_args", wraps=engine.parse_known_args) as parse:
+        for argv in (["report", "--beta-delta", "1.5", "--beta-d-delta", "3.0", "--policy",
+                      "opt-eta"],
+                     ["sweep", "--beta-d-delta", "3.0", "--policy", "opt-power",
+                      "--beta-max-frac", "0.5", "--steps", "21"],
+                     ["frontier", "--beta-d-delta", "3.0", "7.5", "--pe-min", "0.2",
+                      "--steps", "11"],
+                     ["optimize", "--target", "eta", "--beta-d-delta", "3.0", "--pe", "0.2"]):
+            assert main(["engine", *argv, "--output", out]) == 0
+        assert cli._parse(["engine", "sweep", "--beta-min", "-1"])[1].beta_min == -1.0
+        assert parse.call_count == 0
+        assert main(["engine", "report", "--out", out]) == 0
+        assert main(["engine", "report", "--output=" + out]) == 0
+        for argv, code in ((["engine", "report", "-h"], 0),
+                           (["engine", "sweep", "--beta-min", "-1e-3"], 2)):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        assert parse.call_count == 4
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "qdemon engine: error: argument --beta-min: expected one argument")

@@ -798,11 +798,13 @@ def test_sweep_row_builds_no_dataclass(policy):
     # a row is arithmetic: one population, no CycleReport or OptimizationResult
     # to build; the searches hand back plain values
     with mock.patch.object(eng, "thermal_wit", wraps=eng.thermal_wit) as wit, \
+         mock.patch.object(eng, "_check_beta_d", wraps=eng._check_beta_d) as check, \
          contextlib.ExitStack() as stack:
         built = [stack.enter_context(patch) for patch in count_dataclasses()]
         rows = eng.sweep_beta(2.0, policy, np.linspace(0.0, 2.0, 21))
     assert len(rows) == wit.call_count == 21
     assert [cls.call_count for cls in built] == [0, 0]
+    assert check.call_count == 1  # beta_d_delta is the same for every row
 
 
 def test_frontier_row_builds_no_dataclass():
