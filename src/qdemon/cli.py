@@ -12,14 +12,17 @@ trailing comment line recording the flags; the channel JSON records them as
 ``flags_cli``. Both record every flag except the output destination
 (``--output`` in any spelling argparse accepts), which says where the bytes
 go, not what they are. Given identical flags, whatever the destination, the
-output is byte-identical across runs. The engine's JSON writes null for NaN
-and infinities; a CSV cell, which readers parse with float(), writes ``nan``
-where eta_2cy is undefined at zero heat. An argv that opens with a subcommand
-goes to that subcommand's parser alone: the top-level parser handles only help
-and a missing or unknown one. An argv whose words after the subcommand are all
-exact option strings of plain store options (one value, or "+"), their values and
-positionals is read without argparse, into the namespace argparse would give; any
-other goes to argparse, which writes every usage error and help text.
+output is byte-identical across runs. One writer, ``_dumps``, emits every JSON
+document, with the bytes of json's ``dumps(doc, indent=2)``. The engine's JSON
+writes null for NaN and infinities; a CSV cell, which readers parse with float(),
+writes ``nan`` where eta_2cy is undefined at zero heat. Every parser reads a
+negative number as a value, in any form float() reads (-1e-3, -inf too). An argv
+that opens with a subcommand goes to that subcommand's parser alone: the
+top-level parser handles only help and a missing or unknown one. An argv whose
+words after the subcommand are all exact option strings of plain store options
+(one value, or "+"), their values and positionals is read without argparse, into
+the namespace argparse would give; any other goes to argparse, which writes every
+usage error and help text.
 
 Exit codes: 0 success, 2 usage error (a rejected parameter or state
 included), 3 numerical non-convergence.
@@ -29,10 +32,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
+import re
 import shlex
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -80,10 +84,40 @@ def _recorded_flags(argv: list[str]) -> str:
     return shlex.join(kept)
 
 
+#: json's tokens for None and the bools, and for the floats whose repr is no JSON number
+_TOKENS = {None: "null", True: "true", False: "false",
+           "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(value, pad: str = "") -> str:
+    """What json's ``dumps(value, indent=2)`` writes, byte for byte, for str, None, bool,
+    int, float, list, tuple and dict with str keys, nested at ``pad``: json's C string
+    escape, type order and tokens, without the pure-Python encoder json indents with."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return _TOKENS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _TOKENS.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        items, ends = [_dumps(v, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        items, ends = [_quote(k) + ": " + _dumps(v, inner) for k, v in value.items()], "{}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + ends[1]
+
+
 def _json(doc: dict) -> str:
     """doc as indented JSON, each non-finite float value written as null."""
-    return json.dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                       for k, v in doc.items()}, indent=2) + "\n"
+    return _dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for k, v in doc.items()}) + "\n"
 
 
 def _csv(rows: list[dict], argv: list[str], footer: list[str] = ()) -> str:
@@ -148,7 +182,7 @@ def cmd_channel(parser, args, argv) -> int:
     doc = report_to_json(report)
     doc["entropy_in"] = von_neumann_entropy(rho_in)
     doc["flags_cli"] = _recorded_flags(argv)
-    _write(args.output, json.dumps(doc, indent=2) + "\n")
+    _write(args.output, _dumps(doc) + "\n")
     return 0
 
 
@@ -168,7 +202,7 @@ def cmd_gates(parser, args, argv) -> int:
     if args.format == "json":
         doc = matrix_to_json(matrix)
         doc["gate"] = args.which
-        _write(args.output, json.dumps(doc, indent=2) + "\n")
+        _write(args.output, _dumps(doc) + "\n")
     else:
         rows = []
         for i, row in enumerate(matrix):
@@ -257,6 +291,11 @@ def cmd_engine(parser, args, argv) -> int:
     return 0
 
 
+#: the words each parser reads as negative numbers, so as values, not options: argparse's
+#: own -1 and -.5, and the exponent, inf and nan forms float() reads (-1e-3, -inf, -NaN)
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
+
+
 def _add_spin_flags(p: argparse.ArgumentParser):
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--eta", type=float, default=0.0)
@@ -315,6 +354,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_eng.add_argument("--target", default="power", choices=["power", "eta"])
     p_eng.add_argument("--output", default=None)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, sub.choices
 
 

@@ -102,19 +102,20 @@ class OptimizationResult:
 
 
 def _check_beta_d(beta_d_delta: float) -> None:
+    if BETA_D_MIN <= beta_d_delta < math.inf:  # valid: one comparison, no call to build kwargs
+        return
     _require_finite(beta_d_delta=beta_d_delta)
     if beta_d_delta <= 0.0:
         raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
-    if beta_d_delta < BETA_D_MIN:
-        raise ParameterError(f"beta_d_delta must be at least {BETA_D_MIN!r}, below which "
-                             f"the restoration cost overflows, got {beta_d_delta}")
+    raise ParameterError(f"beta_d_delta must be at least {BETA_D_MIN!r}, below which "
+                         f"the restoration cost overflows, got {beta_d_delta}")
 
 
 def thermal_wit(beta_delta: float) -> tuple[float, float]:
     """Gibbs populations (p_g, p_e) of a working qubit: Z = 1 + exp(-beta_delta),
     p_g = 1/Z, p_e = exp(-beta_delta)/Z."""
-    _require_finite(beta=beta_delta)
-    if beta_delta < 0.0:
+    if not 0.0 <= beta_delta < math.inf:  # compared first, as in _check_beta_d
+        _require_finite(beta=beta_delta)
         raise ParameterError(f"beta must be non-negative, got {beta_delta}")
     boltz = math.exp(-min(beta_delta, BETA_DELTA_CAP))
     z = 1.0 + boltz

@@ -280,6 +280,16 @@ def _later_cases() -> list[list[str]]:
               for bd, frac in (("0.5", "0.6"), ("3", "0.6"), ("17", "0.6"), ("40", "0.3"))]
     cases += [["engine", "frontier", "--pe-min", pe_min, "--beta-d-delta", *bds, "--steps", "11"]
               for pe_min, bds in (("1e-06", ("0.5", "3")), ("0.01", ("17", "40")))]
+    # strings the JSON writer must escape, which float() reads as numbers: a policy
+    # with a tab, a newline or Arabic-Indic digits, and channel flags that the
+    # recorded flags_cli quotes with the same characters and an em space
+    cases += [
+        ["engine", "report", "--policy", "fixed:0.1\t"],
+        ["engine", "report", "--policy", "fixed:\n0.2", "--beta-delta", "1"],
+        ["engine", "report", "--policy", "fixed:\u0660.\u0660\u0665", "--output", OUT],
+        ["channel", "--theta", "0.4\t", "--demon", "mixture", "\u20030.25"],
+        ["channel", "--eta=1.2\n", "--demon", "superposition", "1", "\u0662", "--output", OUT],
+    ]
     return cases
 
 
@@ -301,6 +311,8 @@ SHOWN = {
     ("gates", "--which", "PSWAP", "--format", "csv", "--phase", "0.3"),
     ("engine", "threshold", "--policy", "opt-power", "--beta-d-delta", "2"),
     ("engine", "report", "--beta-d-delta", "5e-309"),
+    ("engine", "report", "--policy", "fixed:0.1\t"),
+    ("channel", "--theta", "0.4\t", "--demon", "mixture", "\u20030.25"),
 }
 
 

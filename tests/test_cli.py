@@ -464,6 +464,49 @@ def test_linspace_is_numpy_linspace_bit_for_bit():
             start, stop, num)
 
 
+#: keys and strings: quotes, backslashes, control characters, non-ASCII characters (astral
+#: ones too) and lone surrogates, among any other characters
+ESCAPED = '"\\/\x00\x1f\x7f\t\n\u2028é€\U0001f600\ud800\udfff'
+json_text = st.text(st.one_of(st.sampled_from(ESCAPED), st.characters()), max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -(10**40), 0]),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.225e-308, math.nan, -math.inf, np.float64(math.inf)]),
+    json_text)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_text, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(doc=json_documents)
+@example(doc=[])
+@example(doc={"": {}, "a": [[], ()], "b": (1.5, [None, True, False])})
+@example(doc={"x": [math.nan, {"y": -math.inf, "z": math.inf}], "w": -0.0})
+def test_dumps_is_json_dumps_indent_2(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1}, [0.5, {"a": frozenset()}], {"a": (1, {2})},
+                                   np.int64(3), b"bytes", 1j])
+def test_dumps_refuses_what_json_refuses(value):
+    with pytest.raises(TypeError) as want:
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError) as got:
+        cli._dumps(value)
+    assert str(got.value) == str(want.value)
+
+
+def test_json_writes_null_only_at_the_top_level():
+    doc = {"a": math.nan, "b": -math.inf, "c": np.float64(math.inf), "d": [math.nan, 0.5],
+           "e": {"f": math.inf}, "g": 0.25, "h": "x"}
+    assert cli._json(doc) == json.dumps(
+        {"a": None, "b": None, "c": None, "d": [math.nan, 0.5], "e": {"f": math.inf},
+         "g": 0.25, "h": "x"}, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 @pytest.mark.parametrize("phase", ["nan", "inf", "-inf"])
 def test_gates_non_finite_phase_exits_2(capsys, fmt, phase):
@@ -776,8 +819,8 @@ def corpus_examples(test):
 @settings(max_examples=600, deadline=None, derandomize=True, database=None)
 @given(argv=argvs)
 @corpus_examples
-# the edges of the read that skips argparse: a negative number is a value, but
-# -1e-3 and -inf are options to argparse; a "+" option swallows the mode; a value
+# the edges of the read that skips argparse: a negative number is a value, -1e-3
+# and -inf too (build_parser's matcher); a "+" option swallows the mode; a value
 # missing, repeated, empty or outside its choices; a required option missing; a "--"
 # where a value goes, which argparse skips
 @example(argv=["engine", "sweep", "--beta-min", "-1"])
@@ -820,8 +863,8 @@ def test_main_skips_the_top_level_parse_of_a_subcommand_argv(capsys, tmp_path):
 
 
 def test_main_reads_the_bench_engine_argvs_without_argparse(capsys, tmp_path):
-    # the four argv shapes of the engine_cli benchmark and a negative value skip argparse;
-    # an abbreviated or "=" option, help and a word argparse reads as an option do not
+    # the four argv shapes of the engine_cli benchmark and negative values, exponent and
+    # -inf forms too, skip argparse; an abbreviated or "=" option and help do not
     engine = cli._parser()[1]["engine"]
     out = str(tmp_path / "op")
     with mock.patch.object(engine, "parse_known_args", wraps=engine.parse_known_args) as parse:
@@ -834,14 +877,16 @@ def test_main_reads_the_bench_engine_argvs_without_argparse(capsys, tmp_path):
                      ["optimize", "--target", "eta", "--beta-d-delta", "3.0", "--pe", "0.2"]):
             assert main(["engine", *argv, "--output", out]) == 0
         assert cli._parse(["engine", "sweep", "--beta-min", "-1"])[1].beta_min == -1.0
+        assert cli._parse(["engine", "report", "--beta-delta", "-INF"])[1].beta_delta == -math.inf
+        with pytest.raises(SystemExit) as exc:  # the parameter refusal, not a missing value
+            main(["engine", "sweep", "--beta-min", "-1e-3"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "qdemon: error: beta must be non-negative, got -0.001")
         assert parse.call_count == 0
         assert main(["engine", "report", "--out", out]) == 0
         assert main(["engine", "report", "--output=" + out]) == 0
-        for argv, code in ((["engine", "report", "-h"], 0),
-                           (["engine", "sweep", "--beta-min", "-1e-3"], 2)):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == code
-        assert parse.call_count == 4
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "qdemon engine: error: argument --beta-min: expected one argument")
+        with pytest.raises(SystemExit) as exc:
+            main(["engine", "report", "-h"])
+        assert exc.value.code == 0
+        assert parse.call_count == 3
