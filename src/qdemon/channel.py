@@ -35,7 +35,6 @@ from .qmatrix import (
     _spectrum_entropy,
     check_density_matrix,
     check_unitary,
-    matrix_to_json,
     tensor,
     von_neumann_entropy,
 )
@@ -93,7 +92,8 @@ class ChannelReport:
     """Full bookkeeping of one channel application.
 
     ``entropy_gain`` >= ``lower_bound`` - 1e-9 always holds; ``entropy_out``
-    is S(``rho_out``), the gain's first term; ``unital`` is |γ| <= 1e-12.
+    and ``entropy_in`` are S(``rho_out``) and S(ρ_in), the gain's two terms;
+    ``unital`` is |γ| <= 1e-12.
     ``flags`` collects soft diagnostics ("bound-clipped" when the bound's
     smaller eigenvalue 1 - |γ| of Φ(1) had to be floored at ``LOG_EIG_FLOOR``
     to keep its logarithm finite, "demon-not-diagonal" from the spin wrapper).
@@ -106,6 +106,7 @@ class ChannelReport:
     entropy_gain: float
     lower_bound: float
     entropy_out: float
+    entropy_in: float
     unital: bool
     flags: tuple[str, ...] = field(default=())
 
@@ -155,7 +156,7 @@ def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:
 
     Returns (gain, bound) with gain = S(Φρ) - S(ρ) and
     bound = -Tr{Φρ · ln Φ(1)}, evaluated in closed form on
-    Φ(1) = [[1, γ], [γ*, 1]] (see :func:`channel_report`); the same two
+    Φ(1) = [[1, γ], [γ*, 1]] (see :func:`_bound`); the same two
     fields :func:`apply_channel` reports, bit for bit, and the same refusals.
     gain >= bound - 1e-9 for every config and input; for unital configs the
     bound is zero and the entropy cannot decrease.
@@ -169,37 +170,17 @@ def entropy_gain(rho_in, config: ChannelConfig) -> tuple[float, float]:
     return von_neumann_entropy(rho_out) - _spectrum_entropy(evals), bound
 
 
-def channel_report(rho_in: np.ndarray, joint: np.ndarray, g: complex,
-                   flags: tuple[str, ...]) -> ChannelReport:
-    """Trace both qubits out of the evolved 4x4 joint state and report the channel.
+def _bound(rho_out: np.ndarray, g: complex) -> tuple[float, bool]:
+    """The bound -Tr{ρ_out ln Φ(1)} in closed form, and whether 1 - |γ| was floored.
 
     Φ(1) = [[1, γ], [γ*, 1]] has eigenvalues 1 ± a (a = |γ|) with
     projectors (1/2)[[1, ±γ/a], [±γ*/a, 1]], so with c = 2 Re(ρ_out[1,0] γ)/a
 
         bound = -(1/2)[(1 + c) ln(1 + a) + (1 - c) ln(max(1 - a, LOG_EIG_FLOOR))]
 
-    and the bound is 0 at a = 0. "bound-clipped" is appended to ``flags``
-    exactly when 1 - a falls below the floor. ``rho_in`` must already be a
-    validated density matrix.
+    and the bound is 0 at a = 0. The flag is set exactly when 1 - a falls below
+    the floor.
     """
-    rho_out, demon_out = _marginals(joint.tolist())
-    bound, clipped = _bound(rho_out, g)
-    entropy_out = von_neumann_entropy(rho_out)
-    return ChannelReport(
-        rho_out=rho_out,
-        demon_out=demon_out,
-        joint_out=joint,
-        gamma=g,
-        entropy_gain=entropy_out - von_neumann_entropy(rho_in),
-        lower_bound=bound,
-        entropy_out=entropy_out,
-        unital=bool(abs(g) <= UNITAL_TOL),
-        flags=tuple(flags) + (("bound-clipped",) if clipped else ()),
-    )
-
-
-def _bound(rho_out: np.ndarray, g: complex) -> tuple[float, bool]:
-    """:func:`channel_report`'s closed-form bound, and whether 1 - |γ| was floored."""
     a = abs(g)
     bound, clipped = 0.0, False
     if a > 0.0:
@@ -225,11 +206,21 @@ def apply_channel(rho_in, config: ChannelConfig,
     The joint evolution is unitary, so the output is a valid state whenever
     the inputs are; trace and positivity are preserved exactly up to
     round-off. A valid ``rho_in`` of any size but 2x2 raises InvalidStateError.
+    "bound-clipped" follows ``extra_flags`` when :func:`_bound` floored 1 - |γ|.
     """
     # S(ρ_in) could come from this validation's eigenvalues, as in entropy_gain, but
     # bench/tests/test_bench.py pins >= 3 eigvalsh per call: ROADMAP item 1 first
     rho_in = check_density_matrix(rho_in)
-    return channel_report(rho_in, _evolve(rho_in, config), config._gamma, extra_flags)
+    joint = _evolve(rho_in, config)
+    g = config._gamma
+    rho_out, demon_out = _marginals(joint.tolist())
+    bound, clipped = _bound(rho_out, g)
+    entropy_out, entropy_in = von_neumann_entropy(rho_out), von_neumann_entropy(rho_in)
+    return ChannelReport(
+        rho_out=rho_out, demon_out=demon_out, joint_out=joint, gamma=g,
+        entropy_gain=entropy_out - entropy_in, lower_bound=bound, entropy_out=entropy_out,
+        entropy_in=entropy_in, unital=bool(abs(g) <= UNITAL_TOL),
+        flags=tuple(extra_flags) + (("bound-clipped",) if clipped else ()))
 
 
 def mutual_information(joint) -> float:
@@ -243,18 +234,3 @@ def mutual_information(joint) -> float:
     return (_spectrum_entropy(np.linalg.eigvalsh(rho_a))
             + _spectrum_entropy(np.linalg.eigvalsh(rho_b)) - _spectrum_entropy(evals))
 
-
-def report_to_json(report: ChannelReport) -> dict:
-    """JSON-serialisable view of a ChannelReport."""
-    return {
-        "rho_out": matrix_to_json(report.rho_out),
-        "demon_out": matrix_to_json(report.demon_out),
-        "joint_out": matrix_to_json(report.joint_out),
-        "gamma": [float(report.gamma.real), float(report.gamma.imag)],
-        "gamma_abs": float(abs(report.gamma)),
-        "entropy_gain": float(report.entropy_gain),
-        "lower_bound": float(report.lower_bound),
-        "entropy_out": float(report.entropy_out),
-        "unital": bool(report.unital),
-        "flags": list(report.flags),
-    }

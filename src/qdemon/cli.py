@@ -12,10 +12,11 @@ trailing comment line recording the flags; the channel JSON records them as
 ``flags_cli``. Both record every flag except the output destination
 (``--output`` in any spelling argparse accepts), which says where the bytes
 go, not what they are. Given identical flags, whatever the destination, the
-output is byte-identical across runs. One writer, ``_dumps``, emits every JSON
-document, with the bytes of json's ``dumps(doc, indent=2)``. The engine's JSON
-writes null for NaN and infinities; a CSV cell, which readers parse with float(),
-writes ``nan`` where eta_2cy is undefined at zero heat. Every parser reads a
+output is byte-identical across runs. This module builds the channel and gate
+JSON documents, and one writer, ``_dumps``, emits every JSON document, with the
+bytes of json's ``dumps(doc, indent=2)``. The engine's JSON writes null for NaN
+and infinities; a CSV cell, which readers parse with float(), writes ``nan``
+where eta_2cy is undefined at zero heat. Every parser reads a
 negative number as a value, in any form float() reads (-1e-3, -inf too). An argv
 that opens with a subcommand goes to that subcommand's parser alone: the
 top-level parser handles only help and a missing or unknown one. An argv whose
@@ -41,11 +42,9 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import engine as eng
-from .channel import report_to_json
 from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, pswap_gate, u14
 from .interferometer import MziConfig, run_double_mzi
-from .qmatrix import (InvalidStateError, ParameterError, _require_finite, matrix_to_json,
-                      von_neumann_entropy)
+from .qmatrix import InvalidStateError, ParameterError, _require_finite
 from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
 
 EXIT_USAGE = 2
@@ -120,6 +119,23 @@ def _json(doc: dict) -> str:
                    for k, v in doc.items()}) + "\n"
 
 
+def _matrix_json(m: np.ndarray) -> dict:
+    """A matrix as {dim, entries: [[re, im], ...]} row-major."""
+    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    return {"dim": int(m.shape[0]), "entries": entries}
+
+
+def _report_json(report) -> dict:
+    """The channel JSON document of a ChannelReport, less its ``flags_cli``."""
+    g = report.gamma
+    return {"rho_out": _matrix_json(report.rho_out), "demon_out": _matrix_json(report.demon_out),
+            "joint_out": _matrix_json(report.joint_out), "gamma": [float(g.real), float(g.imag)],
+            "gamma_abs": float(abs(g)), "entropy_gain": float(report.entropy_gain),
+            "lower_bound": float(report.lower_bound), "entropy_out": float(report.entropy_out),
+            "unital": bool(report.unital), "flags": list(report.flags),
+            "entropy_in": float(report.entropy_in)}
+
+
 def _csv(rows: list[dict], argv: list[str], footer: list[str] = ()) -> str:
     header = list(rows[0].keys()) if rows else []
     row_format = ",".join(["%.12g"] * len(header))  # format(v, ".12g") for every cell
@@ -178,9 +194,7 @@ def _input_state(parser, args) -> np.ndarray:
 def cmd_channel(parser, args, argv) -> int:
     demon = _demon_from_args(parser, args.demon)
     rho_in = _input_state(parser, args)
-    report = scatter(rho_in, demon, _spin_params(args))
-    doc = report_to_json(report)
-    doc["entropy_in"] = von_neumann_entropy(rho_in)
+    doc = _report_json(scatter(rho_in, demon, _spin_params(args)))
     doc["flags_cli"] = _recorded_flags(argv)
     _write(args.output, _dumps(doc) + "\n")
     return 0
@@ -200,7 +214,7 @@ _GATES = {
 def cmd_gates(parser, args, argv) -> int:
     matrix = _GATES[args.which](args.phase)
     if args.format == "json":
-        doc = matrix_to_json(matrix)
+        doc = _matrix_json(matrix)
         doc["gate"] = args.which
         _write(args.output, _dumps(doc) + "\n")
     else:
@@ -363,10 +377,10 @@ def _grammar(sub: argparse.ArgumentParser):
     """``_read``'s view of a subcommand parser: (dest, type function, choices, nargs) of
     each plain store option by exact string and of each positional (None if not plain);
     the defaults parse_known_args sets; the dests that must be given, positionals too."""
-    plain = {a: (a.dest, sub._registry_get("type", a.type, a.type), a.choices, a.nargs)
+    plain = {a: (a.dest, a.type or str, a.choices, a.nargs)
              for a in sub._actions if type(a) is argparse._StoreAction
              and (a.nargs is None or a.nargs == "+" and a.option_strings)}
-    defaults = {a.dest: sub._get_value(a, a.default) if isinstance(a.default, str) else a.default
+    defaults = {a.dest: a.default
                 for a in reversed(sub._actions)  # the first action of a dest sets it
                 if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS}
     return ({o: plain[a] for a in plain for o in a.option_strings},

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for one- and two-qubit states.
 
 Everything in this package operates on plain ``numpy`` arrays of complex128:
-2x2 and 4x4 matrices (states, gates) and 2- or 4-component amplitude vectors.
-Joint two-qubit objects live in the product basis
+2x2 and 4x4 matrices (states, gates). Joint two-qubit objects live in the
+product basis
 
     {|0>|0>, |0>|1>, |1>|0>, |1>|1>}
 
@@ -32,7 +32,7 @@ LOG_EIG_FLOOR = 1e-300
 
 
 class InvalidStateError(ValueError):
-    """A matrix or vector failed a state/unitarity validation check."""
+    """A matrix failed a state/unitarity validation check."""
 
 
 class ParameterError(ValueError):
@@ -51,29 +51,16 @@ def _require_finite(**values: float) -> None:
             raise ParameterError(f"{name} must be finite, got {value}")
 
 
-def as_matrix(m) -> np.ndarray:
-    """Coerce input to a finite square complex128 array (no copy if already one)."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise InvalidStateError(f"expected a square matrix, got shape {a.shape}")
-    return _finite_squares(a)
-
-
-def _finite_squares(a: np.ndarray) -> np.ndarray:
-    """``a`` once its last two axes are checked square and its entries finite."""
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise InvalidStateError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise InvalidStateError("entries must be finite, got NaN or inf")
-    return a
-
-
 def check_unitary(u) -> np.ndarray:
     """Validate U†U = 1 for a matrix, or each of a stack (..., n, n), and
     return the coerced array. Raises InvalidStateError for NaN or infinite
     entries and when a unitarity defect exceeds ``ATOL``, quoting the first.
     """
-    u = _finite_squares(np.asarray(u, dtype=complex))
+    u = np.asarray(u, dtype=complex)
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2]:
+        raise InvalidStateError(f"expected a square matrix, got shape {u.shape}")
+    if not np.isfinite(u).all():
+        raise InvalidStateError("entries must be finite, got NaN or inf")
     defect = np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1]))
     if not defect.size or defect.max() > ATOL:  # one reduction when every matrix passes
         worst = defect.max(axis=(-2, -1))
@@ -130,23 +117,6 @@ def _density_spectrum(rho, atol: float = ATOL) -> tuple[np.ndarray, np.ndarray, 
     return rho, evals, rows
 
 
-def check_pure_state(vec) -> np.ndarray:
-    """Validate a finite, unit-norm amplitude vector and return it as complex128."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if not np.isfinite(v).all():
-        raise InvalidStateError("entries must be finite, got NaN or inf")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > ATOL:
-        raise InvalidStateError(f"state vector norm is {norm}, expected 1")
-    return v
-
-
-def pure_density(vec) -> np.ndarray:
-    """Outer product |v><v| of a unit amplitude vector."""
-    v = check_pure_state(vec)
-    return np.outer(v, v.conj())
-
-
 def tensor(a, b) -> np.ndarray:
     """Kronecker product of two square matrices.
 
@@ -156,8 +126,6 @@ def tensor(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise InvalidStateError("tensor expects square matrices")
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
@@ -191,11 +159,4 @@ def _spectrum_entropy(evals: np.ndarray) -> float:
             lam = min(lam, 1.0)
             total += lam * float(np.log(lam))
     return -total
-
-
-def matrix_to_json(m) -> dict:
-    """Serialise a matrix as {dim, entries: [[re, im], ...]} row-major."""
-    m = as_matrix(m)
-    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"dim": int(m.shape[0]), "entries": entries}
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelConfig, ChannelReport, apply_channel
-from .qmatrix import ATOL, ParameterError, _require_finite, pure_density
+from .qmatrix import ATOL, ParameterError, _require_finite
 
 I2 = np.eye(2, dtype=complex)
 
@@ -116,6 +116,7 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
             norm = np.linalg.norm(vec)
         if not 0.0 < norm < np.inf:
             raise ParameterError("amplitudes must be finite and not both vanish")
-        return pure_density(vec / norm)
+        vec = vec / norm
+        return np.outer(vec, vec.conj())
     raise ParameterError(f"unknown demon kind {kind!r}")
 

@@ -32,6 +32,13 @@ def random_pure(rng, n=2):
     return v / np.linalg.norm(v)
 
 
+def pure_density(vec) -> np.ndarray:
+    """Outer product |v><v| of a unit amplitude vector."""
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    assert abs(np.linalg.norm(v) - 1.0) <= 1e-12, "not a unit vector"
+    return np.outer(v, v.conj())
+
+
 def dag(m) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(m).conj().T

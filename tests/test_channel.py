@@ -11,8 +11,8 @@ from qdemon import channel as ch
 from qdemon import qmatrix as qm
 from qdemon.circuits import DoubleDotConfig, double_dot_protocol
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter, spin_config
-from conftest import (completed_double_dot, dag, partial_trace, random_density, random_pure,
-                      random_unitary)
+from conftest import (completed_double_dot, dag, partial_trace, pure_density, random_density,
+                      random_pure, random_unitary)
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -118,7 +118,7 @@ def test_apply_channel_superposition_demon_reproduces_chaos(rng):
     # chaotic state (and any lead-diagonal state) comes out chaotic, and no
     # input can lose entropy
     params = SpinDemonParams(theta=0.2, eta=2.0, phi=0.5)
-    demon = qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
+    demon = pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
     config = spin_config(params, demon)
     assert abs(ch.gamma(config)) < 1e-12
     assert np.allclose(ch.apply_channel(I2 / 2, config).rho_out, I2 / 2, atol=1e-12)
@@ -183,9 +183,9 @@ def matrix_product_gamma(config):
 
 def test_gamma_matches_matrix_product_oracle(rng):
     # bit equality cannot be had: numpy's 2x2 products round differently
-    demons = {"pure": lambda: qm.pure_density(random_pure(rng)), "up": lambda: UP,
+    demons = {"pure": lambda: pure_density(random_pure(rng)), "up": lambda: UP,
               "down": lambda: DOWN, "mixed": lambda: random_density(rng),
-              "superposition": lambda: qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2)),
+              "superposition": lambda: pure_density(np.array([1.0, 1.0]) / np.sqrt(2)),
               "maximally mixed": lambda: I2 / 2}
     for kind, demon in demons.items():
         for _ in range(150):
@@ -201,7 +201,7 @@ def test_gamma_matches_matrix_product_oracle(rng):
 
 def test_gamma_superposition_demon_vanishes():
     params = SpinDemonParams(theta=0.3, eta=1.1, phi=0.7)
-    demon = qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
+    demon = pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
     assert abs(ch.gamma(spin_config(params, demon))) < 1e-12
 
 
@@ -344,16 +344,17 @@ def test_bound_stays_finite_at_maximal_coherence():
     assert math.isclose(report.lower_bound, -math.log(2), abs_tol=1e-9)
 
 
-def floor_case_report(rho_out, g):
-    joint = qm.tensor(rho_out, UP)
-    return ch.channel_report(I2 / 2, joint, g, ())
-
-
 def test_bound_floor_pinned_at_unit_coherence_aligned():
     # |gamma| = 1, c = 1: the floored eigenvalue has zero weight
-    report = floor_case_report(np.full((2, 2), 0.5, dtype=complex), 1.0 + 0j)
+    assert ch._bound(np.full((2, 2), 0.5, dtype=complex), 1.0 + 0j) == (-math.log(2), True)
+    # a splitter with exact entries (1 ± i)/2, the spin rotations and an up demon give
+    # gamma = i exactly; apply_channel appends the flag after the caller's
+    s = np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]]) / 2
+    config = ch.ChannelConfig(s, (SX, I2, -SZ, I2), UP)
+    report = ch.apply_channel(I2 / 2, config, extra_flags=("caller-flag",))
+    assert config._gamma == 1j
     assert report.lower_bound == -math.log(2)
-    assert report.flags == ("bound-clipped",)
+    assert report.flags == ("caller-flag", "bound-clipped")
 
 
 def test_bound_floor_pinned_at_unit_coherence_misaligned():
@@ -361,15 +362,17 @@ def test_bound_floor_pinned_at_unit_coherence_misaligned():
     assert qm.LOG_EIG_FLOOR == 1e-300
     for c in (0.0, 0.5, -1.0):
         rho_out = np.array([[0.5, c / 2], [c / 2, 0.5]], dtype=complex)
-        report = floor_case_report(rho_out, 1.0 + 0j)
+        bound, clipped = ch._bound(rho_out, 1.0 + 0j)
         expected = -0.5 * ((1 + c) * math.log(2) + (1 - c) * math.log(1e-300))
-        assert math.isfinite(report.lower_bound)
-        assert math.isclose(report.lower_bound, expected, rel_tol=1e-15)
-        assert report.flags == ("bound-clipped",)
+        assert math.isfinite(bound)
+        assert math.isclose(bound, expected, rel_tol=1e-15)
+        assert clipped
 
 
 def test_bound_zero_and_unflagged_without_coherence(rng):
-    report = floor_case_report(random_density(rng), 0j)
+    assert ch._bound(random_density(rng), 0j) == (0.0, False)
+    report = ch.apply_channel(random_density(rng), unital_config(rng))
+    assert report.gamma == 0
     assert report.lower_bound == 0.0
     assert report.flags == ()
     assert report.unital
@@ -391,7 +394,7 @@ def oracle_cases(rng):
     for _ in range(50):
         yield random_density(rng), unital_config(rng)
     demons = [UP, DOWN, np.diag([1 - 1e-13, 1e-13]), np.diag([0.75, 0.25]), I2 / 2,
-              qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2))]
+              pure_density(np.array([1.0, 1.0]) / np.sqrt(2))]
     for demon in demons:
         for _ in range(25):
             params = SpinDemonParams(*rng.uniform(-np.pi, np.pi, size=5))
@@ -428,8 +431,8 @@ def bits(*values):
 def test_entropy_gain_is_apply_channel_fields(rng):
     # generic and spin channels; mixed, pure and maximally mixed demons and inputs
     for i in range(200):
-        demon = (random_density(rng), UP, qm.pure_density(random_pure(rng)), I2 / 2)[i % 4]
-        rho_in = (random_density(rng), qm.pure_density(random_pure(rng)), I2 / 2)[i % 3]
+        demon = (random_density(rng), UP, pure_density(random_pure(rng)), I2 / 2)[i % 4]
+        rho_in = (random_density(rng), pure_density(random_pure(rng)), I2 / 2)[i % 3]
         if i % 8 < 4:
             fresh = partial(ch.ChannelConfig, random_unitary(rng),
                             tuple(random_unitary(rng) for _ in range(4)), demon)
@@ -525,14 +528,3 @@ def test_config_members_are_read_only_copies(rng):
                                             config.demon_state)):
         assert kept.tobytes() == given.astype(complex).tobytes()
         assert not kept.flags.writeable and not np.shares_memory(kept, given)
-
-
-def test_report_serialisation():
-    config = spin_config(SpinDemonParams(eta=np.pi), UP)
-    report = ch.apply_channel(I2 / 2, config)
-    blob = ch.report_to_json(report)
-    assert math.isclose(blob["entropy_gain"], -math.log(2), abs_tol=1e-9)
-    assert math.isclose(blob["gamma_abs"], 1.0, abs_tol=1e-12)
-    assert blob["unital"] is False
-    rho_back = np.array([complex(re, im) for re, im in blob["rho_out"]["entries"]])
-    assert np.allclose(rho_back.reshape(2, 2), report.rho_out, atol=0.0)

@@ -11,7 +11,7 @@ from qdemon import qmatrix as qm
 from qdemon.channel import ChannelConfig, apply_channel, gamma
 from qdemon.spin_demon import beam_splitter, spin_config
 from conftest import (completed_double_dot, equivalent_spin_params, half_rabi, partial_trace,
-                      random_density, random_pure)
+                      pure_density, random_density, random_pure)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -161,7 +161,10 @@ def pswap_counterexample(demon) -> bool:
     that holds for the operational basis states and fails for genuine
     superpositions. Checked as a rank condition on the reshaped map.
     """
-    v = qm.check_pure_state(demon)
+    v = np.asarray(demon, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(v)
+    if not abs(norm - 1.0) <= qm.ATOL:     # NaN and inf entries fail too
+        raise qm.InvalidStateError(f"state vector norm is {norm}, expected 1")
     if v.size != 2:
         raise qm.ParameterError("demon must be a single-qubit amplitude pair")
     vd = qc.build_VD()
@@ -271,7 +274,7 @@ def reference_double_dot(rho_in, dot, config, complete_rotation):
 
 @pytest.mark.parametrize("complete", [False, True])
 def test_protocol_matches_its_joint_evolution(rng, complete):
-    dots = {"pure": lambda: qm.pure_density(random_pure(rng)),
+    dots = {"pure": lambda: pure_density(random_pure(rng)),
             "diagonal": lambda: np.diag([p := rng.uniform(), 1.0 - p]).astype(complex),
             "general": lambda: random_density(rng)}
     for kind, make_dot in dots.items():

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 from qdemon import cli
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
-from qdemon.channel import report_to_json
+from qdemon.channel import apply_channel
 from qdemon.circuits import pswap_gate
 from qdemon.cli import _recorded_flags, main
-from qdemon.spin_demon import SpinDemonParams, scatter
+from qdemon.spin_demon import SpinDemonParams, scatter, spin_config
 from cli_corpus import CORPUS, EXTREMES, POLICIES
+from conftest import random_density
 
 LN2 = math.log(2)
 
@@ -94,10 +95,32 @@ def test_channel_report_matches_library_on_expected_states(capsys, kind, demon):
         "--eta", "2.1", "--phi", "-0.7", "--alpha", "1.3", "--beta-phase", "0.2"])
     assert code == 0
     params = SpinDemonParams(theta=0.4, eta=2.1, phi=-0.7, alpha=1.3, beta_phase=0.2)
-    want = report_to_json(scatter(rho_in, CHANNEL_DEMONS[demon], params))
-    assert doc.pop("entropy_in") == qm.von_neumann_entropy(rho_in)
+    want = cli._report_json(scatter(rho_in, CHANNEL_DEMONS[demon], params))
+    assert doc["entropy_in"] == qm.von_neumann_entropy(rho_in)
     doc.pop("flags_cli")
     assert doc == json.loads(json.dumps(want))
+
+
+def test_report_serialisation():
+    config = spin_config(SpinDemonParams(eta=np.pi), np.diag([1.0, 0.0]))
+    report = apply_channel(np.eye(2) / 2, config)
+    blob = cli._report_json(report)
+    assert math.isclose(blob["entropy_gain"], -LN2, abs_tol=1e-9)
+    assert math.isclose(blob["gamma_abs"], 1.0, abs_tol=1e-12)
+    assert blob["unital"] is False
+    assert blob["entropy_in"] == report.entropy_in == LN2
+    rho_back = np.array([complex(re, im) for re, im in blob["rho_out"]["entries"]])
+    assert np.allclose(rho_back.reshape(2, 2), report.rho_out, atol=0.0)
+
+
+def test_json_round_trip(rng):
+    m = random_density(rng, 4)
+    doc = cli._matrix_json(m)
+    assert doc["dim"] == 4
+    assert len(doc["entries"]) == 16
+    assert all(len(pair) == 2 for pair in doc["entries"])
+    back = np.array([complex(re, im) for re, im in doc["entries"]]).reshape(4, 4)
+    assert np.allclose(back, m, atol=0.0)
 
 
 def test_channel_bad_demon_exits_2(capsys):
@@ -117,14 +140,15 @@ def test_invalid_state_exits_2_with_its_message(capsys, monkeypatch):
     assert capsys.readouterr().err.rstrip().endswith("error: density matrix is not Hermitian")
 
 
-def test_channel_decomposes_five_times(capsys, monkeypatch):
-    # the demon's validation, apply_channel's three, and the input's entropy:
-    # the JSON's entropy_out is the report's, not a sixth decomposition
+def test_channel_decomposes_four_times(capsys, monkeypatch):
+    # the demon's validation and apply_channel's three: the JSON's entropy_in and
+    # entropy_out are the report's, not a fifth and sixth decomposition
     calls, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
     code, doc = run_json(capsys, ["channel", "--theta", "0.3", "--eta", "1.1",
                                   "--input", "up", "--demon", "mixture", "0.8"])
-    assert code == 0 and len(calls) == 5
+    assert code == 0 and len(calls) == 4
+    assert doc["entropy_in"] == qm.von_neumann_entropy(np.diag([1.0, 0.0]))
     assert doc["entropy_out"] == qm.von_neumann_entropy(
         np.array([complex(re, im) for re, im in doc["rho_out"]["entries"]]).reshape(2, 2))
 

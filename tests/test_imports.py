@@ -1,6 +1,6 @@
 """Source hygiene: no module in the package imports a name it never uses, the
-layers import downwards only, each public name has one defining module, and
-importing the engine loads no other layer."""
+layers import downwards only, each public name has one defining module, only
+``cli`` builds JSON views, and importing the engine loads no other layer."""
 
 import ast
 import subprocess
@@ -74,9 +74,9 @@ def test_circuits_does_not_import_the_engine():
     assert ".engine" not in modules and "qdemon" not in modules
 
 
-def public_definitions(source: str) -> set[str]:
-    """Public names a module binds at its top level by ``def``, ``class`` or
-    assignment; imported names are not definitions."""
+def definitions(source: str) -> set[str]:
+    """Names a module binds at its top level by ``def``, ``class`` or assignment;
+    imported names are not definitions."""
     found = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -84,7 +84,12 @@ def public_definitions(source: str) -> set[str]:
         elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
-    return {name for name in found if not name.startswith("_")}
+    return found
+
+
+def public_definitions(source: str) -> set[str]:
+    """The names of ``definitions`` that do not start with an underscore."""
+    return {name for name in definitions(source) if not name.startswith("_")}
 
 
 def test_definition_reader_skips_imports_and_private_names():
@@ -99,6 +104,14 @@ def test_no_public_name_is_defined_in_two_modules():
         for name in public_definitions(path.read_text(encoding="utf-8")):
             owners.setdefault(name, []).append(path.name)
     assert {name: files for name, files in owners.items() if len(files) > 1} == {}
+
+
+def test_only_cli_builds_json_documents():
+    # one module decides the output format: no other defines a *_to_json view, public or not
+    views = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
+             for name in definitions(path.read_text(encoding="utf-8"))
+             if name.endswith("_to_json")}
+    assert views == set()
 
 
 def test_importing_the_engine_loads_no_other_package_module():

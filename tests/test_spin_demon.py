@@ -8,7 +8,7 @@ import pytest
 
 from qdemon import qmatrix as qm
 from qdemon import spin_demon as sd
-from conftest import random_density, random_pure
+from conftest import pure_density, random_density, random_pure
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -60,7 +60,7 @@ def test_scatter_chaotic_with_pure_demon():
     params = sd.SpinDemonParams(theta=0.2, eta=1.4, phi=0.6)
     report = sd.scatter(I2 / 2, UP, params)
     up_xy, _ = xy_states(params.theta, params.eta, params.phi)
-    expected_joint = qm.tensor(qm.pure_density(up_xy), I2 / 2)
+    expected_joint = qm.tensor(pure_density(up_xy), I2 / 2)
     assert np.allclose(report.joint_out, expected_joint, atol=1e-12)
     assert report.flags == ()
 
@@ -70,11 +70,11 @@ def test_scatter_pure_input_demon_takeover(rng):
     params = sd.SpinDemonParams(theta=0.5, eta=-0.8, phi=1.2, alpha=0.3, beta_phase=0.9)
     for _ in range(10):
         a, b = random_pure(rng)
-        rho_in = qm.pure_density([a, b])
+        rho_in = pure_density([a, b])
         report = sd.scatter(rho_in, UP, params)
         psi = (a * np.exp(1j * params.alpha) * np.array([0.0, 1.0])
                + b * np.exp(-1j * (params.eta + params.theta)) * np.array([1.0, 0.0]))
-        assert np.allclose(report.demon_out, qm.pure_density(psi), atol=1e-12)
+        assert np.allclose(report.demon_out, pure_density(psi), atol=1e-12)
 
 
 def test_scatter_swaps_entropies_for_pure_demon(rng):
@@ -108,8 +108,8 @@ def test_scatter_mixture_demon_branch_structure(rng):
             r_plus += weight * np.outer(psi_p, psi_p.conj())
             r_minus += weight * np.outer(psi_m, psi_m.conj())
         up_xy, dn_xy = xy_states(params.theta, params.eta, params.phi)
-        expected = (p_up * qm.tensor(qm.pure_density(up_xy), r_plus)
-                    + (1 - p_up) * qm.tensor(qm.pure_density(dn_xy), r_minus))
+        expected = (p_up * qm.tensor(pure_density(up_xy), r_plus)
+                    + (1 - p_up) * qm.tensor(pure_density(dn_xy), r_minus))
         report = sd.scatter(rho_in, np.diag([p_up, 1 - p_up]), params)
         assert np.allclose(report.joint_out, expected, atol=1e-12)
         # system side still swaps onto the demon weights
@@ -119,7 +119,7 @@ def test_scatter_mixture_demon_branch_structure(rng):
 
 def test_scatter_flags_non_diagonal_demon():
     params = sd.SpinDemonParams(theta=0.1, eta=0.2)
-    demon = qm.pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
+    demon = pure_density(np.array([1.0, 1.0]) / np.sqrt(2))
     report = sd.scatter(I2 / 2, demon, params)
     assert "demon-not-diagonal" in report.flags
     # no purity exchange: the chaotic input stays chaotic
@@ -150,9 +150,9 @@ def test_scatter_output_matches_xy_and_ignores_input(rng):
         up_xy, dn_xy = xy_states(theta, eta, phi)
         rho_in = random_density(rng)
         assert np.allclose(sd.scatter(rho_in, UP, params).rho_out,
-                           qm.pure_density(up_xy), atol=1e-10)
+                           pure_density(up_xy), atol=1e-10)
         assert np.allclose(sd.scatter(rho_in, DOWN, params).rho_out,
-                           qm.pure_density(dn_xy), atol=1e-10)
+                           pure_density(dn_xy), atol=1e-10)
 
 
 def test_gamma_closed_form_up_demon(rng):
@@ -188,7 +188,7 @@ def test_superposition_keeps_the_plain_norm_bits():
         parts[rng.integers(4)] = np.exp(rng.uniform(np.log(1e-150), np.log(1e150)))
         a, b = complex(parts[0], parts[1]), complex(parts[2], parts[3])
         vec = np.array([a, b])
-        old = qm.pure_density(vec / np.linalg.norm(vec))
+        old = pure_density(vec / np.linalg.norm(vec))
         assert sd.demon_state_from_spec("superposition", (a, b)).tobytes() == old.tobytes(), (a, b)
 
 
