@@ -13,20 +13,22 @@ trailing comment line recording the flags; the channel JSON records them as
 (``--output`` in any spelling argparse accepts), which says where the bytes
 go, not what they are. Given identical flags, whatever the destination, the
 output is byte-identical across runs. This module builds the channel and gate
-JSON documents, and one writer, ``_dumps``, emits every JSON document, with the
-bytes of json's ``dumps(doc, indent=2)``. The engine's JSON writes null for NaN
-and infinities; a CSV cell, which readers parse with float(), writes ``nan``
-where eta_2cy is undefined at zero heat. Every parser reads a
-negative number as a value, in any form float() reads (-1e-3, -inf too). An argv
-that opens with a subcommand goes to that subcommand's parser alone: the
-top-level parser handles only help and a missing or unknown one. An argv whose
-words after the subcommand are all exact option strings of plain store options
-(one value, or "+"), their values and positionals is read without argparse, into
-the namespace argparse would give; any other goes to argparse, which writes every
-usage error and help text.
+JSON documents, and one writer, ``_dumps``, emits every JSON document with the
+bytes of json's ``dumps(doc, indent=2)``, but null for each NaN or infinite float
+at any depth: no document carries a token RFC 8259 forbids. A CSV cell, which
+readers parse with float(), writes ``nan`` where eta_2cy is undefined at zero
+heat. Every parser reads a negative number as a value, in any form float() reads
+(-1e-3, -inf too). An argv that opens with a subcommand goes to that subcommand's
+parser alone: the top-level parser handles only help and a missing or unknown
+one. An argv whose words after the subcommand are all exact option strings of
+plain store options (one value, or "+"), their values and positionals is read
+without argparse, into the namespace argparse would give; any other goes to
+argparse, which writes every usage error and help text.
 
-Exit codes: 0 success, 2 usage error (a rejected parameter or state
-included), 3 numerical non-convergence.
+Each subcommand returns its output text and None or a non-convergence note.
+``main`` alone writes the text (to ``--output``, else stdout), then the note to
+stderr, and turns a rejected parameter or state into the usage error. Exit
+codes: 0 success, 2 usage error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .interferometer import MziConfig, run_double_mzi
 from .qmatrix import InvalidStateError, ParameterError, _require_finite
 from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
 
-EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 
 
@@ -83,15 +84,15 @@ def _recorded_flags(argv: list[str]) -> str:
     return shlex.join(kept)
 
 
-#: json's tokens for None and the bools, and for the floats whose repr is no JSON number
-_TOKENS = {None: "null", True: "true", False: "false",
-           "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+#: json's tokens for None and the bools
+_TOKENS = {None: "null", True: "true", False: "false"}
 
 
 def _dumps(value, pad: str = "") -> str:
     """What json's ``dumps(value, indent=2)`` writes, byte for byte, for str, None, bool,
-    int, float, list, tuple and dict with str keys, nested at ``pad``: json's C string
-    escape, type order and tokens, without the pure-Python encoder json indents with."""
+    int, float, list, tuple and dict with str keys, nested at ``pad``, but with null for
+    each non-finite float: json's C string escape, type order and tokens, without the
+    pure-Python encoder json indents with."""
     if isinstance(value, str):
         return _quote(value)
     if value is None or value is True or value is False:
@@ -99,8 +100,7 @@ def _dumps(value, pad: str = "") -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        text = float.__repr__(value)
-        return _TOKENS.get(text, text)
+        return float.__repr__(value) if math.isfinite(value) else "null"
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
         items, ends = [_dumps(v, inner) for v in value], "[]"
@@ -114,9 +114,7 @@ def _dumps(value, pad: str = "") -> str:
 
 
 def _json(doc: dict) -> str:
-    """doc as indented JSON, each non-finite float value written as null."""
-    return _dumps({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                   for k, v in doc.items()}) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _matrix_json(m: np.ndarray) -> dict:
@@ -160,90 +158,73 @@ def _spin_params(args) -> SpinDemonParams:
                            alpha=args.alpha, beta_phase=args.beta_phase)
 
 
-def _demon_from_args(parser, spec: list[str]) -> np.ndarray:
-    kind = spec[0]
-    try:
-        if kind in ("up", "down"):
-            if len(spec) != 1:
-                parser.error(f"--demon {kind} takes no extra values")
-            return demon_state_from_spec(kind)
-        if kind == "mixture":
-            if len(spec) != 2:
-                parser.error("--demon mixture needs one weight")
-            return demon_state_from_spec("mixture", spec[1])
-        if kind == "superposition":
-            if len(spec) != 3:
-                parser.error("--demon superposition needs two amplitudes")
-            return demon_state_from_spec("superposition", (float(spec[1]), float(spec[2])))
+#: each known --demon kind: how many values it takes, and the refusal of any other count
+_DEMON_VALUES = {"up": (0, "takes no extra values"), "down": (0, "takes no extra values"),
+                 "mixture": (1, "needs one weight"), "superposition": (2, "needs two amplitudes")}
+
+
+def _demon_from_args(spec: list[str]) -> np.ndarray:
+    kind, words = spec[0], spec[1:]
+    if kind not in _DEMON_VALUES:
         return demon_state_from_spec(kind)  # refuses the unknown kinds
-    except (ParameterError, ValueError) as exc:
-        parser.error(str(exc))
+    count, refusal = _DEMON_VALUES[kind]
+    if len(words) != count:
+        raise ParameterError(f"--demon {kind} {refusal}")
+    try:
+        values = [float(word) for word in words]
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
+    return demon_state_from_spec(kind, values[0] if count == 1 else values)
 
 
-def _input_state(parser, args) -> np.ndarray:
+def _input_state(args) -> np.ndarray:
     if args.input == "chaotic":
         return demon_state_from_spec("mixture", 0.5)
     if args.input == "pure":
         if args.amplitudes is None:
-            parser.error("--input pure requires --amplitudes RE IM RE IM")
+            raise ParameterError("--input pure requires --amplitudes RE IM RE IM")
         re_a, im_a, re_b, im_b = args.amplitudes
         return demon_state_from_spec("superposition", (complex(re_a, im_a), complex(re_b, im_b)))
     return demon_state_from_spec(args.input)
 
 
-def cmd_channel(parser, args, argv) -> int:
-    demon = _demon_from_args(parser, args.demon)
-    rho_in = _input_state(parser, args)
+def cmd_channel(args, argv) -> tuple[str, None]:
+    demon = _demon_from_args(args.demon)
+    rho_in = _input_state(args)
     doc = _report_json(scatter(rho_in, demon, _spin_params(args)))
     doc["flags_cli"] = _recorded_flags(argv)
-    _write(args.output, _dumps(doc) + "\n")
-    return 0
+    return _json(doc), None
 
 
-_GATES = {
-    "UD": lambda phase: build_UD(),
-    "VD": lambda phase: build_VD(),
-    "SWAP": lambda phase: build_SWAP(),
-    "CNOT": lambda phase: CNOT_UP,
-    "HBAR": lambda phase: HBAR,
-    "U14": u14,
-    "PSWAP": pswap_gate,
-}
+_GATES = {"UD": lambda phase: build_UD(), "VD": lambda phase: build_VD(),
+          "SWAP": lambda phase: build_SWAP(), "CNOT": lambda phase: CNOT_UP,
+          "HBAR": lambda phase: HBAR, "U14": u14, "PSWAP": pswap_gate}
 
 
-def cmd_gates(parser, args, argv) -> int:
+def cmd_gates(args, argv) -> tuple[str, None]:
     matrix = _GATES[args.which](args.phase)
     if args.format == "json":
-        doc = _matrix_json(matrix)
-        doc["gate"] = args.which
-        _write(args.output, _dumps(doc) + "\n")
-    else:
-        rows = []
-        for i, row in enumerate(matrix):
-            entry = {"row": i}
-            for j, z in enumerate(row):
-                entry[f"re{j}"] = float(z.real)
-                entry[f"im{j}"] = float(z.imag)
-            rows.append(entry)
-        _write(args.output, _csv(rows, argv))
-    return 0
+        return _json({**_matrix_json(matrix), "gate": args.which}), None
+    rows = []
+    for i, row in enumerate(matrix):
+        entry = {"row": i}
+        for j, z in enumerate(row):
+            entry[f"re{j}"], entry[f"im{j}"] = float(z.real), float(z.imag)
+        rows.append(entry)
+    return _csv(rows, argv), None
 
 
-def cmd_mzi(parser, args, argv) -> int:
-    config = MziConfig(chi=args.chi, epsilon=args.epsilon,
-                       flux_samples=args.flux_steps,
-                       params=_spin_params(args),
-                       arm_phase=args.arm_phase,
+def cmd_mzi(args, argv) -> tuple[str, None]:
+    config = MziConfig(chi=args.chi, epsilon=args.epsilon, flux_samples=args.flux_steps,
+                       params=_spin_params(args), arm_phase=args.arm_phase,
                        bypass_demon=args.bypass_demon)
     report = run_double_mzi(config)
     rows = [{"flux_rad": f, "p3": p3, "p4": p4}
             for f, p3, p4 in zip(report.flux, report.p3, report.p4)]
-    footer = [f"# visibility = {report.visibility:.12g}"]
-    _write(args.output, _csv(rows, argv, footer=footer))
-    return 0
+    return _csv(rows, argv, footer=[f"# visibility = {report.visibility:.12g}"]), None
 
 
-def cmd_engine(parser, args, argv) -> int:
+def cmd_engine(args, argv) -> tuple[str, str | None]:
     bd_delta = args.beta_d_delta[0]
     if len(args.beta_d_delta) > 1 and args.mode != "frontier":
         raise ParameterError(f"{args.mode} takes one beta_d_delta, got {len(args.beta_d_delta)}")
@@ -255,14 +236,12 @@ def cmd_engine(parser, args, argv) -> int:
         report = eng.run_cycle(args.beta_delta, bd_delta, eps)
         doc = dict(vars(report), field_ledger=dict(report.field_ledger),
                    epsilon=eps, policy=args.policy)
-        _write(args.output, _json(doc))
-        return 0
+        return _json(doc), None
 
     if args.mode == "threshold":
         beta = eng.minimal_beta(bd_delta, args.policy)
         doc = {"beta_d_delta": bd_delta, "policy": args.policy, "max_beta_delta": beta}
-        _write(args.output, _json(doc))
-        return 0
+        return _json(doc), None
 
     if args.mode == "sweep":
         end = bd_delta * args.beta_max_frac  # checked: linspace makes NaNs of an inf end
@@ -274,9 +253,7 @@ def cmd_engine(parser, args, argv) -> int:
             raise ParameterError(f"beta_min must not exceed the sweep end {end}, "
                                  f"got {args.beta_min}")
         grid = _linspace(args.beta_min, end, args.steps)
-        rows = eng.sweep_beta(bd_delta, args.policy, grid)
-        _write(args.output, _csv(rows, argv))
-        return 0
+        return _csv(eng.sweep_beta(bd_delta, args.policy, grid), argv), None
 
     if args.mode == "frontier":
         if args.pe is not None:
@@ -284,9 +261,7 @@ def cmd_engine(parser, args, argv) -> int:
         else:
             _require_finite(pe_min=args.pe_min)
             pes = _linspace(args.pe_min, 0.5, args.steps)
-        rows = eng.frontier_epsilons(pes, args.beta_d_delta)
-        _write(args.output, _csv(rows, argv))
-        return 0
+        return _csv(eng.frontier_epsilons(pes, args.beta_d_delta), argv), None
 
     # optimize
     _, p_e = eng.thermal_wit(args.beta_delta)
@@ -297,12 +272,7 @@ def cmd_engine(parser, args, argv) -> int:
         eng._check_beta_d(bd_delta)  # only echoed here; checked as for power
         result = eng.optimize_epsilon_eta(pe)
     doc = dict(vars(result), target=args.target, p_e=pe, beta_d_delta=bd_delta)
-    _write(args.output, _json(doc))
-    if not result.converged:
-        sys.stderr.write(
-            f"non-convergence: residual {result.residual:.3e}\n")
-        return EXIT_NO_CONVERGENCE
-    return 0
+    return _json(doc), (None if result.converged else f"residual {result.residual:.3e}")
 
 
 #: the words each parser reads as negative numbers, so as values, not options: argparse's
@@ -333,13 +303,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_chan.add_argument("--amplitudes", type=float, nargs=4, metavar=("ARE", "AIM", "BRE", "BIM"))
     p_chan.add_argument("--demon", nargs="+", default=["up"],
                         metavar="KIND [VAL ...]")
-    p_chan.add_argument("--output", default=None)
 
     p_gates = sub.add_parser("gates", help="dump a gate or circuit matrix")
     p_gates.add_argument("--which", required=True, choices=sorted(_GATES))
     p_gates.add_argument("--phase", type=float, default=-np.pi / 2)
     p_gates.add_argument("--format", default="json", choices=["json", "csv"])
-    p_gates.add_argument("--output", default=None)
 
     p_mzi = sub.add_parser("mzi", help="double Mach-Zehnder visibility CSV")
     _add_spin_flags(p_mzi)
@@ -349,7 +317,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p_mzi.add_argument("--flux-steps", type=int, default=96)
     p_mzi.add_argument("--arm-phase", type=float, default=np.pi / 2)
     p_mzi.add_argument("--bypass-demon", action="store_true")
-    p_mzi.add_argument("--output", default=None)
 
     p_eng = sub.add_parser("engine", help="two-cycle engine reports and sweeps")
     p_eng.add_argument("mode", choices=["report", "sweep", "frontier", "optimize", "threshold"])
@@ -366,9 +333,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                        help="sweep up to this fraction of beta_d")
     p_eng.add_argument("--steps", type=int, default=101)
     p_eng.add_argument("--target", default="power", choices=["power", "eta"])
-    p_eng.add_argument("--output", default=None)
 
-    for p in (parser, *sub.choices.values()):
+    parser._negative_number_matcher = _NEGATIVE_NUMBER
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None)
         p._negative_number_matcher = _NEGATIVE_NUMBER
     return parser, sub.choices
 
@@ -453,13 +421,18 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, args = _parse(argv)
     try:
-        return {"channel": cmd_channel, "gates": cmd_gates, "mzi": cmd_mzi,
-                "engine": cmd_engine}[args.command](parser, args, argv)
+        text, failure = {"channel": cmd_channel, "gates": cmd_gates, "mzi": cmd_mzi,
+                         "engine": cmd_engine}[args.command](args, argv)
     except (ParameterError, InvalidStateError) as exc:
         parser.error(str(exc))
     except eng.ConvergenceError as exc:
-        sys.stderr.write(f"non-convergence: {exc}\n")
-        return EXIT_NO_CONVERGENCE
+        text, failure = None, str(exc)
+    if text is not None:
+        _write(args.output, text)
+    if failure is None:
+        return 0
+    sys.stderr.write(f"non-convergence: {failure}\n")
+    return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

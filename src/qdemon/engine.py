@@ -372,9 +372,7 @@ def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
     and fixed policies beyond about beta_d_delta = 745 no root is left to
     bracket (the optimal ones stop converging long before).
     """
-    _require_finite(beta_d_delta=beta_d_delta)
-    if beta_d_delta <= 0.0:
-        raise ParameterError(f"beta_d_delta must be positive, got {beta_d_delta}")
+    _check_beta_d(beta_d_delta)
     name, fixed = parse_policy(policy)
 
     def excess(beta_delta: float) -> float:

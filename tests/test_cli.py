@@ -295,6 +295,27 @@ def test_engine_optimize_nonconvergence_exits_3(capsys):
     assert "non-convergence" in err
 
 
+def test_engine_optimize_nonconvergence_writes_the_document_then_the_note(capsys, tmp_path):
+    path = tmp_path / "F"
+    code = main(["engine", "optimize", "--target", "eta", "--beta-d-delta", "40",
+                 "--pe", "1e-9", "--output", str(path)])
+    captured = capsys.readouterr()
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert code == 3 and captured.out == ""
+    assert doc["converged"] is False and doc["target"] == "eta" and doc["p_e"] == 1e-9
+    assert captured.err == f"non-convergence: residual {doc['residual']:.3e}\n"
+
+
+@pytest.mark.parametrize("policy", ["ideal", "opt-power", "opt-eta", "fixed:0.1"])
+def test_engine_threshold_refuses_beta_d_delta_below_its_minimum(capsys, policy):
+    # as report, sweep and optimize do; opt-eta once wrote bisection's first midpoint
+    with pytest.raises(SystemExit) as err:
+        main(["engine", "threshold", "--beta-d-delta", "1e-310", "--policy", policy])
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert f"beta_d_delta must be at least {eng.BETA_D_MIN!r}" in captured.err
+
+
 @pytest.mark.parametrize("policy", ["ideal", "opt-power", "opt-eta", "fixed:0.01", "fixed:0"])
 @pytest.mark.parametrize("bd_delta", [1.5, 2.0, 6.5, 17.0])
 def test_engine_threshold_is_minimal_beta(capsys, policy, bd_delta):
@@ -504,13 +525,25 @@ json_documents = st.recursive(
     max_leaves=24)
 
 
+def nulled(value):
+    """value with each non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [nulled(v) for v in value]
+    if isinstance(value, dict):
+        return {k: nulled(v) for k, v in value.items()}
+    return value
+
+
 @settings(max_examples=800, deadline=None, derandomize=True, database=None)
 @given(doc=json_documents)
 @example(doc=[])
 @example(doc={"": {}, "a": [[], ()], "b": (1.5, [None, True, False])})
 @example(doc={"x": [math.nan, {"y": -math.inf, "z": math.inf}], "w": -0.0})
 def test_dumps_is_json_dumps_indent_2(doc):
-    assert cli._dumps(doc) == json.dumps(doc, indent=2)
+    assert cli._dumps(doc) == json.dumps(nulled(doc), indent=2, allow_nan=False)
+
 
 
 @pytest.mark.parametrize("value", [{1}, [0.5, {"a": frozenset()}], {"a": (1, {2})},
@@ -523,12 +556,12 @@ def test_dumps_refuses_what_json_refuses(value):
     assert str(got.value) == str(want.value)
 
 
-def test_json_writes_null_only_at_the_top_level():
+def test_json_writes_null_for_every_non_finite_float():
     doc = {"a": math.nan, "b": -math.inf, "c": np.float64(math.inf), "d": [math.nan, 0.5],
-           "e": {"f": math.inf}, "g": 0.25, "h": "x"}
+           "e": {"f": math.inf, "g": (-math.inf, [np.float64(math.nan)])}, "h": 0.25, "i": "x"}
     assert cli._json(doc) == json.dumps(
-        {"a": None, "b": None, "c": None, "d": [math.nan, 0.5], "e": {"f": math.inf},
-         "g": 0.25, "h": "x"}, indent=2) + "\n"
+        {"a": None, "b": None, "c": None, "d": [None, 0.5],
+         "e": {"f": None, "g": [None, [None]]}, "h": 0.25, "i": "x"}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

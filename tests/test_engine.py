@@ -587,6 +587,14 @@ def test_minimal_beta_rejects_non_positive_scales(beta_d, delta_w):
         eng.minimal_beta(beta_d_delta)
 
 
+@pytest.mark.parametrize("policy", ["ideal", "opt-power", "opt-eta", "fixed:0.1"])
+def test_minimal_beta_rejects_beta_d_delta_below_its_minimum(policy):
+    for beta_d_delta in (1e-310, math.nextafter(eng.BETA_D_MIN, 0.0), 5e-324):
+        with pytest.raises(qm.ParameterError, match=re.escape(
+                f"beta_d_delta must be at least {eng.BETA_D_MIN!r}")):
+            eng.minimal_beta(beta_d_delta, policy)
+
+
 def test_minimal_beta_ideal_never_positive_below_threshold():
     assert math.isnan(eng.minimal_beta(1.0, "ideal"))
     assert math.isnan(eng.minimal_beta(2 * LN2 - 1e-3, "ideal"))

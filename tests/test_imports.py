@@ -1,6 +1,7 @@
 """Source hygiene: no module in the package imports a name it never uses, the
 layers import downwards only, each public name has one defining module, only
-``cli`` builds JSON views, and importing the engine loads no other layer."""
+``cli`` builds JSON views, only ``cli.main`` writes, refuses and exits, and importing
+the engine loads no other layer."""
 
 import ast
 import subprocess
@@ -112,6 +113,39 @@ def test_only_cli_builds_json_documents():
              for name in definitions(path.read_text(encoding="utf-8"))
              if name.endswith("_to_json")}
     assert views == set()
+
+
+def calls_by_function(source: str) -> dict[str, set[str]]:
+    """The callees, as source text, of each top-level function of a module, by its
+    name; "<module>" holds the calls outside every function."""
+    found = {}
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+        found.setdefault(owner, set()).update(
+            ast.unparse(call.func) for call in ast.walk(node) if isinstance(call, ast.Call))
+    return found
+
+
+def test_call_reader_names_each_callee_by_its_function():
+    source = "import sys\nX = len([])\ndef f(p):\n    p.error(g(1))\n    sys.stderr.write('')\n"
+    assert calls_by_function(source) == {"<module>": {"len"}, "f": {"p.error", "g",
+                                                                    "sys.stderr.write"}}
+
+
+def test_cli_main_alone_writes_refuses_and_exits():
+    # each cmd_* returns its text and any non-convergence note; main writes both, and
+    # turns a refused parameter into the usage error, as _parse does for argv
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    commands = [node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("cmd_")]
+    assert len(commands) == 4
+    assert [node.name for node in commands
+            if "parser" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}] == []
+    calls = calls_by_function(source)
+    assert {name for name, callees in calls.items()
+            if callees & {"_write", "sys.stderr.write"}} == {"main"}
+    assert {name for name, callees in calls.items()
+            if any(c.endswith(".error") for c in callees)} == {"_parse", "main"}
 
 
 def test_importing_the_engine_loads_no_other_package_module():
