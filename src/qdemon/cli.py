@@ -4,9 +4,9 @@ Subcommands: channel (run the spin channel once, JSON report), gates (dump a
 gate matrix, the engine's partial SWAP ``PSWAP`` among them), mzi (double
 Mach-Zehnder CSV), engine (report / sweep / frontier / optimize / threshold).
 ``engine threshold`` writes {"beta_d_delta", "policy", "max_beta_delta"}: the
-largest beta_delta with positive net work, ``engine.minimal_beta``, or null
-where the policy yields no work at any beta. Each ``engine frontier`` entry is
-its search's epsilon, whether the search converged or not. All angles are
+largest beta_delta with positive net work, ``engine.minimal_beta``, or null where
+the policy yields no work at any beta; it exits 3 where no root is verified. Each
+``engine frontier`` entry is its search's epsilon, converged or not. All angles are
 radians. CSV output uses 12 significant digits, a header row, and a
 trailing comment line recording the flags; the channel JSON records them as
 ``flags_cli``. Both record every flag except the output destination

@@ -167,24 +167,6 @@ def run_cycle(beta_delta: float, beta_d_delta: float, epsilon: float = 0.0) -> C
     )
 
 
-def _bisect(f, lo: float, hi: float, max_iter: int = 200):
-    """Plain bisection; assumes f(lo) and f(hi) have opposite signs. Stops on
-    an exact zero, a bracket narrower than 1e-17, or a midpoint that rounds
-    onto an end of the bracket (floats from 1/16 up are more than 1e-17 apart)."""
-    lo_negative = f(lo) < 0.0
-    root = 0.5 * (lo + hi)
-    for it in range(1, max_iter + 1):
-        root = 0.5 * (lo + hi)
-        fr = f(root)
-        if fr == 0.0 or (hi - lo) < 1e-17 or root == lo or root == hi:
-            return root, fr, it
-        if (fr < 0.0) == lo_negative:
-            lo = root
-        else:
-            hi = root
-    return root, f(root), max_iter
-
-
 #: Newton in t = ln(eps/(1-eps)) (ds/dt in [1/2, 1] on the bracket) ends one
 #: evaluation after a step this short, whose error is about its square, or after
 #: bisecting a sign bracket this narrow, where the level's round-off swamps s ...
@@ -360,42 +342,55 @@ def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
 
 
 def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
-    """Largest working-reservoir beta_delta with positive net work under a policy.
-
-    Net work is 2 (p_e - eps)(1 - R/beta_d_delta), R the entropy cost ratio
-    at the policy's eps (+inf once p_e <= eps); the optimal policies share R's
-    minimum over eps, opt-eta's objective. R rises with beta_delta, so the
-    answer is the one root of R = beta_d_delta on [0, beta_d_delta], bisected;
-    NaN when R at beta_delta = 0 is not below beta_d_delta (e.g. the ideal
-    policy at beta_d_delta <= 2 ln 2). ParameterError when R at beta_d_delta is
-    not above it either: p_e stops falling at BETA_DELTA_CAP, so for the ideal
-    and fixed policies beyond about beta_d_delta = 745 no root is left to
-    bracket (the optimal ones stop converging long before).
-    """
+    """Largest working-reservoir beta_delta with positive net work under a policy: the
+    root of R = beta_d_delta, R the entropy cost ratio at the policy's eps (+inf once p_e
+    <= eps; the optimal policies share its minimum over eps), rising with beta_delta. Ideal
+    and fixed policies give NaN if R(0) >= beta_d_delta and ParameterError if R(beta_d_delta)
+    <= beta_d_delta (p_e stops falling at BETA_DELTA_CAP). Newton from max(beta_d_delta - 1,
+    beta_d_delta/2) takes dR/dbeta_delta = -p_e p_g [H'[x](1 - 2 eps) - R]/(p_e - eps), x =
+    p_e + eps(1-2p_e): exact at a fixed eps and, by the envelope theorem, at eps*. Steps out
+    of the bracket are bisected; the update one evaluation after a step below _T_SETTLED
+    beta_delta is returned once R is seen on both sides of beta_d_delta (if need be just
+    above a root reached from below), else ConvergenceError, as where p_e rounds to 1/2."""
     _check_beta_d(beta_d_delta)
-    name, fixed = parse_policy(policy)
+    fixed, opt = parse_policy(policy)[1], policy.startswith("opt-")
 
-    def excess(beta_delta: float) -> float:
-        _, p_e = thermal_wit(beta_delta)
-        if not name.startswith("opt-"):
-            if fixed:
-                return (_entropy_cost_ratio(p_e, fixed) if p_e > fixed else math.inf) - beta_d_delta
-            # R(p_e, 0) with ln p_e = -x - ln(1 + e^-x), exact where p_e is subnormal
-            x = min(beta_delta, BETA_DELTA_CAP)
-            ratio = x + math.log1p(math.exp(-x)) - (1.0 - p_e) * math.log1p(-p_e) / p_e
-            return ratio - beta_d_delta
-        # eps* lies below the floor wherever p_e <= 2 EPS_FLOOR; opt-eta reports
-        # that as non-convergence at 2 EPS_FLOOR, where its bracket is one point
-        return _converged(policy, p_e, _eta_search(max(p_e, 2.0 * EPS_FLOOR)))[1] - beta_d_delta
+    def ratio(beta_delta: float) -> tuple[float, float]:  # R and dR/dbeta_delta
+        p_g, p_e = thermal_wit(beta_delta)
+        hp = min(beta_delta, BETA_DELTA_CAP)  # H'[p_e]: the slope's H'[x](1 - 2 eps) at eps = 0
+        if opt:  # eps* < EPS_FLOOR below 2 EPS_FLOOR: a search that does not converge
+            eps, r = _converged(policy, p_e, _eta_search(max(p_e, 2.0 * EPS_FLOOR)))[:2]
+        elif fixed:
+            eps, r = fixed, _entropy_cost_ratio(p_e, fixed) if p_e > fixed else math.inf
+        else:  # R(p_e, 0) with ln p_e = -hp - ln(1 + e^-hp), exact where p_e is subnormal
+            eps, r = 0.0, hp + math.log1p(math.exp(-hp)) - (1.0 - p_e) * math.log1p(-p_e) / p_e
+        hp = (1.0 - 2.0 * eps) * bit_entropy_prime(p_e + eps * (1.0 - 2.0 * p_e)) if eps else hp
+        return r, p_g * (r - hp) * (p_e / (p_e - eps)) if p_e > eps else math.nan
 
-    if not excess(0.0) < 0.0:
+    lo, hi, seen = 0.0, min(beta_d_delta, BETA_DELTA_CAP), not opt  # R above at hi once seen
+    if not opt and not ratio(lo)[0] < beta_d_delta:  # R* is 0 there
         return math.nan
-    if not name.startswith("opt-") and not excess(beta_d_delta) > 0.0:
+    if not opt and not ratio(hi)[0] > beta_d_delta:
         raise ParameterError(
             f"beta_d_delta = {beta_d_delta} lies past what p_e resolves: beta_delta "
             f"is capped at BETA_DELTA_CAP = {BETA_DELTA_CAP}, so net work under policy "
             f"{policy} does not change sign on [0, beta_d_delta]")
-    return float(_bisect(excess, 0.0, beta_d_delta)[0])
+    b, settled = min(max(beta_d_delta - 1.0, 0.5 * beta_d_delta), hi), False
+    for _ in _STEPS:
+        r, slope = ratio(b)
+        lo, hi, seen = (b, hi, seen) if r < beta_d_delta else (lo, b, True)
+        step = (r - beta_d_delta) / slope if slope > 0.0 else math.nan
+        if settled and seen and slope > 0.0:
+            return min(max(b - step, lo), hi)
+        if settled and not seen:  # reached from below only: evaluate just above the root
+            b = min(hi, b - step + abs(step) + 1e-12 * b)  # hi where no slope was found
+        elif lo <= b - step <= hi:
+            b, settled = b - step, -_T_SETTLED * b <= step <= _T_SETTLED * b
+        elif seen and not lo < 0.5 * (lo + hi) < hi:  # lo and hi are adjacent floats
+            return b
+        else:  # without a sign change seen, bisected until the steps run out
+            b, settled = 0.5 * (lo + hi), False
+    raise ConvergenceError(f"policy {policy} failed to converge: no root seen below {beta_d_delta}")
 
 
 def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
@@ -405,8 +400,8 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     Rows are pure functions of their grid point (safe to compute in
     parallel); ordering follows the input grid. Each row holds the fields of
     ``run_cycle`` at its point, computed without building its dataclasses.
-    The policy is parsed once, before any row: a bad policy raises first,
-    even for an empty grid.
+    The policy is parsed once, before any row, and beta_d_delta checked after
+    the first epsilon: either raises even for an empty grid.
     """
     name, fixed = parse_policy(policy)
     rows = []
@@ -418,6 +413,8 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
         heat, _, _, net, eta_2cy = _cycle(p_e, eps, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
                      "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
+    if not rows:  # the first row checked it; an empty grid is refused it too
+        _check_beta_d(beta_d_delta)
     return rows
 
 
@@ -425,8 +422,8 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
     """Optimal impurities versus excited-state occupation.
 
     Each row carries eps_eta (demon-temperature independent) and one eps_w_bd{:g}
-    column per requested beta_d_delta, refused if two values name one column;
-    each entry is the optimiser's epsilon_star, converged or not.
+    column per requested beta_d_delta, refused if out of range (with no p_e too) or if
+    two values name one column; each entry is the optimiser's epsilon_star, converged or not.
     """
     columns = {}
     for bd in map(float, beta_d_deltas):
@@ -435,6 +432,9 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
             raise ParameterError(f"beta_d_delta values {columns[name]!r} and {bd!r} "
                                  f"both name the frontier column {name}")
         columns[name] = bd
-    return [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
+    rows = [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
              **{name: _power_search(pe, bd)[0] for name, bd in columns.items()}}
             for pe in map(float, pe_values)]
+    for bd in columns.values():  # for no p_e: with any, the first row's searches have raised
+        _check_beta_d(bd)
+    return rows

@@ -290,6 +290,9 @@ def _later_cases() -> list[list[str]]:
         ["channel", "--theta", "0.4\t", "--demon", "mixture", "\u20030.25"],
         ["channel", "--eta=1.2\n", "--demon", "superposition", "1", "\u0662", "--output", OUT],
     ]
+    # opt-eta thresholds where p_e rounds to 1/2 (no root seen: exit 3) and past 17.31
+    cases += [["engine", "threshold", "--policy", "opt-eta", "--beta-d-delta", bd]
+              for bd in ("1e-20", "17.5")]
     return cases
 
 
@@ -309,7 +312,11 @@ SHOWN = {
     ("engine",),
     ("engine", "report", "--beta-delta", "1", "--beta-d-delta", "3", "7", "nan"),
     ("gates", "--which", "PSWAP", "--format", "csv", "--phase", "0.3"),
-    ("engine", "threshold", "--policy", "opt-power", "--beta-d-delta", "2"),
+    # every threshold case shows its digits, so that a re-pinned threshold shows in diffs
+    *[("engine", "threshold", "--policy", policy, "--beta-d-delta", bd)
+      for policy in POLICIES[:4] for bd in ("1", "2", "17", "40")],
+    *[("engine", "threshold", "--policy", "opt-eta", "--beta-d-delta", bd)
+      for bd in ("1e-20", "17.5")],
     ("engine", "report", "--beta-d-delta", "5e-309"),
     ("engine", "report", "--policy", "fixed:0.1\t"),
     ("channel", "--theta", "0.4\t", "--demon", "mixture", "\u20030.25"),

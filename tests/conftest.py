@@ -78,6 +78,25 @@ def net_work_per_delta(p_e, eps, bd_delta):
     return 2.0 * (p_e - eps - (eng.bit_entropy(x) - eng.bit_entropy(eps)) / bd_delta)
 
 
+def bisect(f, lo, hi, max_iter=200):
+    """Plain bisection, the scan oracles' root polish; assumes f(lo) and f(hi) have
+    opposite signs. Returns (root, f(root), steps) on an exact zero, a bracket
+    narrower than 1e-17 or a midpoint that rounds onto an end of the bracket
+    (floats from 1/16 up are more than 1e-17 apart), else after max_iter steps."""
+    lo_negative = f(lo) < 0.0
+    root = 0.5 * (lo + hi)
+    for it in range(1, max_iter + 1):
+        root = 0.5 * (lo + hi)
+        fr = f(root)
+        if fr == 0.0 or (hi - lo) < 1e-17 or root == lo or root == hi:
+            return root, fr, it
+        if (fr < 0.0) == lo_negative:
+            lo = root
+        else:
+            hi = root
+    return root, f(root), max_iter
+
+
 def power_stationarity(p_e, bd_delta, eps):
     """s(eps) = xi H'[p_e + eps xi] - H'[eps] + beta_d_delta, xi = 1 - 2 p_e:
     the function optimize_epsilon_power finds the root of."""

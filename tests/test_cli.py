@@ -342,6 +342,25 @@ def test_engine_threshold_nonconvergence_exits_3(capsys):
     assert captured.err.startswith("non-convergence: policy opt-eta failed to converge")
 
 
+@pytest.mark.parametrize("policy", ["opt-eta", "opt-power"])
+@pytest.mark.parametrize("bd_delta", ["1e-20", "1e-300"])
+def test_engine_threshold_exits_3_where_p_e_rounds_to_one_half(capsys, policy, bd_delta):
+    # p_e rounds to 1/2 there, so R is never seen above beta_d_delta: no root
+    code = main(["engine", "threshold", "--policy", policy, "--beta-d-delta", bd_delta])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (f"non-convergence: policy {policy} failed to converge: "
+                            f"no root seen below {float(bd_delta)}\n")
+
+
+def test_engine_threshold_answers_at_17_5(capsys):
+    # opt thresholds are answered up to about beta_d_delta = 17.77
+    code, doc = run_json(capsys, ["engine", "threshold", "--policy", "opt-eta",
+                                  "--beta-d-delta", "17.5"])
+    assert code == 0 and doc["max_beta_delta"] == eng.minimal_beta(17.5, "opt-eta")
+    assert 16.4 < doc["max_beta_delta"] < 16.5
+
+
 def cycle_json(report):
     """The hand-written `engine report` document the CLI once built: the
     oracle for the one built from the dataclass."""

@@ -15,9 +15,9 @@ from mpmath import mp
 from qdemon import engine as eng
 from qdemon import qmatrix as qm
 from qdemon.circuits import CNOT_UP, HBAR, u14
-from conftest import (dag, half_rabi, level_search, net_work_per_delta, oracle_eta, oracle_power,
-                      partial_trace, power_stationarity, pswap_route, ratio_round_off,
-                      search_bracket, stationarity_base)
+from conftest import (bisect, dag, half_rabi, level_search, net_work_per_delta, oracle_eta,
+                      oracle_power, partial_trace, power_stationarity, pswap_route,
+                      ratio_round_off, search_bracket, stationarity_base)
 
 LN2 = math.log(2)
 
@@ -351,7 +351,7 @@ def scalar_eta_scan(p_e):
         if values[i] == 0.0:
             roots.append(float(grid[i]))
         elif values[i] * values[i + 1] < 0.0:
-            root, _, iters = eng._bisect(stationarity, float(grid[i]), float(grid[i + 1]))
+            root, _, iters = bisect(stationarity, float(grid[i]), float(grid[i + 1]))
             roots.append(root)
             total_iters += iters
     if not roots:
@@ -661,7 +661,7 @@ def scan_minimal_beta(bd_delta, policy):
     i = positive[-1]
     if i == len(grid) - 1:
         return float(grid[-1])
-    return eng._bisect(net, float(grid[i]), float(grid[i + 1]), max_iter=100)[0]
+    return bisect(net, float(grid[i]), float(grid[i + 1]), max_iter=100)[0]
 
 
 def minimal_beta_outcome(find, *args):
@@ -695,6 +695,64 @@ def test_minimal_beta_matches_the_scan():
         if got == "number":
             assert abs(value - want_value) <= 1e-11 * want_value, case
     assert seen == {"no convergence", "nan", "number"}
+
+
+def mp_minimal_beta(bd_delta, eps, guess):
+    """The root of R(beta_delta) = bd_delta at a fixed eps (0 for the ideal policy),
+    polished from guess: entropies by log1p, at bd_delta/2.3 + 40 digits, so that
+    1 - p_e keeps 40 digits of p_e ~ e^-beta_delta."""
+    with mp.workdps(int(bd_delta / 2.3) + 40):
+        e = mp.mpf(eps)
+
+        def entropy(y):
+            return -y * mp.log(y) - (1 - y) * mp.log1p(-y)
+
+        def ratio(beta_delta):
+            p = 1 / (1 + mp.exp(beta_delta))
+            x = p + e * (1 - 2 * p)
+            return (entropy(x) - (entropy(e) if e else 0)) / (p - e)
+
+        return mp.findroot(lambda b: ratio(b) - bd_delta, mp.mpf(guess))
+
+
+@pytest.mark.parametrize("policy, eps", [("ideal", 0.0), ("fixed:0.01", 0.01),
+                                         ("fixed:0.2", 0.2), ("fixed:0.45", 0.45)])
+def test_minimal_beta_within_4e_15_of_the_mpmath_root(policy, eps):
+    # a few ulps: R's own round-off; the worst seen over this grid is 1.9e-15
+    for bd_delta in map(float, np.geomspace(1.5, 740.0, 61)):
+        got = eng.minimal_beta(bd_delta, policy)
+        want = mp_minimal_beta(bd_delta, eps, got)
+        assert abs(got - want) <= 4e-15 * want, (bd_delta, got, want)
+
+
+def test_minimal_beta_opt_eta_takes_at_most_8_searches():
+    # one opt-eta search per Newton step
+    calls = []
+    search = eng._eta_search
+    with mock.patch.object(eng, "_eta_search", lambda p_e: calls.append(p_e) or search(p_e)):
+        for bd_delta in map(float, np.geomspace(0.05, 17.3, 800)):
+            calls.clear()
+            beta = eng.minimal_beta(bd_delta, "opt-eta")
+            assert 0.0 < beta < bd_delta and 1 <= len(calls) <= 8, (bd_delta, len(calls))
+
+
+@pytest.mark.parametrize("policy", ["opt-eta", "opt-power"])
+@pytest.mark.parametrize("bd_delta", [1e-300, 1e-20, 1e-17, 5e-17, eng.BETA_D_MIN])
+def test_minimal_beta_refuses_where_p_e_rounds_to_one_half(policy, bd_delta):
+    # R* reads 0 wherever p_e rounds to 1/2, so R is never seen above bd_delta
+    with pytest.raises(qm.ConvergenceError, match=re.escape(
+            f"policy {policy} failed to converge: no root seen below {bd_delta}")):
+        eng.minimal_beta(bd_delta, policy)
+
+
+@pytest.mark.parametrize("bd_delta", [17.35, 17.5, 17.7])
+def test_minimal_beta_answers_past_17_31(bd_delta):
+    # Newton starts at bd_delta - 1, next to the root, and never steps to the colder
+    # p_e whose eps* lies below EPS_FLOOR
+    beta = eng.minimal_beta(bd_delta, "opt-eta")
+    assert repr(beta) == repr(eng.minimal_beta(bd_delta, "opt-power"))
+    net = policy_net_work("opt-eta", bd_delta)
+    assert net(beta * (1.0 - 1e-9)) > 0.0 > net(beta * (1.0 + 1e-9))
 
 
 def test_carnot_bound_on_grid():
@@ -775,7 +833,7 @@ def test_sweep_refuses_beta_d_delta_as_the_cycle_does(policy, beta_d_delta):
     want = outcome(lambda: [cycle_row(beta_d_delta, policy, 1.0)])
     assert outcome(eng.sweep_beta, beta_d_delta, policy, [1.0]) == want
     assert not isinstance(want, list)
-    assert eng.sweep_beta(beta_d_delta, policy, []) == []
+    assert outcome(eng.sweep_beta, beta_d_delta, policy, []) == want  # an empty grid too
 
 
 @pytest.mark.parametrize("policy", ["bogus", "fixed:0.9", "fixed:x"])
@@ -894,6 +952,16 @@ def test_frontier_refuses_two_values_for_one_column(bds, names):
                               f"eps_w_bd{bds[-1]:g}")
     with pytest.raises(qm.ParameterError):  # before any row
         eng.frontier_epsilons([], bds)
+
+
+@pytest.mark.parametrize("bds", [[math.nan], [2.0, 0.0], [1e-310], [math.inf, 3.0]])
+def test_frontier_refuses_a_bad_beta_d_delta_without_p_e(bds):
+    want = outcome(eng.frontier_epsilons, [0.3], bds)
+    assert want[0] is qm.ParameterError and want[1].startswith("beta_d_delta must be")
+    assert outcome(eng.frontier_epsilons, [], bds) == want
+    # with p_e values the order stays: a bad p_e is refused ahead of beta_d_delta
+    assert outcome(eng.frontier_epsilons, [0.7], bds)[1] == "p_e must lie in (0, 1/2], got 0.7"
+    assert eng.frontier_epsilons([], [2.0, 3.0]) == []
 
 
 def test_frontier_epsilon_orderings():
@@ -1030,12 +1098,14 @@ def width_only_bisect(f, lo, hi, max_iter=200):
 
 
 def test_bisect_returns_its_last_midpoint_when_max_iter_runs_out():
-    # midpoints 1.5, 1.25, 1.375 of x^2 - 2 on [1, 2]: none stops the loop
-    assert eng._bisect(lambda x: x * x - 2.0, 1.0, 2.0, max_iter=3) == (1.375, 1.375**2 - 2.0, 3)
+    # conftest's bisect, with which the scan oracles polish their roots: its midpoints
+    # 1.5, 1.25, 1.375 of x^2 - 2 on [1, 2]: none stops the loop
+    assert bisect(lambda x: x * x - 2.0, 1.0, 2.0, max_iter=3) == (1.375, 1.375**2 - 2.0, 3)
 
 
 @pytest.mark.parametrize("max_iter", [200, 100])
 def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
+    # the scan oracles' bisect ends; the eps search lands within 4 ulps of the root
     _, p_e = eng.thermal_wit(1e-6)  # the `engine optimize` defaults
     cases = [
         (lambda eps: power_stationarity(p_e, 2.0, eps), *power_bracket(p_e)),
@@ -1044,7 +1114,7 @@ def test_bisect_stops_when_midpoint_reaches_bracket_end(max_iter):
     ]
     for f, lo, hi in cases:
         want_root, want_fr, want_iters = width_only_bisect(f, lo, hi, max_iter)
-        root, fr, iters = eng._bisect(f, lo, hi, max_iter)
+        root, fr, iters = bisect(f, lo, hi, max_iter)
         assert want_root > 0.05 and want_iters == max_iter  # the old loop spun to the cap
         assert (root, fr) == (want_root, want_fr)
         assert iters < max_iter
