@@ -17,6 +17,7 @@ the channel unital, |γ| = 1 marks maximal purification.
 A ``ChannelConfig`` builds U and γ on first use and keeps them, so
 ``apply_channel`` and ``entropy_gain`` on one config build each once; the
 cached values are those ``joint_unitary`` and ``gamma`` return, bit for bit.
+``ChannelConfig(...)`` checks its arrays; ``_built`` keeps the spin, double-dot and MZI builders'.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class ChannelConfig:
 
     ``lead_unitaries`` is ordered (u1, u2, u3, u4): u1/u2 act when the flying
     qubit passes incoming lead 0/1, u3/u4 when it leaves through outgoing
-    lead 0/1.
+    lead 0/1. ``ChannelConfig(...)`` checks every array and keeps read-only copies.
     """
 
     scattering: np.ndarray
@@ -64,14 +65,19 @@ class ChannelConfig:
             if getattr(m, "shape", None) != (2, 2) and np.shape(m) != (2, 2):
                 check_unitary(m)    # its own fault first: non-square, non-finite, non-unitary
                 raise InvalidStateError(f"lead/demon matrix {name} must be 2x2")
-        us = check_unitary(np.array(mats, dtype=complex))
-        r = check_density_matrix(self.demon_state)
-        if r.shape != (2, 2):
-            raise InvalidStateError("lead/demon matrix demon_state must be 2x2")
-        r = r.copy(); us.setflags(write=False); r.setflags(write=False)
-        object.__setattr__(self, "scattering", us[0])
-        object.__setattr__(self, "lead_unitaries", (us[1], us[2], us[3], us[4]))
-        object.__setattr__(self, "demon_state", r)
+        self._keep(check_unitary(np.array(mats, dtype=complex)), _check_demon(self.demon_state))
+
+    @classmethod
+    def _built(cls, s, u1, u2, u3, u4, demon) -> ChannelConfig:
+        """Arrays the package built from checked input, kept as ChannelConfig(...) but unchecked."""
+        return object.__new__(cls)._keep(np.array((s, u1, u2, u3, u4), dtype=complex), demon)
+
+    def _keep(self, us: np.ndarray, demon: np.ndarray) -> ChannelConfig:
+        """Set the fields, read-only, from a (5, 2, 2) stack of unitaries and a demon state."""
+        us.setflags(write=False); demon.setflags(write=False)
+        vars(self).update(scattering=us[0], lead_unitaries=(us[1], us[2], us[3], us[4]),
+                          demon_state=demon)    # vars(): past the frozen __setattr__
+        return self
 
     # U and γ of the read-only members above, built on first use by the module's
     # joint_unitary and gamma as they are bound then (so a wrapper sees each build).
@@ -85,6 +91,14 @@ class ChannelConfig:
     @cached_property
     def _gamma(self) -> complex:
         return gamma(self)
+
+
+def _check_demon(demon) -> np.ndarray:
+    """A copy of a checked demon state; the state check's fault precedes the 2x2 refusal."""
+    r = check_density_matrix(demon)
+    if r.shape != (2, 2):
+        raise InvalidStateError("lead/demon matrix demon_state must be 2x2")
+    return r.copy()
 
 
 @dataclass(frozen=True)

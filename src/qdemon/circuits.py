@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelReport, apply_channel
+from .channel import ChannelConfig, ChannelReport, _check_demon, apply_channel
 from .qmatrix import ParameterError, _require_finite, tensor
 from .spin_demon import I2, beam_splitter
 
@@ -54,6 +54,8 @@ CNOT_DOWN = np.array([[1, 0, 0, 0],
                       [0, 1, 0, 0],
                       [0, 0, 0, 1],
                       [0, 0, 1, 0]], dtype=complex)
+for _gate in (SIGMA_Z, HADAMARD, HBAR, CNOT_UP, CNOT_DOWN):
+    _gate.setflags(write=False)     # shared: `qdemon gates --which CNOT` returns CNOT_UP itself
 
 
 def u14(phase: float) -> np.ndarray:
@@ -141,6 +143,6 @@ def double_dot_protocol(rho_in, dot_state, config: DoubleDotConfig,
         raise ParameterError(f"unknown dot basis {dot_basis!r}")
     q = u14(config.tunneling_phase)
     d = conditional_pi_phase(config.interaction_phase)[:2, :2]
-    leads = (q @ d @ q, q @ q, d, I2)
-    return apply_channel(rho_in, ChannelConfig(beam_splitter(config.theta, config.eta),
-                                               leads, dot_state), (f"dot-basis-{dot_basis}",))
+    s = beam_splitter(config.theta, config.eta)   # from checked angles: stored unchecked
+    built = ChannelConfig._built(s, q @ d @ q, q @ q, d, I2, _check_demon(dot_state))
+    return apply_channel(rho_in, built, (f"dot-basis-{dot_basis}",))

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import apply_channel
 from .qmatrix import ParameterError, _require_finite
-from .spin_demon import SpinDemonParams, scatter
+from .spin_demon import SpinDemonParams, _spin_config
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ def run_double_mzi(config: MziConfig) -> VisibilityReport:
     """Propagate one flying qubit through both loops for every flux sample.
 
     Loop 1 leaves ρ01 = z = -(1/2) cos χ e^{ia}; the bypass makes it
-    (e^{2iθ} z - e^{-2iη} z*)/2, one channel call with the demon diag(1-ε, ε)
-    whatever χ and a are. Every flux sample is 1/2 ± Re(e^{iΦ} ρ01).
+    (e^{2iθ} z - e^{-2iη} z*)/2, and ``apply_channel`` gives it on a config with the demon
+    diag(1-ε, ε), built unchecked, whatever χ and a are. Every flux sample is 1/2 ± Re(e^{iΦ} ρ01).
     """
     z = -0.5 * math.cos(config.chi) * cmath.exp(1j * config.arm_phase)
     if config.bypass_demon:
@@ -81,8 +82,8 @@ def run_double_mzi(config: MziConfig) -> VisibilityReport:
         coherence = 0.5 * (cmath.exp(2j * theta) * z - cmath.exp(-2j * eta) * z.conjugate())
     else:
         rho = np.array([[0.5, z], [z.conjugate(), 0.5]])
-        demon = np.diag([1.0 - config.epsilon, config.epsilon])
-        coherence = scatter(rho, demon, config.params).rho_out[0, 1]
+        demon = np.array([[1.0 - config.epsilon, 0.0], [0.0, config.epsilon]], dtype=complex)
+        coherence = apply_channel(rho, _spin_config(config.params, demon)).rho_out[0, 1]
     flux = np.linspace(0.0, 2.0 * np.pi, config.flux_samples, endpoint=False)
     fringe = (np.exp(1j * flux) * coherence).real
     p3 = 0.5 + fringe

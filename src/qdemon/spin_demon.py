@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelConfig, ChannelReport, apply_channel
+from .channel import ChannelConfig, ChannelReport, _check_demon, apply_channel
 from .qmatrix import ATOL, ParameterError, _require_finite
 
 I2 = np.eye(2, dtype=complex)
+I2.setflags(write=False)    # shared by every spin and double-dot config, stored unchecked
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,14 @@ def demon_unitaries(params: SpinDemonParams) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spin_config(params: SpinDemonParams, demon_state) -> ChannelConfig:
-    """ChannelConfig with the rotations on leads 0 only (u2 = u4 = identity)."""
+    """ChannelConfig with the rotations on leads 0 only (u2 = u4 = 1); checks only the demon."""
+    return _spin_config(params, _check_demon(demon_state))
+
+
+def _spin_config(params: SpinDemonParams, demon: np.ndarray) -> ChannelConfig:
+    """spin_config of a 2x2 demon that the package built or checked; checks nothing."""
     u1, u3 = demon_unitaries(params)
-    return ChannelConfig(
-        scattering=beam_splitter(params.theta, params.eta),
-        lead_unitaries=(u1, I2, u3, I2),
-        demon_state=np.asarray(demon_state, dtype=complex),
-    )
+    return ChannelConfig._built(beam_splitter(params.theta, params.eta), u1, I2, u3, I2, demon)
 
 
 def scatter(rho_in, demon, params: SpinDemonParams) -> ChannelReport:
@@ -96,12 +98,8 @@ def demon_state_from_spec(kind: str, value=None) -> np.ndarray:
     kind: "up" | "down" | "mixture" (value = weight of up) |
     "superposition" (value = [a, b] amplitudes, normalised here).
     """
-    if kind == "up":
-        return np.diag([1.0, 0.0]).astype(complex)
-    if kind == "down":
-        return np.diag([0.0, 1.0]).astype(complex)
-    if kind == "mixture":
-        p = float(value)
+    if kind in ("up", "down", "mixture"):
+        p = float(value) if kind == "mixture" else float(kind == "up")
         if not 0.0 <= p <= 1.0:
             raise ParameterError(f"mixture weight must be in [0, 1], got {p}")
         return np.diag([p, 1.0 - p]).astype(complex)

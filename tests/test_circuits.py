@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from qdemon import channel as ch
 from qdemon import circuits as qc
 from qdemon import qmatrix as qm
 from qdemon.channel import ChannelConfig, apply_channel, gamma
@@ -311,19 +312,25 @@ def test_protocol_dot_basis_flagged():
 
 def test_protocol_validates_once_and_builds_one_config(monkeypatch, rng):
     # rho_in and the dot are each decomposed once to validate them, rho_out and
-    # rho_in once more for the entropies; the spin config serves dot and γ alike
-    eig_calls, configs = [], []
-    eigvalsh, post_init = np.linalg.eigvalsh, ChannelConfig.__post_init__
+    # rho_in once more for the entropies; the leads and splitter, made from checked
+    # angles, go into one config unchecked
+    eig_calls, unitary_checks, state_checks, configs = [], [], [], []
+    eigvalsh, built = np.linalg.eigvalsh, ChannelConfig._built
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eig_calls.append(1) or eigvalsh(m))
-    monkeypatch.setattr(ChannelConfig, "__post_init__",
-                        lambda self: configs.append(1) or post_init(self))
+    monkeypatch.setattr(ch, "check_unitary",
+                        lambda u: unitary_checks.append(1) or qm.check_unitary(u))
+    monkeypatch.setattr(ch, "check_density_matrix",
+                        lambda r: state_checks.append(r) or qm.check_density_matrix(r))
+    monkeypatch.setattr(ChannelConfig, "_built",
+                        classmethod(lambda cls, *arrays: configs.append(1) or built(*arrays)))
     for basis in ("physical", "operational"):
-        eig_calls.clear()
-        configs.clear()
+        for log in (eig_calls, unitary_checks, state_checks, configs):
+            log.clear()
         config = qc.DoubleDotConfig(*rng.uniform(-np.pi, np.pi, size=4))
-        qc.double_dot_protocol(random_density(rng), random_density(rng), config,
-                               dot_basis=basis)
-        assert (len(eig_calls), len(configs)) == (4, 1)
+        rho_in, dot = random_density(rng), random_density(rng)
+        qc.double_dot_protocol(rho_in, dot, config, dot_basis=basis)
+        assert (len(eig_calls), len(unitary_checks), len(configs)) == (4, 0, 1)
+        assert [id(r) for r in state_checks] == [id(dot), id(rho_in)]   # the dot checked first
 
 
 def test_canonical_phases_give_real_circuits():

@@ -8,6 +8,7 @@ import pytest
 
 from qdemon import interferometer
 from qdemon import qmatrix as qm
+from qdemon.channel import apply_channel
 from qdemon.interferometer import MziConfig, run_double_mzi
 from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
 from conftest import partial_trace
@@ -88,18 +89,23 @@ def test_demon_path_forgets_dephasing_and_arm_phase(rng):
             assert np.abs(run.p3 - runs[0].p3).max() <= 1e-15
 
 
-def test_scatter_runs_once_with_the_demon_and_never_without(monkeypatch):
-    calls = []
+def test_apply_channel_runs_once_with_the_demon_and_never_without(monkeypatch):
+    # the demon diag(1 - ε, ε) goes in unchecked: eigvalsh validates rho, then
+    # gives S(rho_out) and S(rho); the bypass calls neither
+    calls, eig_calls = [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eig_calls.append(1) or eigvalsh(m))
 
     def counted(*args):
         calls.append(args)
-        return scatter(*args)
+        return apply_channel(*args)
 
-    monkeypatch.setattr(interferometer, "scatter", counted)
-    for bypass, expected in ((False, 1), (True, 0)):
+    monkeypatch.setattr(interferometer, "apply_channel", counted)
+    for bypass, expected in ((False, (1, 3)), (True, (0, 0))):
         calls.clear()
+        eig_calls.clear()
         run_double_mzi(MziConfig(chi=0.8, epsilon=0.1, bypass_demon=bypass))
-        assert len(calls) == expected
+        assert (len(calls), len(eig_calls)) == expected
 
 
 def test_full_dephasing_pure_demon_restores_visibility():
