@@ -44,13 +44,14 @@ from .qmatrix import (
 UNITAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelConfig:
     """Scattering matrix, four per-lead demon rotations, and the demon state.
 
     ``lead_unitaries`` is ordered (u1, u2, u3, u4): u1/u2 act when the flying
     qubit passes incoming lead 0/1, u3/u4 when it leaves through outgoing
     lead 0/1. ``ChannelConfig(...)`` checks every array and keeps read-only copies.
+    Configs and reports hold arrays, so they compare and hash by identity.
     """
 
     scattering: np.ndarray
@@ -101,7 +102,7 @@ def _check_demon(demon) -> np.ndarray:
     return r.copy()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelReport:
     """Full bookkeeping of one channel application.
 

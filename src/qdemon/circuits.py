@@ -54,8 +54,15 @@ CNOT_DOWN = np.array([[1, 0, 0, 0],
                       [0, 1, 0, 0],
                       [0, 0, 0, 1],
                       [0, 0, 1, 0]], dtype=complex)
-for _gate in (SIGMA_Z, HADAMARD, HBAR, CNOT_UP, CNOT_DOWN):
-    _gate.setflags(write=False)     # shared: `qdemon gates --which CNOT` returns CNOT_UP itself
+
+#: purification circuit CNOT · (H̄ ⊗ H̄) · CNOT
+UD = CNOT_UP @ tensor(HBAR, HBAR) @ CNOT_UP
+#: basis-reduced partial SWAP (H̄⁻¹ ⊗ H̄) · UD; a pure permutation
+VD = tensor(np.linalg.inv(HBAR), HBAR) @ UD
+#: full SWAP = CNOT(control active on system-down) · VD
+SWAP = CNOT_DOWN @ VD
+for _gate in (SIGMA_Z, HADAMARD, HBAR, CNOT_UP, CNOT_DOWN, UD, VD, SWAP):
+    _gate.setflags(write=False)     # shared: `qdemon gates --which UD` returns UD itself
 
 
 def u14(phase: float) -> np.ndarray:
@@ -75,21 +82,6 @@ def conditional_pi_phase(phi: float) -> np.ndarray:
     _require_finite(phi=phi)
     e = cmath.exp(1j * phi)
     return np.diag([e, -e, 1.0, 1.0])
-
-
-def build_UD() -> np.ndarray:
-    """Purification circuit CNOT · (H̄ ⊗ H̄) · CNOT."""
-    return CNOT_UP @ tensor(HBAR, HBAR) @ CNOT_UP
-
-
-def build_VD() -> np.ndarray:
-    """Basis-reduced partial SWAP (H̄⁻¹ ⊗ H̄) · UD; a pure permutation."""
-    return tensor(np.linalg.inv(HBAR), HBAR) @ build_UD()
-
-
-def build_SWAP() -> np.ndarray:
-    """Full SWAP = CNOT(control active on system-down) · VD."""
-    return CNOT_DOWN @ build_VD()
 
 
 def _pswap_stages(phase: float) -> tuple[np.ndarray, ...]:

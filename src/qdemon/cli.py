@@ -44,7 +44,7 @@ from json.encoder import encode_basestring_ascii as _quote
 import numpy as np
 
 from . import engine as eng
-from .circuits import CNOT_UP, HBAR, build_SWAP, build_UD, build_VD, pswap_gate, u14
+from .circuits import CNOT_UP, HBAR, SWAP, UD, VD, pswap_gate, u14
 from .interferometer import MziConfig, run_double_mzi
 from .qmatrix import InvalidStateError, ParameterError, _require_finite
 from .spin_demon import SpinDemonParams, demon_state_from_spec, scatter
@@ -196,13 +196,14 @@ def cmd_channel(args, argv) -> tuple[str, None]:
     return _json(doc), None
 
 
-_GATES = {"UD": lambda phase: build_UD(), "VD": lambda phase: build_VD(),
-          "SWAP": lambda phase: build_SWAP(), "CNOT": lambda phase: CNOT_UP,
-          "HBAR": lambda phase: HBAR, "U14": u14, "PSWAP": pswap_gate}
+#: each gate: its matrix, or the function of --phase that builds it
+_GATES = {"UD": UD, "VD": VD, "SWAP": SWAP, "CNOT": CNOT_UP, "HBAR": HBAR,
+          "U14": u14, "PSWAP": pswap_gate}
 
 
 def cmd_gates(args, argv) -> tuple[str, None]:
-    matrix = _GATES[args.which](args.phase)
+    gate = _GATES[args.which]
+    matrix = gate(args.phase) if callable(gate) else gate
     if args.format == "json":
         return _json({**_matrix_json(matrix), "gate": args.which}), None
     rows = []
@@ -364,18 +365,16 @@ def _parser():
     return parser, commands, {name: _grammar(sub) for name, sub in commands.items()}
 
 
-def _is_value(sub: argparse.ArgumentParser, word: str) -> bool:
-    """Whether ``sub`` reads ``word`` as a value: it opens with no prefix character, or it
-    is a negative number that ``sub`` does not read as an option."""
-    return (not word or word[0] not in sub.prefix_chars
-            or sub._negative_number_matcher.match(word) is not None
-            and sub._parse_optional(word) is None)
+def _is_value(word: str) -> bool:
+    """Whether every parser reads ``word`` as a value: it opens with no "-", or it is a
+    negative number, which no parser reads as an option (none has a negative-number one)."""
+    return not word or word[0] != "-" or _NEGATIVE_NUMBER.match(word) is not None
 
 
-def _read(sub, grammar, argv: list[str]) -> argparse.Namespace | None:
-    """``sub``'s namespace for the words after argv's subcommand if each is an exact plain
-    option string, one of its values (a "+" option takes the run) or a positional, each value
-    converts and meets its choices and each required dest is given; else None."""
+def _read(grammar, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of argv's words after the subcommand, by its ``grammar``, if each is an
+    exact plain option string, one of its values (a "+" option takes the run) or a positional,
+    each value converts and meets its choices and each required dest is given; else None."""
     options, positionals, defaults, required = grammar
     values, free, words, i = {}, iter(positionals), argv[1:], 0
     while i < len(words):
@@ -384,7 +383,7 @@ def _read(sub, grammar, argv: list[str]) -> argparse.Namespace | None:
             return None
         dest, convert, choices, nargs = entry
         i = stop = i + (words[i] in options)
-        while stop < len(words) and (nargs or stop == i) and _is_value(sub, words[stop]):
+        while stop < len(words) and (nargs or stop == i) and _is_value(words[stop]):
             stop += 1
         try:
             got = [convert(word) for word in words[i:stop]]
@@ -409,7 +408,7 @@ def _parse(argv: list[str]) -> tuple[argparse.ArgumentParser, argparse.Namespace
     if not argv or argv[0] not in commands:
         return parser, parser.parse_args(argv)
     sub = commands[argv[0]]
-    args = _read(sub, grammars[argv[0]], argv)
+    args = _read(grammars[argv[0]], argv)
     if args is None:
         args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
         if extra:

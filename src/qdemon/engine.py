@@ -245,8 +245,6 @@ def _power_search(p_e: float, beta_d_delta: float):
     root found, converged), the fields ``optimize_epsilon_power`` reports."""
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    if not BETA_D_MIN <= beta_d_delta <= sys.float_info.max:
-        _check_beta_d(beta_d_delta)  # raises, with the message for the fault
     xi = 1.0 - 2.0 * p_e
     found = _max_net_work(p_e, xi, beta_d_delta, -xi * bit_entropy_prime(p_e) - beta_d_delta)
     return (*found, found[2] <= 1e-12)
@@ -266,6 +264,7 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     reported with iterations = 0 and roots = (). objective_value is the
     cycle's net work at eps*.
     """
+    _check_beta_d(beta_d_delta)
     eps, _, residual, iters, inside, converged = _power_search(p_e, beta_d_delta)
     return OptimizationResult(eps, _cycle(p_e, eps, beta_d_delta)[3], converged,
                               iters, residual, (eps,) if inside else ())
@@ -327,7 +326,9 @@ def _converged(policy: str, p_e: float, found: tuple) -> tuple:
 
 def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
     """Demon impurity selected by a policy at the given operating point."""
-    return _resolve(policy, *parse_policy(policy), p_e, beta_d_delta)
+    name, fixed = parse_policy(policy)
+    _check_beta_d(beta_d_delta)
+    return _resolve(policy, name, fixed, p_e, beta_d_delta)
 
 
 def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
@@ -400,21 +401,17 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     Rows are pure functions of their grid point (safe to compute in
     parallel); ordering follows the input grid. Each row holds the fields of
     ``run_cycle`` at its point, computed without building its dataclasses.
-    The policy is parsed once, before any row, and beta_d_delta checked after
-    the first epsilon: either raises even for an empty grid.
+    The policy is parsed and beta_d_delta checked once, before any row.
     """
     name, fixed = parse_policy(policy)
+    _check_beta_d(beta_d_delta)
     rows = []
     for bd in map(float, beta_deltas):
         _, p_e = thermal_wit(bd)
         eps = _resolve(policy, name, fixed, p_e, beta_d_delta)
-        if not rows:  # beta_d_delta is checked once, after the first epsilon, as a report does
-            _check_beta_d(beta_d_delta)
         heat, _, _, net, eta_2cy = _cycle(p_e, eps, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
                      "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
-    if not rows:  # the first row checked it; an empty grid is refused it too
-        _check_beta_d(beta_d_delta)
     return rows
 
 
@@ -422,19 +419,17 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
     """Optimal impurities versus excited-state occupation.
 
     Each row carries eps_eta (demon-temperature independent) and one eps_w_bd{:g}
-    column per requested beta_d_delta, refused if out of range (with no p_e too) or if
+    column per requested beta_d_delta, refused before any row if out of range or if
     two values name one column; each entry is the optimiser's epsilon_star, converged or not.
     """
     columns = {}
     for bd in map(float, beta_d_deltas):
+        _check_beta_d(bd)
         name = f"eps_w_bd{bd:g}"
         if name in columns:
             raise ParameterError(f"beta_d_delta values {columns[name]!r} and {bd!r} "
                                  f"both name the frontier column {name}")
         columns[name] = bd
-    rows = [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
+    return [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
              **{name: _power_search(pe, bd)[0] for name, bd in columns.items()}}
             for pe in map(float, pe_values)]
-    for bd in columns.values():  # for no p_e: with any, the first row's searches have raised
-        _check_beta_d(bd)
-    return rows

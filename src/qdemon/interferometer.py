@@ -56,7 +56,7 @@ class MziConfig:
         _require_finite(chi=self.chi, arm_phase=self.arm_phase)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VisibilityReport:
     """Sampled output probabilities and their fringe visibility.
 

@@ -293,6 +293,16 @@ def _later_cases() -> list[list[str]]:
     # opt-eta thresholds where p_e rounds to 1/2 (no root seen: exit 3) and past 17.31
     cases += [["engine", "threshold", "--policy", "opt-eta", "--beta-d-delta", bd]
               for bd in ("1e-20", "17.5")]
+    # a bad beta_d_delta is refused (exit 2) before any epsilon search: at beta_delta = 30
+    # opt-eta does not converge (exit 3), and a p_e of 0.7 is out of range too
+    cases += [["engine", "report", "--beta-delta", "30", "--policy", "opt-eta",
+               "--beta-d-delta", bd] for bd in ("nan", "-1", "1e-320")]
+    cases += [
+        ["engine", "sweep", "--policy", "opt-eta", "--beta-d-delta", "-1",
+         "--beta-max-frac", "-30", "--beta-min", "30", "--steps", "2"],
+        ["engine", "optimize", "--target", "power", "--pe", "0.7", "--beta-d-delta", "-1"],
+        ["engine", "frontier", "--pe", "0.7", "--beta-d-delta", "-1"],
+    ]
     return cases
 
 

@@ -5,8 +5,9 @@ unitaries from checked angles and store them through ``ChannelConfig._built``,
 with no ``check_unitary`` call; the MZI also builds its demon diag(1 - ε, ε)
 unchecked. These tests show that every such unitary passes the check it skips,
 that each built config equals ``ChannelConfig(...)`` of the same arrays bit for
-bit, that a bad demon is refused as ``ChannelConfig(...)`` refuses it, and that
-the module matrices the builders share cannot be written.
+bit, that a bad demon is refused as ``ChannelConfig(...)`` refuses it, that the
+module matrices the builders share cannot be written, and that configs and
+reports, which hold arrays, compare and hash by identity.
 """
 
 import cmath
@@ -202,7 +203,8 @@ def test_check_unitary_runs_once_per_checked_config_and_never_on_built_ones(monk
 
 
 @pytest.mark.parametrize("owner, name", [(spin_demon, "I2"), (qc, "SIGMA_Z"), (qc, "HADAMARD"),
-                                         (qc, "HBAR"), (qc, "CNOT_UP"), (qc, "CNOT_DOWN")])
+                                         (qc, "HBAR"), (qc, "CNOT_UP"), (qc, "CNOT_DOWN"),
+                                         (qc, "UD"), (qc, "VD"), (qc, "SWAP")])
 def test_module_matrices_are_read_only(owner, name):
     matrix = getattr(owner, name)
     with pytest.raises(ValueError, match=re.escape("read-only")):
@@ -210,4 +212,21 @@ def test_module_matrices_are_read_only(owner, name):
 
 
 def test_gates_cnot_hands_out_the_read_only_module_matrix():
-    assert cli._GATES["CNOT"](0.0) is qc.CNOT_UP and not qc.CNOT_UP.flags.writeable
+    assert cli._GATES["CNOT"] is qc.CNOT_UP and not qc.CNOT_UP.flags.writeable
+
+
+def test_configs_and_reports_compare_and_hash_by_identity():
+    # two configs, channel reports or visibility reports with equal arrays: each is
+    # equal only to itself, and hashes without looking at its arrays
+    params, demon, rho_in = SpinDemonParams(0.3, 1.1), np.diag([1.0, 0.0]), np.eye(2) / 2
+    u1, u3 = demon_unitaries(params)
+    built = spin_config(params, demon)
+    checked = ch.ChannelConfig(beam_splitter(0.3, 1.1), (u1, I2, u3, I2), demon)
+    mzi = MziConfig(epsilon=0.1, flux_samples=8, params=params)
+    pairs = [(config_bits, built, spin_config(params, demon)), (config_bits, built, checked),
+             (report_bits, scatter(rho_in, demon, params), ch.apply_channel(rho_in, checked)),
+             (report_bits, run_double_mzi(mzi), run_double_mzi(mzi))]
+    for bits, a, b in pairs:
+        assert bits(a) == bits(b)
+        assert a == a and b == b and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b, a}) == 2

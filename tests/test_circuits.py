@@ -75,24 +75,24 @@ def test_build_gates_unitary_and_commuting_factors(rng):
 
 
 def test_ud_matches_printed_matrix():
-    assert np.allclose(qc.build_UD(), UD_MATRIX, atol=1e-12)
-    ud = qc.build_UD()
+    assert np.allclose(qc.UD, UD_MATRIX, atol=1e-12)
+    ud = qc.UD
     assert np.allclose(ud.conj().T @ ud, np.eye(4), atol=1e-12)
 
 
 def test_ud_purifies_chaotic_system():
-    ud = qc.build_UD()
+    ud = qc.UD
     joint = ud @ qm.tensor(I2 / 2, np.diag([1.0, 0.0])) @ ud.conj().T
     system = partial_trace(joint, "first")
     assert qm.von_neumann_entropy(system) < 1e-10
 
 
 def test_vd_matches_printed_matrix():
-    assert np.allclose(qc.build_VD(), VD_MATRIX, atol=1e-12)
+    assert np.allclose(qc.VD, VD_MATRIX, atol=1e-12)
 
 
 def test_vd_basis_state_actions():
-    vd = qc.build_VD()
+    vd = qc.VD
     e = [np.eye(4)[:, i] for i in range(4)]
     assert np.allclose(vd @ e[0], e[0], atol=1e-12)   # up-sector fixed point
     assert np.allclose(vd @ e[2], e[1], atol=1e-12)   # swap within up sector
@@ -101,7 +101,7 @@ def test_vd_basis_state_actions():
 
 
 def test_vd_swaps_against_basis_demons(rng):
-    vd = qc.build_VD()
+    vd = qc.VD
     for _ in range(20):
         a, b = random_pure(rng)
         system = np.array([a, b])
@@ -113,12 +113,12 @@ def test_vd_swaps_against_basis_demons(rng):
 
 
 def test_swap_matches_printed_matrix():
-    assert np.allclose(qc.build_SWAP(), SWAP_MATRIX, atol=1e-12)
-    assert np.allclose(qc.build_SWAP() @ qc.build_SWAP(), np.eye(4), atol=1e-12)
+    assert np.allclose(qc.SWAP, SWAP_MATRIX, atol=1e-12)
+    assert np.allclose(qc.SWAP @ qc.SWAP, np.eye(4), atol=1e-12)
 
 
 def test_swap_exchanges_product_states(rng):
-    swap = qc.build_SWAP()
+    swap = qc.SWAP
     for _ in range(10):
         psi = random_pure(rng)
         chi = random_pure(rng)
@@ -129,7 +129,7 @@ def build_minimal_pswap() -> np.ndarray:
     """Two-CNOT partial SWAP with exchanged controller.
 
     CNOT on the *system* controlled by the demon's second state, then CNOT on
-    the demon controlled by the system's second state. Equal to build_VD()
+    the demon controlled by the system's second state. Equal to VD
     exactly under this package's conventions (equivalently: the up-active
     pair conjugated by σ_x ⊗ σ_x).
     """
@@ -142,7 +142,7 @@ def build_minimal_pswap() -> np.ndarray:
 
 def test_minimal_pswap_equals_vd():
     minimal = build_minimal_pswap()
-    assert np.allclose(minimal, qc.build_VD(), atol=1e-12)
+    assert np.allclose(minimal, qc.VD, atol=1e-12)
     # equivalent statement: the up-active controller pair conjugated by X⊗X
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     cnot_on_system_up = np.array([[0, 0, 1, 0],
@@ -151,7 +151,7 @@ def test_minimal_pswap_equals_vd():
                                   [0, 0, 0, 1]], dtype=complex)
     conj = qm.tensor(sx, sx)
     assert np.allclose(conj @ cnot_on_system_up @ qc.CNOT_UP @ conj,
-                       qc.build_VD(), atol=1e-12)
+                       qc.VD, atol=1e-12)
 
 
 def pswap_counterexample(demon) -> bool:
@@ -168,7 +168,7 @@ def pswap_counterexample(demon) -> bool:
         raise qm.InvalidStateError(f"state vector norm is {norm}, expected 1")
     if v.size != 2:
         raise qm.ParameterError("demon must be a single-qubit amplitude pair")
-    vd = qc.build_VD()
+    vd = qc.VD
     images = [(vd @ np.kron(basis, v)).reshape(2, 2) for basis in np.eye(2)]
     stacked = np.stack(images, axis=2).reshape(2, 4)  # rows: system-out
     singular = np.linalg.svd(stacked, compute_uv=False)
@@ -190,7 +190,7 @@ def test_pswap_counterexample_superposition():
     demon = np.array([1.0, 1.0]) / np.sqrt(2)
     assert pswap_counterexample(demon) is True
     # explicit witness: system |up> against the balanced demon entangles
-    out = qc.build_VD() @ np.kron([1.0, 0.0], demon)
+    out = qc.VD @ np.kron([1.0, 0.0], demon)
     expected_if_swapped = np.kron(demon, [1.0, 0.0])
     assert not np.allclose(out, expected_if_swapped, atol=1e-6)
 
@@ -339,7 +339,7 @@ def test_canonical_phases_give_real_circuits():
     params = equivalent_spin_params(config)
     assert abs(params.alpha) < 1e-12
     assert abs(params.beta_phase) < 1e-12
-    for matrix in (qc.build_UD(), qc.build_VD(), qc.build_SWAP(),
+    for matrix in (qc.UD, qc.VD, qc.SWAP,
                    qc.u14(-np.pi / 2), qc.pswap_gate(-np.pi / 2)):
         assert np.abs(matrix.imag).max() < 1e-12
 

@@ -959,9 +959,37 @@ def test_frontier_refuses_a_bad_beta_d_delta_without_p_e(bds):
     want = outcome(eng.frontier_epsilons, [0.3], bds)
     assert want[0] is qm.ParameterError and want[1].startswith("beta_d_delta must be")
     assert outcome(eng.frontier_epsilons, [], bds) == want
-    # with p_e values the order stays: a bad p_e is refused ahead of beta_d_delta
-    assert outcome(eng.frontier_epsilons, [0.7], bds)[1] == "p_e must lie in (0, 1/2], got 0.7"
+    # beta_d_delta is checked before any row, so ahead of a bad p_e too
+    assert outcome(eng.frontier_epsilons, [0.7], bds) == want
     assert eng.frontier_epsilons([], [2.0, 3.0]) == []
+
+
+#: at beta_delta = 30 opt-eta's search does not converge: a check made after it
+#: would report non-convergence instead of the bad beta_d_delta
+P_E_30 = eng.thermal_wit(30.0)[1]
+ENTRIES = {
+    "run_cycle": lambda bd: eng.run_cycle(30.0, bd),
+    "optimize_epsilon_power": lambda bd: eng.optimize_epsilon_power(P_E_30, bd),
+    **{f"resolve_epsilon({policy})": lambda bd, policy=policy: eng.resolve_epsilon(
+        policy, P_E_30, bd) for policy in ("ideal", "fixed:0.1", "opt-power", "opt-eta")},
+    **{f"sweep_beta({policy})": lambda bd, policy=policy: eng.sweep_beta(bd, policy, [30.0])
+       for policy in ("ideal", "fixed:0.1", "opt-power", "opt-eta")},
+    "frontier_epsilons": lambda bd: eng.frontier_epsilons([P_E_30], [2.0, bd]),
+    **{f"minimal_beta({policy})": lambda bd, policy=policy: eng.minimal_beta(bd, policy)
+       for policy in ("ideal", "opt-eta")},
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("bd", [math.nan, math.inf, -1.0, 0.0, 1e-320])
+def test_each_entry_refuses_a_bad_beta_d_delta_before_any_search(entry, bd):
+    with pytest.raises(qm.ParameterError) as want:
+        eng._check_beta_d(bd)
+    with mock.patch.object(eng, "_max_net_work", wraps=eng._max_net_work) as search, \
+            pytest.raises(qm.ParameterError) as got:
+        ENTRIES[entry](bd)
+    assert (type(got.value), str(got.value), search.call_count) == (
+        qm.ParameterError, str(want.value), 0)
 
 
 def test_frontier_epsilon_orderings():
