@@ -27,8 +27,9 @@ argparse, which writes every usage error and help text.
 
 Each subcommand returns its output text and None or a non-convergence note.
 ``main`` alone writes the text (to ``--output``, else stdout), then the note to
-stderr, and turns a rejected parameter or state into the usage error. Exit
-codes: 0 success, 2 usage error, 3 numerical non-convergence.
+stderr, and turns a rejected parameter or state, or an ``--output`` it cannot
+open, into the usage error. Exit codes: 0 success, 2 usage error, 3 numerical
+non-convergence.
 """
 
 from __future__ import annotations
@@ -245,8 +246,9 @@ def cmd_engine(args, argv) -> tuple[str, str | None]:
         return _json(doc), None
 
     if args.mode == "sweep":
+        eng._check_beta_d(bd_delta)  # before the sweep end is derived from it
         end = bd_delta * args.beta_max_frac  # checked: linspace makes NaNs of an inf end
-        _require_finite(beta_min=args.beta_min, beta_d_delta=bd_delta, beta_max=end)
+        _require_finite(beta_min=args.beta_min, beta_max=end)
         for beta in (args.beta_min, end):  # refused before linspace, which can overflow
             if beta < 0.0:
                 raise ParameterError(f"beta must be non-negative, got {beta}")
@@ -427,7 +429,12 @@ def main(argv: list[str] | None = None) -> int:
     except eng.ConvergenceError as exc:
         text, failure = None, str(exc)
     if text is not None:
-        _write(args.output, text)
+        try:
+            _write(args.output, text)
+        except OSError as exc:  # an --output file that cannot be opened; stdout's own errors pass
+            if args.output in (None, "-"):
+                raise
+            parser.error(f"cannot write --output {args.output}: {exc.strerror}")
     if failure is None:
         return 0
     sys.stderr.write(f"non-convergence: {failure}\n")

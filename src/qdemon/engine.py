@@ -240,14 +240,23 @@ def _max_net_work(p_e, xi, bd_delta, t):
     return eps, lev, res if res > 0.0 else 0.0 - res, it, inside  # 0.0 - res: +0.0 at res = -0.0
 
 
-def _power_search(p_e: float, beta_d_delta: float):
-    """opt-power's search: (eps*, level beta_d_delta, residual |s|, Newton steps,
-    root found, converged), the fields ``optimize_epsilon_power`` reports."""
+def _search(p_e: float, level: float | None):
+    """The optimal policies' one search, ``_max_net_work`` at level beta_d_delta (opt-power)
+    or None (opt-eta's R): (eps*, level, residual, Newton steps, root found, converged), the
+    fields ``optimize_epsilon_power`` and ``optimize_epsilon_eta`` report."""
     if not 0.0 < p_e <= 0.5:
         raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
     xi = 1.0 - 2.0 * p_e
-    found = _max_net_work(p_e, xi, beta_d_delta, -xi * bit_entropy_prime(p_e) - beta_d_delta)
-    return (*found, found[2] <= 1e-12)
+    if level is not None:
+        t = -xi * bit_entropy_prime(p_e) - level
+    elif p_e == 0.5:
+        return 0.5, 0.0, 0.0, 0, True, True
+    else:  # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
+        # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
+        eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
+        t = _log(eps / (1.0 - eps)) if eps >= EPS_FLOOR else _T_FLOOR
+    found = _max_net_work(p_e, xi, level, t)  # opt-eta converges only on a root found
+    return (*found, (level is not None or found[4]) and found[2] <= 1e-12)
 
 
 def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResult:
@@ -265,24 +274,9 @@ def optimize_epsilon_power(p_e: float, beta_d_delta: float) -> OptimizationResul
     cycle's net work at eps*.
     """
     _check_beta_d(beta_d_delta)
-    eps, _, residual, iters, inside, converged = _power_search(p_e, beta_d_delta)
+    eps, _, residual, iters, inside, converged = _search(p_e, beta_d_delta)
     return OptimizationResult(eps, _cycle(p_e, eps, beta_d_delta)[3], converged,
                               iters, residual, (eps,) if inside else ())
-
-
-def _eta_search(p_e: float):
-    """opt-eta's search: (eps*, R(eps*), residual |F|, Newton steps, root found,
-    converged), the fields ``optimize_epsilon_eta`` reports."""
-    if not 0.0 < p_e <= 0.5:
-        raise ParameterError(f"p_e must lie in (0, 1/2], got {p_e}")
-    if p_e == 0.5:
-        return 0.5, 0.0, 0.0, 0, True, True
-    xi = 1.0 - 2.0 * p_e
-    # eps* tends to p_e^2/e as p_e -> 0 and to p_e - xi/2 as p_e -> 1/2: a start near
-    # both, raised to the floor so that its t is finite (the search clamps t to the bracket)
-    eps = p_e * p_e / (p_e + xi * (math.e - (2.0 * math.e - 1.0) * p_e))
-    found = _max_net_work(p_e, xi, None, _log(eps / (1.0 - eps)) if eps >= EPS_FLOOR else _T_FLOOR)
-    return (*found, found[4] and found[2] <= 1e-12)
 
 
 def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
@@ -296,7 +290,7 @@ def optimize_epsilon_eta(p_e: float) -> OptimizationResult:
     inside the bracket (roots = (eps*,)) and |F| <= 1e-12 (residual). At
     p_e = 1/2 the root is the boundary eps = 1/2.
     """
-    eps, ratio, residual, iters, inside, converged = _eta_search(p_e)
+    eps, ratio, residual, iters, inside, converged = _search(p_e, None)
     return OptimizationResult(eps, ratio, converged, iters, residual, (eps,) if inside else ())
 
 
@@ -326,20 +320,17 @@ def _converged(policy: str, p_e: float, found: tuple) -> tuple:
 
 def resolve_epsilon(policy: str, p_e: float, beta_d_delta: float) -> float:
     """Demon impurity selected by a policy at the given operating point."""
-    name, fixed = parse_policy(policy)
     _check_beta_d(beta_d_delta)
-    return _resolve(policy, name, fixed, p_e, beta_d_delta)
+    return _resolve(policy, parse_policy(policy), p_e, beta_d_delta)
 
 
-def _resolve(policy: str, name: str, fixed: float | None, p_e: float,
+def _resolve(policy: str, parsed: tuple[str, float | None], p_e: float,
              beta_d_delta: float) -> float:
-    """resolve_epsilon for a policy already parsed into (name, fixed)."""
-    if name == "ideal":
-        return 0.0
-    if name == "fixed":
-        return float(fixed)
-    found = _power_search(p_e, beta_d_delta) if name == "opt-power" else _eta_search(p_e)
-    return _converged(policy, p_e, found)[0]
+    """resolve_epsilon for a policy already parsed by ``parse_policy``."""
+    name, fixed = parsed
+    if not name.startswith("opt-"):  # ideal, or fixed
+        return 0.0 if fixed is None else fixed
+    return _converged(policy, p_e, _search(p_e, beta_d_delta if name == "opt-power" else None))[0]
 
 
 def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
@@ -360,7 +351,7 @@ def minimal_beta(beta_d_delta: float, policy: str = "ideal") -> float:
         p_g, p_e = thermal_wit(beta_delta)
         hp = min(beta_delta, BETA_DELTA_CAP)  # H'[p_e]: the slope's H'[x](1 - 2 eps) at eps = 0
         if opt:  # eps* < EPS_FLOOR below 2 EPS_FLOOR: a search that does not converge
-            eps, r = _converged(policy, p_e, _eta_search(max(p_e, 2.0 * EPS_FLOOR)))[:2]
+            eps, r = _converged(policy, p_e, _search(max(p_e, 2.0 * EPS_FLOOR), None))[:2]
         elif fixed:
             eps, r = fixed, _entropy_cost_ratio(p_e, fixed) if p_e > fixed else math.inf
         else:  # R(p_e, 0) with ln p_e = -hp - ln(1 + e^-hp), exact where p_e is subnormal
@@ -401,14 +392,13 @@ def sweep_beta(beta_d_delta: float, policy: str, beta_deltas) -> list[dict]:
     Rows are pure functions of their grid point (safe to compute in
     parallel); ordering follows the input grid. Each row holds the fields of
     ``run_cycle`` at its point, computed without building its dataclasses.
-    The policy is parsed and beta_d_delta checked once, before any row.
+    beta_d_delta is checked and then the policy parsed once, before any row.
     """
-    name, fixed = parse_policy(policy)
     _check_beta_d(beta_d_delta)
-    rows = []
+    parsed, rows = parse_policy(policy), []
     for bd in map(float, beta_deltas):
         _, p_e = thermal_wit(bd)
-        eps = _resolve(policy, name, fixed, p_e, beta_d_delta)
+        eps = _resolve(policy, parsed, p_e, beta_d_delta)
         heat, _, _, net, eta_2cy = _cycle(p_e, eps, beta_d_delta)
         rows.append({"beta_delta": bd, "p_e": p_e, "epsilon": eps, "heat": heat, "net_work": net,
                      "eta_2cy": eta_2cy, "eta_carnot": 1.0 - bd / beta_d_delta})
@@ -430,6 +420,6 @@ def frontier_epsilons(pe_values, beta_d_deltas) -> list[dict]:
             raise ParameterError(f"beta_d_delta values {columns[name]!r} and {bd!r} "
                                  f"both name the frontier column {name}")
         columns[name] = bd
-    return [{"p_e": pe, "eps_eta": _eta_search(pe)[0],
-             **{name: _power_search(pe, bd)[0] for name, bd in columns.items()}}
+    return [{"p_e": pe, "eps_eta": _search(pe, None)[0],
+             **{name: _search(pe, bd)[0] for name, bd in columns.items()}}
             for pe in map(float, pe_values)]

@@ -303,6 +303,11 @@ def _later_cases() -> list[list[str]]:
         ["engine", "optimize", "--target", "power", "--pe", "0.7", "--beta-d-delta", "-1"],
         ["engine", "frontier", "--pe", "0.7", "--beta-d-delta", "-1"],
     ]
+    # every mode that takes a policy refuses a bad beta_d_delta ahead of a bad policy, and
+    # the sweep refuses a negative beta_d_delta by name, before it derives its end from it
+    cases += [["engine", mode, "--beta-d-delta", "nan", "--policy", "bogus"]
+              for mode in ("report", "threshold", "sweep")]
+    cases.append(["engine", "sweep", "--beta-d-delta", "-1", "--steps", "3"])
     return cases
 
 

@@ -761,6 +761,17 @@ def test_output_dash_same_as_stdout(capsys):
     assert capsys.readouterr().out == stdout
 
 
+@pytest.mark.parametrize("where, reason", [("missing/x.json", "No such file or directory"),
+                                           ("", "Is a directory")])
+def test_output_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, where, reason):
+    # a missing directory, or a path that is a directory: exit 2, no traceback, no file
+    path = str(tmp_path / where) if where else str(tmp_path)
+    code, out, err = outcome(capsys, ["engine", "report", "--output", path])
+    assert (code, out) == (2, "")
+    assert err.endswith(f"qdemon: error: cannot write --output {path}: {reason}\n")
+    assert "Traceback" not in err and list(tmp_path.iterdir()) == []
+
+
 def test_channel_json_identical_across_output_paths(tmp_path):
     args = ["channel", "--theta", "0.3", "--demon", "mixture", "0.25"]
     a = tmp_path / "c1.json"

@@ -728,8 +728,9 @@ def test_minimal_beta_within_4e_15_of_the_mpmath_root(policy, eps):
 def test_minimal_beta_opt_eta_takes_at_most_8_searches():
     # one opt-eta search per Newton step
     calls = []
-    search = eng._eta_search
-    with mock.patch.object(eng, "_eta_search", lambda p_e: calls.append(p_e) or search(p_e)):
+    search = eng._search
+    with mock.patch.object(eng, "_search",
+                           lambda p_e, level: calls.append(p_e) or search(p_e, level)):
         for bd_delta in map(float, np.geomspace(0.05, 17.3, 800)):
             calls.clear()
             beta = eng.minimal_beta(bd_delta, "opt-eta")
@@ -839,12 +840,14 @@ def test_sweep_refuses_beta_d_delta_as_the_cycle_does(policy, beta_d_delta):
 @pytest.mark.parametrize("policy", ["bogus", "fixed:0.9", "fixed:x"])
 @pytest.mark.parametrize("grid", [[], [-1.0], [math.nan, 1.0], [1.0, 2.0]])
 def test_sweep_refuses_a_bad_policy_before_any_row(policy, grid):
-    # the policy is parsed once, ahead of the grid and beta_d_delta checks
-    with pytest.raises(qm.ParameterError) as want:
-        eng.parse_policy(policy)
-    with pytest.raises(qm.ParameterError) as got:
-        eng.sweep_beta(-1.0, policy, grid)
-    assert str(got.value) == str(want.value)
+    # the policy is parsed once, ahead of the grid check; beta_d_delta is checked first
+    for bd_delta, parse in ((2.0, lambda: eng.parse_policy(policy)),
+                            (-1.0, lambda: eng._check_beta_d(-1.0))):
+        with pytest.raises(qm.ParameterError) as want:
+            parse()
+        with pytest.raises(qm.ParameterError) as got:
+            eng.sweep_beta(bd_delta, policy, grid)
+        assert str(got.value) == str(want.value)
 
 
 def test_sweep_parses_its_policy_once():
@@ -990,6 +993,17 @@ def test_each_entry_refuses_a_bad_beta_d_delta_before_any_search(entry, bd):
         ENTRIES[entry](bd)
     assert (type(got.value), str(got.value), search.call_count) == (
         qm.ParameterError, str(want.value), 0)
+
+
+@pytest.mark.parametrize("entry", [lambda policy: eng.resolve_epsilon(policy, P_E_30, math.nan),
+                                   lambda policy: eng.sweep_beta(math.nan, policy, [30.0]),
+                                   lambda policy: eng.minimal_beta(math.nan, policy)],
+                         ids=["resolve_epsilon", "sweep_beta", "minimal_beta"])
+@pytest.mark.parametrize("policy", ["bogus", "fixed:0.9", "fixed:x"])
+def test_each_policy_entry_refuses_a_bad_beta_d_delta_before_a_bad_policy(entry, policy):
+    # one order for every entry that takes both: beta_d_delta first, then the policy
+    with pytest.raises(qm.ParameterError, match=r"^beta_d_delta must be finite, got nan$"):
+        entry(policy)
 
 
 def test_frontier_epsilon_orderings():

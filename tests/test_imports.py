@@ -148,6 +148,12 @@ def test_cli_main_alone_writes_refuses_and_exits():
             if any(c.endswith(".error") for c in callees)} == {"_parse", "main"}
 
 
+def test_one_engine_search_calls_the_newton_kernel():
+    # both optimal policies go through _search, which alone picks p_e's check, xi and the start
+    calls = calls_by_function((PACKAGE / "engine.py").read_text(encoding="utf-8"))
+    assert {name for name, callees in calls.items() if "_max_net_work" in callees} == {"_search"}
+
+
 def test_importing_the_engine_loads_no_other_package_module():
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qdemon.engine; "
             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'qdemon'))")
