@@ -27,9 +27,9 @@ argparse, which writes every usage error and help text.
 
 Each subcommand returns its output text and None or a non-convergence note.
 ``main`` alone writes the text (to ``--output``, else stdout), then the note to
-stderr, and turns a rejected parameter or state, or an ``--output`` it cannot
-open, into the usage error. Exit codes: 0 success, 2 usage error, 3 numerical
-non-convergence.
+stderr, and turns a rejected parameter or state, a size too large to allocate, or
+an ``--output`` it cannot open, into the usage error. Exit codes: 0 success, 2
+usage error, 3 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -426,6 +426,8 @@ def main(argv: list[str] | None = None) -> int:
                          "engine": cmd_engine}[args.command](args, argv)
     except (ParameterError, InvalidStateError) as exc:
         parser.error(str(exc))
+    except MemoryError as exc:  # e.g. a --flux-steps no host can hold
+        parser.error(f"out of memory: {exc}")
     except eng.ConvergenceError as exc:
         text, failure = None, str(exc)
     if text is not None:

@@ -11,12 +11,14 @@ Loop 1 (splitter s(0, π), arm phase a, dephasing χ) leaves ρ = [[1/2, z],
 [z*, 1/2]], z = -(1/2) cos χ e^{ia}. The bypass's bare splitter s(θ, η) makes
 ρ01 = (e^{2iθ} z - e^{-2iη} z*)/2; the demon path depends on neither χ nor a.
 The flux is a relative phase on one arm, so loop 2 outputs 1/2 ± Re(e^{iΦ} ρ01)
-of the scattered state.
+of the scattered state. The flux grid and its phasors e^{iΦ} are built once per
+sample count; only the last count's grid is kept.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -61,6 +63,7 @@ class VisibilityReport:
     """Sampled output probabilities and their fringe visibility.
 
     p3 + p4 = 1 at every flux sample; visibility = (max-min)/(max+min) of p3.
+    ``flux`` is the read-only grid that every run at this sample count shares.
     """
 
     flux: np.ndarray
@@ -69,12 +72,22 @@ class VisibilityReport:
     visibility: float
 
 
+@functools.lru_cache(maxsize=1)
+def _flux_grid(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n flux samples Φ in [0, 2π) and their phasors e^{iΦ}, both read-only."""
+    flux = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    phasor = np.exp(1j * flux)
+    flux.flags.writeable = phasor.flags.writeable = False
+    return flux, phasor
+
+
 def run_double_mzi(config: MziConfig) -> VisibilityReport:
     """Propagate one flying qubit through both loops for every flux sample.
 
     Loop 1 leaves ρ01 = z = -(1/2) cos χ e^{ia}; the bypass makes it
     (e^{2iθ} z - e^{-2iη} z*)/2, and ``apply_channel`` gives it on a config with the demon
-    diag(1-ε, ε), built unchecked, whatever χ and a are. Every flux sample is 1/2 ± Re(e^{iΦ} ρ01).
+    diag(1-ε, ε), built unchecked, whatever χ and a are. Every flux sample is 1/2 ± Re(e^{iΦ} ρ01),
+    on the grid built once per sample count (only the last count's grid is kept).
     """
     z = -0.5 * math.cos(config.chi) * cmath.exp(1j * config.arm_phase)
     if config.bypass_demon:
@@ -84,8 +97,8 @@ def run_double_mzi(config: MziConfig) -> VisibilityReport:
         rho = np.array([[0.5, z], [z.conjugate(), 0.5]])
         demon = np.array([[1.0 - config.epsilon, 0.0], [0.0, config.epsilon]], dtype=complex)
         coherence = apply_channel(rho, _spin_config(config.params, demon)).rho_out[0, 1]
-    flux = np.linspace(0.0, 2.0 * np.pi, config.flux_samples, endpoint=False)
-    fringe = (np.exp(1j * flux) * coherence).real
+    flux, phasor = _flux_grid(config.flux_samples)
+    fringe = (phasor * coherence).real
     p3 = 0.5 + fringe
     p4 = 0.5 - fringe
     hi, lo = p3.max(), p3.min()

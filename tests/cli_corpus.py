@@ -308,6 +308,8 @@ def _later_cases() -> list[list[str]]:
     cases += [["engine", mode, "--beta-d-delta", "nan", "--policy", "bogus"]
               for mode in ("report", "threshold", "sweep")]
     cases.append(["engine", "sweep", "--beta-d-delta", "-1", "--steps", "3"])
+    # a flux grid no host can hold (7.11 PiB) is refused at once with the usage error
+    cases.append(["mzi", "--flux-steps", "1000000000000000"])
     return cases
 
 

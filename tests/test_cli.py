@@ -772,6 +772,18 @@ def test_output_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys, where, 
     assert "Traceback" not in err and list(tmp_path.iterdir()) == []
 
 
+def test_flux_steps_no_host_can_hold_is_a_usage_error(tmp_path, capsys):
+    # 10^15 samples ask numpy for 7.11 PiB, which fails at once without touching memory:
+    # exit 2, no traceback, no --output file. A size a host could allocate is never tried.
+    argv = ["mzi", "--flux-steps", "1000000000000000"]
+    for extra in ([], ["--output", str(tmp_path / "mzi.csv")]):
+        code, out, err = outcome(capsys, argv + extra)
+        assert (code, out) == (2, "")
+        assert "qdemon: error: out of memory: Unable to allocate" in err
+        assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_channel_json_identical_across_output_paths(tmp_path):
     args = ["channel", "--theta", "0.3", "--demon", "mixture", "0.25"]
     a = tmp_path / "c1.json"

@@ -154,6 +154,13 @@ def test_one_engine_search_calls_the_newton_kernel():
     assert {name for name, callees in calls.items() if "_max_net_work" in callees} == {"_search"}
 
 
+def test_only_the_flux_grid_builds_flux_samples_and_phasors():
+    # run_double_mzi reads the cached grid of its sample count and never rebuilds it
+    calls = calls_by_function((PACKAGE / "interferometer.py").read_text(encoding="utf-8"))
+    assert {name for name, callees in calls.items()
+            if callees & {"np.linspace", "np.exp"}} == {"_flux_grid"}
+
+
 def test_importing_the_engine_loads_no_other_package_module():
     code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); import qdemon.engine; "
             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'qdemon'))")

@@ -1,7 +1,9 @@
 """Double Mach-Zehnder: dephasing, restoration, fringe visibility."""
 
+import cmath
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qdemon import interferometer
 from qdemon import qmatrix as qm
 from qdemon.channel import apply_channel
 from qdemon.interferometer import MziConfig, run_double_mzi
-from qdemon.spin_demon import SpinDemonParams, beam_splitter, scatter
+from qdemon.spin_demon import SpinDemonParams, _spin_config, beam_splitter, scatter
 from conftest import partial_trace
 
 I2 = np.eye(2, dtype=complex)
@@ -195,3 +197,75 @@ def test_non_finite_angles_rejected(bad):
         with pytest.raises(qm.ParameterError, match=re.escape(f"{name} must be finite, got {bad}")):
             call()
             pytest.fail(f"{label} accepted {bad}")
+
+
+#: sample counts interleaved so that the one-grid cache keeps, drops and rebuilds its grid
+INTERLEAVED_SAMPLES = (8, 9, 96, 512, 1001, np.int64(64), 8, 512)
+
+
+def uncached_mzi(config):
+    """Oracle: ``run_double_mzi`` with the flux grid and its phasors rebuilt on every run."""
+    z = -0.5 * math.cos(config.chi) * cmath.exp(1j * config.arm_phase)
+    if config.bypass_demon:
+        theta, eta = config.params.theta, config.params.eta
+        coherence = 0.5 * (cmath.exp(2j * theta) * z - cmath.exp(-2j * eta) * z.conjugate())
+    else:
+        rho = np.array([[0.5, z], [z.conjugate(), 0.5]])
+        demon = np.array([[1.0 - config.epsilon, 0.0], [0.0, config.epsilon]], dtype=complex)
+        coherence = apply_channel(rho, _spin_config(config.params, demon)).rho_out[0, 1]
+    flux = np.linspace(0.0, 2.0 * np.pi, config.flux_samples, endpoint=False)
+    fringe = (np.exp(1j * flux) * coherence).real
+    p3, p4 = 0.5 + fringe, 0.5 - fringe
+    return flux, p3, p4, float((p3.max() - p3.min()) / (p3.max() + p3.min()))
+
+
+def test_cached_grid_gives_the_uncached_bits(rng):
+    for n in INTERLEAVED_SAMPLES:
+        for bypass in (False, True):
+            params = SpinDemonParams(*rng.uniform(0.0, 2 * np.pi, size=5))
+            config = MziConfig(chi=rng.uniform(0, np.pi), epsilon=rng.uniform(0, 0.5),
+                               flux_samples=n, params=params,
+                               arm_phase=rng.uniform(-np.pi, np.pi), bypass_demon=bypass)
+            report = run_double_mzi(config)
+            flux, p3, p4, visibility = uncached_mzi(config)
+            for got, want in ((report.flux, flux), (report.p3, p3), (report.p4, p4)):
+                assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype,
+                                                                want.tobytes())
+            assert report.visibility == visibility
+
+
+def test_one_flux_grid_per_sample_count(monkeypatch):
+    interferometer._flux_grid.cache_clear()
+    counts = Counter()
+    for name in ("linspace", "exp"):
+        def counted(*args, _real=getattr(np, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    bypass = MziConfig(chi=0.4, flux_samples=40, bypass_demon=True)
+    first, second = run_double_mzi(bypass), run_double_mzi(MziConfig(epsilon=0.2, flux_samples=40))
+    assert counts == {"linspace": 1, "exp": 1}
+    # one grid shared by both reports, but fresh probabilities for each run
+    assert first.flux is second.flux
+    assert first.p3 is not second.p3 and not np.shares_memory(first.p3, second.p3)
+    assert first.p4 is not second.p4 and not np.shares_memory(first.p4, second.p4)
+    # only the last sample count's grid is kept: a new count, and back again, rebuild it
+    assert len(run_double_mzi(MziConfig(flux_samples=41)).flux) == 41
+    assert counts == {"linspace": 2, "exp": 2}
+    assert len(run_double_mzi(bypass).flux) == 40
+    assert counts == {"linspace": 3, "exp": 3}
+
+
+def test_a_write_to_one_report_cannot_reach_a_later_one():
+    first = run_double_mzi(MziConfig(epsilon=0.1, flux_samples=24))
+    flux, p3, p4, _ = uncached_mzi(MziConfig(epsilon=0.1, flux_samples=24))
+    for grid in (first.flux, interferometer._flux_grid(24)[1]):
+        with pytest.raises(ValueError, match=re.escape("read-only")):
+            grid[0] = grid[0]     # a write that changes nothing where it is allowed
+        with pytest.raises(ValueError, match=re.escape("read-only")):
+            grid += 1.0
+    first.p3[:] = first.p4[:] = -1.0     # each run's own probabilities may be written
+    later = run_double_mzi(MziConfig(epsilon=0.1, flux_samples=24))
+    assert later.flux is first.flux and later.flux.tobytes() == flux.tobytes()
+    assert (later.p3.tobytes(), later.p4.tobytes()) == (p3.tobytes(), p4.tobytes())
